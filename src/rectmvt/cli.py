@@ -24,25 +24,10 @@ from .expr import (
     Var,
     parse,
 )
-from .harness import GenerationError, family_from_name, run_sweep
+from .harness import GenerationError, build_field, family_from_name, run_sweep
 from .hyperdual import eval_hyperdual, finite_difference_oracle
 from .locator import LocateConfig, LocateReport, locate, locate_line, verify_at
-from .theorems import (
-    ALL_TAGS,
-    DegenerateError,
-    DomainError,
-    HypothesisError,
-    ONE_DIM_TAGS,
-    Rectangle,
-    TheoremCase,
-    boggio1d_residual,
-    boggio2d_residual,
-    pompeiu1d_residual,
-    pompeiu2d_residual,
-    rect_cauchy_residual,
-    rect_mvt_residual,
-    rect_rolle_residual,
-)
+from .theorems import THEOREMS, DegenerateError, DomainError, HypothesisError
 
 __all__ = ["main"]
 
@@ -71,29 +56,12 @@ def _emit(doc) -> None:
 
 
 def _build_field(args):
-    """Residual field for the requested theorem; returns (field, is_line, rect_list)."""
-    tag = args.theorem
+    """Residual field for the requested theorem; returns (field, is_line, bounds)."""
     f = parse(args.f)
     g = parse(args.g) if args.g is not None else None
-    TheoremCase(tag, f, g)  # validates tag / g pairing
-    if tag in ONE_DIM_TAGS:
-        x1, x2 = _floats(args.rect, 2, "--rect")
-        if tag == "pompeiu1d":
-            return pompeiu1d_residual(f, x1, x2), True, [x1, x2]
-        return boggio1d_residual(f, g, x1, x2), True, [x1, x2]
-    x1, x2, y1, y2 = _floats(args.rect, 4, "--rect")
-    rect = Rectangle(x1, x2, y1, y2)
-    if tag == "rolle":
-        field = rect_rolle_residual(f, rect)
-    elif tag == "rmvt":
-        field = rect_mvt_residual(f, rect)
-    elif tag == "cauchy":
-        field = rect_cauchy_residual(f, g, rect)
-    elif tag == "pompeiu2d":
-        field = pompeiu2d_residual(f, rect)
-    else:
-        field = boggio2d_residual(f, g, rect)
-    return field, False, [x1, x2, y1, y2]
+    one_dim = THEOREMS[args.theorem].one_dim
+    bounds = _floats(args.rect, 2 if one_dim else 4, "--rect")
+    return build_field(args.theorem, f, g, bounds), one_dim, bounds
 
 
 def _config_from_args(args) -> LocateConfig:
@@ -114,8 +82,8 @@ def _point_doc(report: LocateReport, is_line: bool) -> dict:
 
 
 def _cmd_locate(args) -> int:
-    field, is_line, rect = _build_field(args)
     cfg = _config_from_args(args)
+    field, is_line, rect = _build_field(args)
     report = locate_line(field, cfg) if is_line else locate(field, cfg)
     doc = {
         "theorem": args.theorem,
@@ -137,6 +105,8 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the tolerance follows the locate rule, so --tau is validated the same way
+    tol_factor = _config_from_args(args).tol_factor
     field, is_line, rect = _build_field(args)
     if is_line:
         (xi,) = _floats(args.point, 1, "--point")
@@ -147,7 +117,7 @@ def _cmd_verify(args) -> int:
         xi1, xi2 = _floats(args.point, 2, "--point")
         residual = verify_at(field, xi1, xi2)
         point_doc = {"xi1": xi1, "xi2": xi2}
-    tolerance = args.tau * field.scale
+    tolerance = tol_factor * field.scale
     doc = {
         "theorem": args.theorem,
         "rect": rect,
@@ -255,7 +225,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     locate_p = sub.add_parser("locate", help="find a mean-value point of a theorem residual")
-    locate_p.add_argument("--theorem", required=True, choices=ALL_TAGS)
+    locate_p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     locate_p.add_argument("--f", required=True, help="expression for f, e.g. 'x^2*y'")
     locate_p.add_argument("--g", default=None, help="expression for g (Cauchy/Boggio theorems)")
     locate_p.add_argument(
@@ -267,7 +237,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     locate_p.set_defaults(handler=_cmd_locate)
 
     verify_p = sub.add_parser("verify", help="evaluate a theorem residual at a claimed point")
-    verify_p.add_argument("--theorem", required=True, choices=ALL_TAGS)
+    verify_p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     verify_p.add_argument("--f", required=True)
     verify_p.add_argument("--g", default=None)
     verify_p.add_argument("--rect", required=True)
@@ -276,7 +246,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     verify_p.set_defaults(handler=_cmd_verify)
 
     sweep_p = sub.add_parser("sweep", help="run a deterministic sweep of generated cases")
-    sweep_p.add_argument("--theorem", required=True, choices=ALL_TAGS)
+    sweep_p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     sweep_p.add_argument("--family", default="poly4", help="poly<k>, bilinear, separable, exp-poly, rational")
     sweep_p.add_argument("--count", type=_positive_int, required=True)
     sweep_p.add_argument("--seed", type=int, default=42)

@@ -12,8 +12,8 @@ The grammar is a small calculator language over the variables x and y
 ``^`` binds tightest and is right-associative, then unary minus, then
 ``*``/``/``, then ``+``/``-``.  Evaluation is generic: any object implementing
 the arithmetic operators plus ``sin``/``cos``/``exp``/``log``/``sqrt`` methods
-can flow through an expression tree, which is how the dual and hyper-dual
-algebras obtain derivatives without a separate differentiation pass.
+can flow through an expression tree, which is how the hyper-dual algebra
+obtains derivatives without a separate differentiation pass.
 """
 
 from __future__ import annotations

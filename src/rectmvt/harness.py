@@ -13,15 +13,15 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import BinOp, Call, Const, EvaluationError, Expression, Var, const, evaluate
+from .expr import BinOp, Call, Const, EvaluationError, Expression, Var, const, evaluate, substitute
 from .locator import LocateConfig, locate, locate_line, verify_at
 from .theorems import (
+    THEOREMS,
     DegenerateError,
     DomainError,
     HypothesisError,
-    ONE_DIM_TAGS,
     Rectangle,
-    ZERO_FREE_TAGS,
+    Theorem,
     boggio1d_residual,
     boggio2d_residual,
     build_reciprocal_transform,
@@ -39,6 +39,7 @@ __all__ = [
     "FunctionFamily",
     "GenerationError",
     "SweepSummary",
+    "build_field",
     "derive_seed",
     "family_from_name",
     "generate_function",
@@ -179,7 +180,7 @@ def generate_function(
         degree = max(1, min(3, family.max_degree))
         u = _poly1d(rng, degree, family.coeff_range)
         v = _poly1d(rng, degree, family.coeff_range)
-        return BinOp("*", u, _swap_to_y(v))
+        return BinOp("*", u, substitute(v, {"x": Var("y")}))
     if family.kind == "exp-poly":
         # small coefficients keep magnitudes (and the derivative components the
         # finite-difference oracle must resolve) within double precision comfort
@@ -207,20 +208,6 @@ def generate_function(
                 return BinOp("/", num, den)
         raise GenerationError("no denominator bounded away from zero in 1000 draws")
     raise ValueError(f"unknown family kind {family.kind!r}")
-
-
-def _swap_to_y(expr: Expression) -> Expression:
-    """Rename x to y in a 1-D expression (for the separable family's v(y))."""
-    match expr:
-        case Const():
-            return expr
-        case Var():
-            return Var("y")
-        case BinOp(op, left, right):
-            return BinOp(op, _swap_to_y(left), _swap_to_y(right))
-        case Call(fn, arg):
-            return Call(fn, _swap_to_y(arg))
-    return expr
 
 
 def generate_rectangle(seed: int, zero_free: bool = False) -> Rectangle:
@@ -270,41 +257,63 @@ class SweepSummary:
     cases: tuple[CaseResult, ...]
 
 
-def _xy_product() -> Expression:
-    return BinOp("*", Var("x"), Var("y"))
+def _theorem(tag: str) -> Theorem:
+    try:
+        return THEOREMS[tag]
+    except KeyError:
+        raise ValueError(f"unknown theorem tag {tag!r}") from None
 
 
-def _build_case(tag: str, family: FunctionFamily, case_seed: int):
-    """Field (plus its scale) for one sweep case; returns (field, is_line)."""
-    rect = generate_rectangle(derive_seed(case_seed, 0), zero_free=tag in ZERO_FREE_TAGS)
-    if tag in ONE_DIM_TAGS:
+def build_field(tag: str, f: Expression, g: Optional[Expression], bounds):
+    """Residual field of theorem ``tag`` for ``f`` (and ``g``) on ``bounds``.
+
+    ``bounds`` is ``(x1, x2)`` for the one-dimensional theorems and
+    ``(x1, x2, y1, y2)`` for the others.  This is the one place that maps a
+    theorem tag to its residual builder.
+    """
+    theorem = _theorem(tag)
+    theorem.check_g(g)
+    n = 2 if theorem.one_dim else 4
+    if len(bounds) != n:
+        raise ValueError(f"theorem {tag!r} takes {n} bounds, got {len(bounds)}")
+    domain = tuple(bounds) if theorem.one_dim else (Rectangle(*bounds),)
+    functions = (f,) if g is None else (f, g)
+    # built per call so the builders are looked up in this module's namespace
+    # at call time, where callers may rebind them (e.g. to trace them)
+    builders = {
+        "rolle": rect_rolle_residual,
+        "rmvt": rect_mvt_residual,
+        "cauchy": rect_cauchy_residual,
+        "pompeiu2d": pompeiu2d_residual,
+        "boggio2d": boggio2d_residual,
+        "pompeiu1d": pompeiu1d_residual,
+        "boggio1d": boggio1d_residual,
+    }
+    return builders[tag](*functions, *domain)
+
+
+def _build_case(theorem: Theorem, family: FunctionFamily, case_seed: int):
+    """Residual field for one sweep case."""
+    rect = generate_rectangle(derive_seed(case_seed, 0), zero_free=theorem.zero_free)
+    g = None
+    if theorem.one_dim:
         rng_f = random.Random(derive_seed(case_seed, 1))
         f = _poly1d(rng_f, 3, family.coeff_range)
-        if tag == "pompeiu1d":
-            return pompeiu1d_residual(f, rect.x1, rect.x2), True
-        # a strictly monotone g keeps g' nonzero on the whole interval
-        rng_g = random.Random(derive_seed(case_seed, 2))
-        a = rng_g.uniform(0.5, 2.0)
-        b = rng_g.uniform(0.1, 1.0)
-        g = BinOp("+", _monomial(a, 1, 0), _monomial(b, 3, 0))
-        return boggio1d_residual(f, g, rect.x1, rect.x2), True
+        if theorem.needs_g:
+            # a strictly monotone g keeps g' nonzero on the whole interval
+            rng_g = random.Random(derive_seed(case_seed, 2))
+            a = rng_g.uniform(0.5, 2.0)
+            b = rng_g.uniform(0.1, 1.0)
+            g = BinOp("+", _monomial(a, 1, 0), _monomial(b, 3, 0))
+        return build_field(theorem.tag, f, g, (rect.x1, rect.x2))
     f = generate_function(family, derive_seed(case_seed, 1), rect)
-    if tag == "rolle":
+    if theorem.tag == "rolle":
         # subtract the bilinear interpolant's mixed part so the corner identity holds
         delta = corner_difference(f, rect)
-        f = BinOp("-", f, BinOp("*", const(delta / rect.area), _xy_product()))
-        return rect_rolle_residual(f, rect), False
-    if tag == "rmvt":
-        return rect_mvt_residual(f, rect), False
-    if tag == "cauchy":
+        f = BinOp("-", f, BinOp("*", const(delta / rect.area), BinOp("*", Var("x"), Var("y"))))
+    if theorem.needs_g:
         g = generate_function(family, derive_seed(case_seed, 2), rect)
-        return rect_cauchy_residual(f, g, rect), False
-    if tag == "pompeiu2d":
-        return pompeiu2d_residual(f, rect), False
-    if tag == "boggio2d":
-        g = generate_function(family, derive_seed(case_seed, 2), rect)
-        return boggio2d_residual(f, g, rect), False
-    raise ValueError(f"unknown theorem tag {tag!r}")
+    return build_field(theorem.tag, f, g, (rect.x1, rect.x2, rect.y1, rect.y2))
 
 
 def run_sweep(
@@ -321,6 +330,7 @@ def run_sweep(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    theorem = _theorem(tag)
     cfg = cfg or LocateConfig()
     found = degenerate = failed = 0
     max_residual = 0.0
@@ -330,8 +340,8 @@ def run_sweep(
     for index in range(count):
         case_seed = derive_seed(master_seed, index)
         try:
-            field, is_line = _build_case(tag, family, case_seed)
-            report = locate_line(field, cfg) if is_line else locate(field, cfg)
+            field = _build_case(theorem, family, case_seed)
+            report = locate_line(field, cfg) if theorem.one_dim else locate(field, cfg)
         except (DegenerateError, DomainError, HypothesisError, EvaluationError, GenerationError):
             failed += 1
             failing.append(case_seed)
@@ -349,7 +359,7 @@ def run_sweep(
                     case_seed,
                     "found",
                     point.xi1,
-                    None if is_line else point.xi2,
+                    None if theorem.one_dim else point.xi2,
                     point.residual,
                     field.scale,
                 )
@@ -363,7 +373,7 @@ def run_sweep(
                     case_seed,
                     "degenerate",
                     point.xi1,
-                    None if is_line else point.xi2,
+                    None if theorem.one_dim else point.xi2,
                     point.residual,
                     field.scale,
                 )

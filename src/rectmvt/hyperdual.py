@@ -1,4 +1,4 @@
-"""Dual and hyper-dual scalar algebras.
+"""Hyper-dual scalar algebra.
 
 A :class:`HyperDual` carries ``(v, dx, dy, dxy)`` — the value, both first
 partials, and the mixed second partial — through arithmetic exactly, so one
@@ -7,6 +7,9 @@ need, with no truncation error and no step-size tuning.
 
 Components are ordinarily floats, but numpy arrays broadcast through the same
 formulas, which lets a residual field be screened on a whole grid in one pass.
+The one-dimensional theorems use the same algebra: for an expression in x
+only, ``eval_hyperdual(f, x, 0.0)`` carries its value and derivative in
+``(v, dx)``.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ import sys
 
 import numpy as np
 
-from .expr import EvaluationError, Expression, evaluate, variables
+from .expr import EvaluationError, Expression, evaluate
 
 __all__ = [
-    "Dual",
     "HyperDual",
-    "eval_dual",
     "eval_hyperdual",
     "finite_difference_oracle",
     "lift",
@@ -236,155 +237,6 @@ def eval_hyperdual(f: Expression, x0, y0) -> HyperDual:
     comps = (out.v, out.dx, out.dy, out.dxy)
     if all(isinstance(c, float) for c in comps):
         if not all(math.isfinite(c) for c in comps):
-            raise EvaluationError("non-finite derivative component")
-    return out
-
-
-class Dual:
-    """Two-component number ``v + eps*d`` for single-variable first derivatives."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d=0.0):
-        self.v = v
-        self.d = d
-
-    def __repr__(self) -> str:
-        return f"Dual(v={self.v!r}, d={self.d!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Dual):
-            return NotImplemented
-        return self.v == other.v and self.d == other.d
-
-    def __add__(self, other):
-        o = _lift_dual(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.v + o.v, self.d + o.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _lift_dual(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.v - o.v, self.d - o.d)
-
-    def __rsub__(self, other):
-        o = _lift_dual(other)
-        if o is None:
-            return NotImplemented
-        return Dual(o.v - self.v, o.d - self.d)
-
-    def __neg__(self):
-        return Dual(-self.v, -self.d)
-
-    def __mul__(self, other):
-        o = _lift_dual(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.v * o.v, self.v * o.d + self.d * o.v)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Dual":
-        if _any(self.v == 0):
-            raise EvaluationError("division by zero")
-        inv = 1.0 / self.v
-        return Dual(inv, -inv * inv * self.d)
-
-    def __truediv__(self, other):
-        o = _lift_dual(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = _lift_dual(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
-    def __pow__(self, other):
-        if isinstance(other, Dual):
-            if isinstance(other.v, float) and other.d == 0.0:
-                return self.__pow__(other.v)
-            if _any(self.v <= 0):
-                raise EvaluationError("power with a varying exponent needs a positive base")
-            return (other * self.log()).exp()
-        if isinstance(other, (int, float)):
-            p = float(other)
-            if p.is_integer():
-                return self._int_pow(int(p))
-            if _any(self.v <= 0):
-                raise EvaluationError("fractional power needs a positive base")
-            return self._chain(self.v ** p, p * self.v ** (p - 1.0))
-        return NotImplemented
-
-    def __rpow__(self, base):
-        o = _lift_dual(base)
-        if o is None:
-            return NotImplemented
-        return o.__pow__(self)
-
-    def _int_pow(self, n: int) -> "Dual":
-        if n == 0:
-            return Dual(1.0)
-        if n < 0:
-            return self.reciprocal()._int_pow(-n)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
-    def _chain(self, value, d1) -> "Dual":
-        return Dual(value, d1 * self.d)
-
-    def _mathlib(self):
-        return np if isinstance(self.v, np.ndarray) else math
-
-    def sin(self) -> "Dual":
-        m = self._mathlib()
-        return self._chain(m.sin(self.v), m.cos(self.v))
-
-    def cos(self) -> "Dual":
-        m = self._mathlib()
-        return self._chain(m.cos(self.v), -m.sin(self.v))
-
-    def exp(self) -> "Dual":
-        e = self._mathlib().exp(self.v)
-        return self._chain(e, e)
-
-    def log(self) -> "Dual":
-        if _any(self.v <= 0):
-            raise EvaluationError("log of a non-positive value")
-        return self._chain(self._mathlib().log(self.v), 1.0 / self.v)
-
-    def sqrt(self) -> "Dual":
-        if _any(self.v <= 0):
-            raise EvaluationError("sqrt needs a positive argument for its derivative")
-        r = self._mathlib().sqrt(self.v)
-        return self._chain(r, 0.5 / r)
-
-
-def _lift_dual(value):
-    if isinstance(value, Dual):
-        return value
-    if isinstance(value, (int, float)):
-        return Dual(float(value))
-    return None
-
-
-def eval_dual(f: Expression, x0) -> Dual:
-    """Value and first derivative of a single-variable (x-only) expression."""
-    if "y" in variables(f):
-        raise ValueError("expression must depend on x only")
-    out = evaluate(f, Dual(_as_component(x0), 1.0), 0.0)
-    if not isinstance(out, Dual):
-        out = Dual(_as_component(out))
-    if isinstance(out.v, float) and isinstance(out.d, float):
-        if not (math.isfinite(out.v) and math.isfinite(out.d)):
             raise EvaluationError("non-finite derivative component")
     return out
 

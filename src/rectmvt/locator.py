@@ -48,6 +48,8 @@ class LocateConfig:
             raise ValueError("tol_factor must be positive")
         if self.bisect_tol <= 0:
             raise ValueError("bisect_tol must be positive")
+        if not (math.isfinite(self.tol_factor) and math.isfinite(self.bisect_tol)):
+            raise ValueError("tol_factor and bisect_tol must be finite")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be at least 1")
         if self.minimize_iters < 1:

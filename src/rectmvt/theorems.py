@@ -11,26 +11,24 @@ and huge functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .expr import BinOp, Const, EvaluationError, Expression, Var, const, evaluate, substitute, variables
-from .hyperdual import eval_dual, eval_hyperdual
+from .hyperdual import eval_hyperdual
 
 __all__ = [
-    "ALL_TAGS",
     "DegenerateError",
     "DomainError",
     "HypothesisError",
     "LineResidualField",
-    "ONE_DIM_TAGS",
-    "REQUIRES_G",
     "Rectangle",
     "ResidualField",
-    "TheoremCase",
-    "ZERO_FREE_TAGS",
+    "THEOREMS",
+    "Theorem",
     "boggio1d_residual",
     "boggio2d_residual",
     "build_cauchy_auxiliary",
@@ -53,10 +51,41 @@ DEGENERACY_FACTOR = 1e-12
 # tolerance factor for the corner hypothesis of the rectangular Rolle theorem
 ROLLE_HYPOTHESIS_FACTOR = 1e-9
 
-ALL_TAGS = ("rolle", "rmvt", "cauchy", "pompeiu2d", "boggio2d", "pompeiu1d", "boggio1d")
-REQUIRES_G = frozenset({"cauchy", "boggio2d", "boggio1d"})
-ZERO_FREE_TAGS = frozenset({"pompeiu2d", "boggio2d", "pompeiu1d", "boggio1d"})
-ONE_DIM_TAGS = frozenset({"pompeiu1d", "boggio1d"})
+
+@dataclass(frozen=True)
+class Theorem:
+    """One row of the theorem table: the tag and the shape of its inputs.
+
+    ``needs_g``: the theorem takes a second function g.  ``one_dim``: its
+    domain is an interval rather than a rectangle.  ``zero_free``: its domain
+    must avoid the axes; only case generation reads this, since the residual
+    builders check their own domains.
+    """
+
+    tag: str
+    needs_g: bool = False
+    one_dim: bool = False
+    zero_free: bool = False
+
+    def check_g(self, g: Optional[Expression]) -> None:
+        if self.needs_g and g is None:
+            raise ValueError(f"theorem {self.tag!r} requires a second function g")
+        if not self.needs_g and g is not None:
+            raise ValueError(f"theorem {self.tag!r} does not take a second function")
+
+
+THEOREMS = {
+    t.tag: t
+    for t in (
+        Theorem("rolle"),
+        Theorem("rmvt"),
+        Theorem("cauchy", needs_g=True),
+        Theorem("pompeiu2d", zero_free=True),
+        Theorem("boggio2d", needs_g=True, zero_free=True),
+        Theorem("pompeiu1d", one_dim=True, zero_free=True),
+        Theorem("boggio1d", needs_g=True, one_dim=True, zero_free=True),
+    )
+}
 
 
 class TheoremError(Exception):
@@ -85,6 +114,8 @@ class Rectangle:
     y2: float
 
     def __post_init__(self):
+        if not all(math.isfinite(b) for b in (self.x1, self.x2, self.y1, self.y2)):
+            raise ValueError(f"rectangle bounds must be finite, got {self}")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError(f"rectangle bounds must satisfy x1 < x2 and y1 < y2, got {self}")
 
@@ -149,24 +180,6 @@ class LineResidualField:
             decomposition=dict(self.decomposition),
             tag=self.tag,
         )
-
-
-@dataclass(frozen=True)
-class TheoremCase:
-    """A theorem tag with the function(s) it applies to."""
-
-    tag: str
-    f: Expression
-    g: Optional[Expression] = None
-
-    def __post_init__(self):
-        if self.tag not in ALL_TAGS:
-            raise ValueError(f"unknown theorem tag {self.tag!r}")
-        needs_g = self.tag in REQUIRES_G
-        if needs_g and self.g is None:
-            raise ValueError(f"theorem {self.tag!r} requires a second function g")
-        if not needs_g and self.g is not None:
-            raise ValueError(f"theorem {self.tag!r} does not take a second function")
 
 
 def corner_difference(f: Expression, r: Rectangle) -> float:
@@ -332,6 +345,8 @@ def boggio2d_residual(f: Expression, g: Expression, r: Rectangle) -> ResidualFie
 
 
 def _check_interval(x1: float, x2: float) -> None:
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError(f"interval bounds must be finite, got [{x1}, {x2}]")
     if not x1 < x2:
         raise ValueError(f"interval bounds must satisfy x1 < x2, got [{x1}, {x2}]")
     if x1 * x2 <= 0:
@@ -353,8 +368,8 @@ def pompeiu1d_residual(f: Expression, x1: float, x2: float) -> LineResidualField
     rhs = (x1 * _eval_1d(f, x2) - x2 * _eval_1d(f, x1)) / (x1 - x2)
 
     def residual(xi):
-        d = eval_dual(f, xi)
-        return (d.v - xi * d.d) - rhs
+        h = eval_hyperdual(f, xi, 0.0)
+        return (h.v - xi * h.dx) - rhs
 
     return LineResidualField(x1, x2, residual, 1.0 + abs(rhs), {"rhs": rhs}, "pompeiu1d")
 
@@ -376,14 +391,14 @@ def boggio1d_residual(f: Expression, g: Expression, x1: float, x2: float) -> Lin
     rhs = (g1 * _eval_1d(f, x2) - g2 * _eval_1d(f, x1)) / (g1 - g2)
 
     def residual(xi):
-        fd = eval_dual(f, xi)
-        gd = eval_dual(g, xi)
-        slope_zero = gd.d == 0
+        fd = eval_hyperdual(f, xi, 0.0)
+        gd = eval_hyperdual(g, xi, 0.0)
+        slope_zero = gd.dx == 0
         if isinstance(slope_zero, np.ndarray):
             slope_zero = slope_zero.any()
         if slope_zero:
             raise EvaluationError("g' vanishes at an evaluation point")
-        return (fd.v - (gd.v / gd.d) * fd.d) - rhs
+        return (fd.v - (gd.v / gd.dx) * fd.dx) - rhs
 
     return LineResidualField(x1, x2, residual, 1.0 + abs(rhs), {"rhs": rhs}, "boggio1d")
 

@@ -238,6 +238,25 @@ def test_invalid_rect_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("locate", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "0,1,0,1", "--tau", "nan"),
+        ("locate", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "0,1,0,1", "--tau", "inf"),
+        (
+            "verify", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "0,1,0,1",
+            "--point", "0.5,0.5", "--tau", "nan",
+        ),
+        ("locate", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "1,inf,1,2"),
+    ],
+)
+def test_non_finite_input_exits_2_without_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input:") and "finite" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["locate", "--nonsense"])

@@ -128,6 +128,25 @@ def test_run_sweep_rolle_and_one_dimensional_tags():
         assert summary.failed == 0, (tag, summary.failing_seeds)
 
 
+# seed-42 poly4 tallies (found, degenerate, failed) of 200 cases per theorem
+SEED42_POLY4_TALLIES = {
+    "rolle": (190, 10, 0),
+    "rmvt": (190, 10, 0),
+    "cauchy": (192, 8, 0),
+    "pompeiu2d": (175, 25, 0),
+    "boggio2d": (198, 2, 0),
+    "pompeiu1d": (180, 20, 0),
+    "boggio1d": (200, 0, 0),
+}
+
+
+@pytest.mark.parametrize("tag", tuple(SEED42_POLY4_TALLIES))
+def test_run_sweep_seed42_poly4_tallies(tag):
+    summary = run_sweep(tag, family_from_name("poly4"), 200, 42)
+    tally = (summary.found, summary.degenerate, summary.failed)
+    assert tally == SEED42_POLY4_TALLIES[tag]
+
+
 def test_run_sweep_rejects_bad_count():
     with pytest.raises(ValueError):
         run_sweep("rmvt", FunctionFamily("polynomial"), 0, 42)

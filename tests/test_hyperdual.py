@@ -4,10 +4,9 @@ import random
 import pytest
 
 from rectmvt.expr import evaluate, parse, EvaluationError
+from rectmvt.theorems import pompeiu1d_residual
 from rectmvt.hyperdual import (
-    Dual,
     HyperDual,
-    eval_dual,
     eval_hyperdual,
     finite_difference_oracle,
     lift,
@@ -199,22 +198,27 @@ def test_oracle_agreement_on_generated_expressions():
             assert _rel_err(hd.dxy, fd.dxy) <= 1e-5
 
 
+# For an expression in x only, eval_hyperdual(f, x, 0.0) carries the value and
+# first derivative in (v, dx); the one-dimensional theorems rely on this.
+
+
 def test_dual_first_derivative():
-    d = eval_dual(parse("x^2"), 3.0)
-    assert d == Dual(9.0, 6.0)
-    d = eval_dual(parse("sin(x)"), 0.5)
+    d = eval_hyperdual(parse("x^2"), 3.0, 0.0)
+    assert (d.v, d.dx) == (9.0, 6.0)
+    d = eval_hyperdual(parse("sin(x)"), 0.5, 0.0)
     assert d.v == pytest.approx(math.sin(0.5), rel=1e-15)
-    assert d.d == pytest.approx(math.cos(0.5), rel=1e-15)
+    assert d.dx == pytest.approx(math.cos(0.5), rel=1e-15)
 
 
 def test_dual_rejects_bivariate_expressions():
+    # the x-only requirement is checked where the 1-D fields are built
     with pytest.raises(ValueError):
-        eval_dual(parse("x*y"), 1.0)
+        pompeiu1d_residual(parse("x*y"), 1, 2)
 
 
 def test_dual_division_and_power():
-    d = eval_dual(parse("1/x"), 2.0)
+    d = eval_hyperdual(parse("1/x"), 2.0, 0.0)
     assert d.v == pytest.approx(0.5, rel=1e-15)
-    assert d.d == pytest.approx(-0.25, rel=1e-15)
-    d = eval_dual(parse("x^3"), 2.0)
-    assert d == Dual(8.0, 12.0)
+    assert d.dx == pytest.approx(-0.25, rel=1e-15)
+    d = eval_hyperdual(parse("x^3"), 2.0, 0.0)
+    assert (d.v, d.dx) == (8.0, 12.0)

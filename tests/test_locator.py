@@ -43,6 +43,11 @@ def test_config_validation():
         LocateConfig(minimize_iters=0)
     with pytest.raises(ValueError):
         LocateConfig(bisect_tol=-1e-12)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LocateConfig(tol_factor=value)
+        with pytest.raises(ValueError):
+            LocateConfig(bisect_tol=value)
 
 
 def test_locate_rmvt_closed_form_zero():

@@ -1,17 +1,20 @@
+import argparse
 import math
 import random
 
 import numpy as np
 import pytest
 
+from rectmvt import cli
 from rectmvt.expr import BinOp, Const, Var, EvaluationError, evaluate, parse
-from rectmvt.harness import FunctionFamily, derive_seed, generate_function, generate_rectangle
+from rectmvt.harness import FunctionFamily, build_field, derive_seed, generate_function, generate_rectangle
 from rectmvt.theorems import (
+    THEOREMS,
     DegenerateError,
     DomainError,
     HypothesisError,
+    LineResidualField,
     Rectangle,
-    TheoremCase,
     boggio1d_residual,
     boggio2d_residual,
     build_cauchy_auxiliary,
@@ -57,16 +60,87 @@ def test_rectangle_zero_free():
     assert not Rectangle(1, 2, -1, 3).zero_free()
 
 
+def test_rectangle_bounds_must_be_finite():
+    with pytest.raises(ValueError):
+        Rectangle(1.0, math.inf, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        Rectangle(1.0, 2.0, math.nan, 2.0)
+    with pytest.raises(ValueError):
+        Rectangle(-math.inf, 2.0, 1.0, 2.0)
+
+
 def test_theorem_case_validation():
     f = parse("x*y")
-    TheoremCase("rmvt", f)
-    TheoremCase("cauchy", f, parse("x+y"))
+    rect = (1, 2, 1, 3)
+    build_field("rmvt", f, None, rect)
+    build_field("cauchy", f, parse("x^2*y^2"), rect)
+    THEOREMS["rmvt"].check_g(None)
+    THEOREMS["cauchy"].check_g(parse("x+y"))
     with pytest.raises(ValueError):
-        TheoremCase("cauchy", f)
+        THEOREMS["cauchy"].check_g(None)
     with pytest.raises(ValueError):
-        TheoremCase("rmvt", f, parse("x"))
+        build_field("cauchy", f, None, rect)
     with pytest.raises(ValueError):
-        TheoremCase("nonsense", f)
+        THEOREMS["rmvt"].check_g(parse("x"))
+    with pytest.raises(ValueError):
+        build_field("rmvt", f, parse("x"), rect)
+    with pytest.raises(ValueError):
+        build_field("nonsense", f, None, rect)
+    with pytest.raises(ValueError):
+        build_field("rmvt", f, None, (1, 2))
+    with pytest.raises(ValueError):
+        build_field("pompeiu1d", parse("x^2"), None, rect)
+
+
+# -- the theorem table -----------------------------------------------------------
+
+# inputs on which each theorem's field builds: (f, g, bounds)
+_EXAMPLES = {
+    "rolle": ("x^2 + y^2", None, (1, 2, 1, 3)),
+    "rmvt": ("x^2*y", None, (1, 2, 1, 3)),
+    "cauchy": ("x^2*y^2", "x*y", (1, 2, 1, 3)),
+    "pompeiu2d": ("x^2*y^2", None, (1, 2, 1, 3)),
+    "boggio2d": ("x^2*y^2", "x*y", (1, 2, 1, 3)),
+    "pompeiu1d": ("x^3 - x", None, (1, 2)),
+    "boggio1d": ("x^3", "x + x^3", (1, 2)),
+}
+
+
+def _raises(exc, fn, *args) -> bool:
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
+
+
+def test_theorem_table_matches_cli_choices():
+    parser = cli._build_argparser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {
+        name: action.choices
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.dest == "theorem"
+    }
+    assert set(choices) == {"locate", "verify", "sweep"}
+    for name, tags in choices.items():
+        assert tuple(tags) == tuple(THEOREMS), name
+    assert tuple(_EXAMPLES) == tuple(THEOREMS)
+
+
+@pytest.mark.parametrize("tag", tuple(THEOREMS))
+def test_theorem_table_matches_builders(tag):
+    theorem = THEOREMS[tag]
+    assert theorem.tag == tag
+    f, g, bounds = _EXAMPLES[tag]
+    f, g = parse(f), None if g is None else parse(g)
+    field = build_field(tag, f, g, bounds)
+    assert field.tag == tag
+    assert isinstance(field, LineResidualField) == theorem.one_dim
+    assert _raises(ValueError, build_field, tag, f, None, bounds) == theorem.needs_g
+    straddling = (-1, 2) if theorem.one_dim else (-1, 2, -1, 3)
+    assert _raises(DomainError, build_field, tag, f, g, straddling) == theorem.zero_free
 
 
 # -- corner difference ----------------------------------------------------------
@@ -284,6 +358,13 @@ def test_pompeiu1d_linear_and_constant_vanish():
 def test_pompeiu1d_rejects_interval_containing_zero():
     with pytest.raises(DomainError):
         pompeiu1d_residual(parse("x^2"), -1.0, 2.0)
+
+
+def test_one_dim_intervals_must_be_finite():
+    with pytest.raises(ValueError):
+        pompeiu1d_residual(parse("x^2"), 1.0, math.inf)
+    with pytest.raises(ValueError):
+        boggio1d_residual(parse("x^2"), parse("x"), math.nan, 2.0)
 
 
 def test_boggio1d_reduces_to_pompeiu_for_identity_g():
