@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .expr import (
@@ -26,7 +27,7 @@ from .expr import (
 )
 from .harness import GenerationError, build_field, family_from_name, run_sweep
 from .hyperdual import eval_hyperdual, finite_difference_oracle
-from .locator import LocateConfig, LocateReport, locate, locate_line, verify_at
+from .locator import LocateConfig, locate, verify_at
 from .theorems import THEOREMS, DegenerateError, DomainError, HypothesisError
 
 __all__ = ["main"]
@@ -48,7 +49,10 @@ def _floats(text: str, n: int, flag: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{flag} expects {n} comma-separated numbers, got {text!r}")
-    return [float(p) for p in parts]
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def _emit(doc) -> None:
@@ -56,12 +60,11 @@ def _emit(doc) -> None:
 
 
 def _build_field(args):
-    """Residual field for the requested theorem; returns (field, is_line, bounds)."""
+    """Residual field for the requested theorem; returns (field, bounds)."""
     f = parse(args.f)
     g = parse(args.g) if args.g is not None else None
-    one_dim = THEOREMS[args.theorem].one_dim
-    bounds = _floats(args.rect, 2 if one_dim else 4, "--rect")
-    return build_field(args.theorem, f, g, bounds), one_dim, bounds
+    bounds = _floats(args.rect, 2 if THEOREMS[args.theorem].one_dim else 4, "--rect")
+    return build_field(args.theorem, f, g, bounds), bounds
 
 
 def _config_from_args(args) -> LocateConfig:
@@ -72,24 +75,19 @@ def _config_from_args(args) -> LocateConfig:
     )
 
 
-def _point_doc(report: LocateReport, is_line: bool) -> dict:
-    point = report.point
-    if point is None:
-        return {}
-    if is_line:
-        return {"xi": point.xi1}
-    return {"xi1": point.xi1, "xi2": point.xi2}
+def _point_doc(xi1: float, xi2: float | None = None) -> dict:
+    return {"xi": xi1} if xi2 is None else {"xi1": xi1, "xi2": xi2}
 
 
 def _cmd_locate(args) -> int:
     cfg = _config_from_args(args)
-    field, is_line, rect = _build_field(args)
-    report = locate_line(field, cfg) if is_line else locate(field, cfg)
+    field, rect = _build_field(args)
+    report = locate(field, cfg)
     doc = {
         "theorem": args.theorem,
         "rect": rect,
         "outcome": report.outcome,
-        "point": _point_doc(report, is_line) or None,
+        "point": _point_doc(report.point.xi1, report.point.xi2) if report.point else None,
         "residual": report.point.residual if report.point else None,
         "scale": field.scale,
         "method": report.point.method if report.point else None,
@@ -107,21 +105,14 @@ def _cmd_locate(args) -> int:
 def _cmd_verify(args) -> int:
     # the tolerance follows the locate rule, so --tau is validated the same way
     tol_factor = _config_from_args(args).tol_factor
-    field, is_line, rect = _build_field(args)
-    if is_line:
-        (xi,) = _floats(args.point, 1, "--point")
-        lifted = field.as_rectangle_field()
-        residual = verify_at(lifted, xi, 0.5)
-        point_doc = {"xi": xi}
-    else:
-        xi1, xi2 = _floats(args.point, 2, "--point")
-        residual = verify_at(field, xi1, xi2)
-        point_doc = {"xi1": xi1, "xi2": xi2}
+    field, rect = _build_field(args)
+    point = _floats(args.point, len(field.axes), "--point")
+    residual = verify_at(field, *point)
     tolerance = tol_factor * field.scale
     doc = {
         "theorem": args.theorem,
         "rect": rect,
-        "point": point_doc,
+        "point": _point_doc(*point),
         "residual": residual,
         "scale": field.scale,
         "tolerance": tolerance,

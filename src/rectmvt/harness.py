@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import BinOp, Call, Const, EvaluationError, Expression, Var, const, evaluate, substitute
-from .locator import LocateConfig, locate, locate_line, verify_at
+from .locator import LocateConfig, locate, verify_at
 from .theorems import (
     THEOREMS,
     DegenerateError,
@@ -341,47 +341,29 @@ def run_sweep(
         case_seed = derive_seed(master_seed, index)
         try:
             field = _build_case(theorem, family, case_seed)
-            report = locate_line(field, cfg) if theorem.one_dim else locate(field, cfg)
+            report = locate(field, cfg)
         except (DegenerateError, DomainError, HypothesisError, EvaluationError, GenerationError):
             failed += 1
             failing.append(case_seed)
             cases.append(CaseResult(index, case_seed, "failed", None, None, None, None))
             continue
-        if report.outcome == "found":
-            found += 1
-            point = report.point
-            ratio = abs(point.residual) / field.scale
-            max_residual = max(max_residual, abs(point.residual))
-            max_ratio = max(max_ratio, ratio)
-            cases.append(
-                CaseResult(
-                    index,
-                    case_seed,
-                    "found",
-                    point.xi1,
-                    None if theorem.one_dim else point.xi2,
-                    point.residual,
-                    field.scale,
-                )
-            )
-        elif report.outcome == "degenerate-identically-zero":
-            degenerate += 1
-            point = report.point
-            cases.append(
-                CaseResult(
-                    index,
-                    case_seed,
-                    "degenerate",
-                    point.xi1,
-                    None if theorem.one_dim else point.xi2,
-                    point.residual,
-                    field.scale,
-                )
-            )
-        else:
+        if report.outcome == "failed":
             failed += 1
             failing.append(case_seed)
             cases.append(CaseResult(index, case_seed, "failed", None, None, None, field.scale))
+            continue
+        point = report.point
+        if report.outcome == "found":
+            found += 1
+            max_residual = max(max_residual, abs(point.residual))
+            max_ratio = max(max_ratio, abs(point.residual) / field.scale)
+            outcome = "found"
+        else:
+            degenerate += 1
+            outcome = "degenerate"
+        cases.append(
+            CaseResult(index, case_seed, outcome, point.xi1, point.xi2, point.residual, field.scale)
+        )
     return SweepSummary(
         tag=tag,
         total=count,

@@ -1,11 +1,13 @@
-"""Locate a zero of a residual field in the open rectangle.
+"""Locate a zero of a residual field in the open rectangle or interval.
 
 The theorems guarantee a zero of the continuous residual exists strictly
-inside the rectangle, so the search never needs derivatives of the residual:
+inside the domain, so the search never needs derivatives of the residual:
 sample cell centers (never the boundary), bisect between opposite signs,
 refine the grid if necessary, and fall back to coordinate descent on |R|.
 Grid screening is vectorized, but every residual that ends up in a report is
 re-evaluated through the scalar path so reports are exactly reproducible.
+One search serves both domains: it runs over the field's per-axis bounds, one
+axis for an interval and two for a rectangle, whose grid is indexed [iy, ix].
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import numpy as np
 from .expr import EvaluationError
 from .theorems import DomainError, LineResidualField, ResidualField
 
+Field = ResidualField | LineResidualField
+Point = tuple[float, ...]
+
 __all__ = [
     "LocateConfig",
     "LocateDiagnostics",
@@ -29,6 +34,11 @@ __all__ = [
     "locate_line",
     "verify_at",
 ]
+
+
+# most cell centers per axis on the finest grid; a rectangle screens the square
+# of this, so it bounds the memory of the largest screen
+MAX_GRID_N = 2048
 
 
 @dataclass(frozen=True)
@@ -54,12 +64,18 @@ class LocateConfig:
             raise ValueError("max_refinements must be at least 1")
         if self.minimize_iters < 1:
             raise ValueError("minimize_iters must be at least 1")
+        # grid_n > MAX_GRID_N >> r is grid_n * 2**r > MAX_GRID_N without forming 2**r
+        if self.grid_n > MAX_GRID_N >> self.max_refinements:
+            raise ValueError(
+                f"grid_n * 2**max_refinements must be at most {MAX_GRID_N}, "
+                f"got {self.grid_n} * 2**{self.max_refinements}"
+            )
 
 
 @dataclass(frozen=True)
 class MeanValuePoint:
     xi1: float
-    xi2: float
+    xi2: Optional[float]  # None on an interval
     residual: float
     method: str  # grid-hit | sign-change-bisection | minimization
 
@@ -81,250 +97,249 @@ class LocateReport:
     diagnostics: LocateDiagnostics
 
 
-def _scalar_residual(field: ResidualField, x: float, y: float) -> float:
-    return float(field.residual(float(x), float(y)))
+def _scalar_residual(field: Field, p: Point) -> float:
+    """Residual at ``p``, whose coordinates must already be Python floats."""
+    return float(field.residual(*p))
 
 
-def _grid_values(field: ResidualField, xs: np.ndarray, ys: np.ndarray):
+def _fmt(p: Point) -> str:
+    return "(" + ", ".join(map(repr, p)) + ")"
+
+
+def _mean_value_point(p: Point, residual: float, method: str) -> MeanValuePoint:
+    return MeanValuePoint(p[0], p[1] if len(p) > 1 else None, residual, method)
+
+
+def _check_inside(field: Field, p: Point, what: str) -> None:
+    axes = field.axes
+    if len(p) != len(axes):
+        raise ValueError(f"{what} {_fmt(p)} needs {len(axes)} coordinates")
+    if not all(lo < c < hi for c, (lo, hi) in zip(p, axes)):
+        domain = field.rectangle if len(axes) == 2 else list(axes[0])
+        raise DomainError(f"{what} {_fmt(p)} is not strictly inside {domain}")
+
+
+def _cell(centres: list[np.ndarray], k: int) -> Point:
+    """Cell center at row-major flat index ``k``, whose x index varies fastest."""
+    point = []
+    for c in centres:
+        k, i = divmod(k, c.size)
+        point.append(float(c[i]))
+    return tuple(point)
+
+
+def _grid_values(field: Field, centres: list[np.ndarray]):
     """Evaluate the residual on the cell-center grid.
 
     Returns ``(values, failure)`` where exactly one is not None; a failure is
-    ``(x, y, message)`` for the first offending sample in row-major order.
+    ``(point, message)`` for the first offending sample in row-major order.
     """
     try:
         with np.errstate(all="ignore"):
-            values = field.residual(xs[np.newaxis, :], ys[:, np.newaxis])
+            values = field.residual(*reversed(np.ix_(*reversed(centres))))
     except EvaluationError:
-        return None, _first_scalar_failure(field, xs, ys)
-    values = np.broadcast_to(np.asarray(values, dtype=float), (ys.size, xs.size))
+        return None, _first_scalar_failure(field, centres)
+    shape = tuple(c.size for c in reversed(centres))
+    values = np.broadcast_to(np.asarray(values, dtype=float), shape)
     finite = np.isfinite(values)
     if not finite.all():
-        iy, ix = np.argwhere(~finite)[0]
-        return None, (float(xs[ix]), float(ys[iy]), "residual is not finite")
+        return None, (_cell(centres, int((~finite).argmax())), "residual is not finite")
     return values, None
 
 
-def _first_scalar_failure(field: ResidualField, xs: np.ndarray, ys: np.ndarray):
-    for iy in range(ys.size):
-        for ix in range(xs.size):
-            try:
-                value = _scalar_residual(field, xs[ix], ys[iy])
-            except EvaluationError as exc:
-                return (float(xs[ix]), float(ys[iy]), str(exc))
-            if not math.isfinite(value):
-                return (float(xs[ix]), float(ys[iy]), "residual is not finite")
-    return (float(xs[0]), float(ys[0]), "vectorized evaluation failed")
+def _first_scalar_failure(field: Field, centres: list[np.ndarray]):
+    for k in range(math.prod(c.size for c in centres)):
+        p = _cell(centres, k)
+        try:
+            value = _scalar_residual(field, p)
+        except EvaluationError as exc:
+            return (p, str(exc))
+        if not math.isfinite(value):
+            return (p, "residual is not finite")
+    return (_cell(centres, 0), "vectorized evaluation failed")
 
 
 def _bisect(rfunc, p_neg, r_neg, p_pos, r_pos, width_tol, residual_tol):
-    """Bisection along the segment p_neg -> p_pos; returns (x, y, residual).
+    """Bisection along the segment p_neg -> p_pos; returns (point, residual).
 
     Stops as soon as |R| <= residual_tol or the parameter width drops below
     width_tol.  The endpoints must already satisfy R(p_neg) < 0 < R(p_pos).
     """
     if abs(r_neg) <= residual_tol:
-        return p_neg[0], p_neg[1], r_neg
+        return p_neg, r_neg
     if abs(r_pos) <= residual_tol:
-        return p_pos[0], p_pos[1], r_pos
+        return p_pos, r_pos
     lo, hi = 0.0, 1.0  # lo parameterizes the negative end
-    x, y, r = p_neg[0], p_neg[1], r_neg
+    span = tuple((a, b - a) for a, b in zip(p_neg, p_pos))
+    p, r = p_neg, r_neg
     while hi - lo > width_tol:
         mid = 0.5 * (lo + hi)
-        x = p_neg[0] + mid * (p_pos[0] - p_neg[0])
-        y = p_neg[1] + mid * (p_pos[1] - p_neg[1])
-        r = rfunc(x, y)
+        p = tuple(a + mid * d for a, d in span)
+        r = rfunc(p)
         if abs(r) <= residual_tol:
-            return x, y, r
+            return p, r
         if r < 0.0:
             lo = mid
         else:
             hi = mid
-    return x, y, r
+    return p, r
 
 
 def bisect_on_segment(
-    field: ResidualField,
-    p_neg: tuple[float, float],
-    p_pos: tuple[float, float],
+    field: Field,
+    p_neg: Point,
+    p_pos: Point,
     tol: float,
     residual_tol: float = 0.0,
-) -> tuple[float, float]:
+) -> Point:
     """Point on the open segment between a negative and a positive sample.
 
     ``tol`` bounds the final segment-parameter width; ``residual_tol`` (an
     absolute residual threshold) allows early exit.  Raises ``ValueError`` if
     the sign contract fails and ``DomainError`` if an endpoint is not interior.
     """
-    rect = field.rectangle
     for p in (p_neg, p_pos):
-        if not rect.contains_open(p[0], p[1]):
-            raise DomainError(f"segment endpoint {p} is not strictly inside {rect}")
-    r_neg = _scalar_residual(field, *p_neg)
-    r_pos = _scalar_residual(field, *p_pos)
+        _check_inside(field, p, "segment endpoint")
+    p_neg, p_pos = tuple(map(float, p_neg)), tuple(map(float, p_pos))
+    r_neg = _scalar_residual(field, p_neg)
+    r_pos = _scalar_residual(field, p_pos)
     if not (r_neg < 0.0 < r_pos):
         raise ValueError(
             f"bisection requires R(p_neg) < 0 < R(p_pos), got {r_neg!r} and {r_pos!r}"
         )
-    x, y, _ = _bisect(
-        lambda a, b: _scalar_residual(field, a, b), p_neg, r_neg, p_pos, r_pos, tol, residual_tol
+    p, _ = _bisect(
+        lambda q: _scalar_residual(field, q), p_neg, r_neg, p_pos, r_pos, tol, residual_tol
     )
-    return x, y
+    return p
 
 
-def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateReport:
-    """Find a point of the open rectangle where the residual vanishes.
+def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
+    """Find a point of the open rectangle or interval where the residual vanishes.
 
     Strategy: sample cell centers, accept any sample already within tolerance,
     otherwise bisect between the most negative and most positive samples;
     refine the grid (doubling) up to the cap, then coordinate-descend on |R|
     from the best sample.  An all-tiny level-0 grid is reported as
-    ``degenerate-identically-zero`` with the rectangle center.
+    ``degenerate-identically-zero`` with the domain center.  On an interval
+    the point's ``xi2`` is None.
     """
     cfg = cfg or LocateConfig()
-    rect = field.rectangle
+    axes = field.axes
     tol = cfg.tol_factor * field.scale
     evals = 0
     grid_min = math.inf
     grid_max = -math.inf
-    best: Optional[tuple[float, float, float]] = None  # (|r|, x, y) scalar-confirmed
-    best_signed = 0.0
+    best: Optional[tuple[Point, float]] = None  # (point, residual) scalar-confirmed
     level = 0
     sign_cells: Optional[tuple[int, int]] = None
-    finest_step = (rect.width / cfg.grid_n, rect.height / cfg.grid_n)
 
     def diag(failure: str | None = None) -> LocateDiagnostics:
-        return LocateDiagnostics(
-            grid_min=grid_min,
-            grid_max=grid_max,
-            sign_cells=sign_cells,
-            level=level,
-            evaluations=evals,
-            failure=failure,
-        )
+        return LocateDiagnostics(grid_min, grid_max, sign_cells, level, evals, failure)
+
+    def counted(p: Point) -> float:
+        nonlocal evals
+        evals += 1
+        return _scalar_residual(field, p)
 
     for level in range(cfg.max_refinements + 1):
         n = cfg.grid_n * (1 << level)
-        step_x = rect.width / n
-        step_y = rect.height / n
-        finest_step = (step_x, step_y)
-        xs = rect.x1 + (np.arange(n) + 0.5) * step_x
-        ys = rect.y1 + (np.arange(n) + 0.5) * step_y
-        values, failure = _grid_values(field, xs, ys)
-        evals += n * n
+        steps = tuple((hi - lo) / n for lo, hi in axes)
+        centres = [lo + (np.arange(n) + 0.5) * step for (lo, _), step in zip(axes, steps)]
+        values, failure = _grid_values(field, centres)
+        evals += n ** len(axes)
         if failure is not None:
-            fx, fy, msg = failure
+            p, msg = failure
             return LocateReport(
-                "failed", None, diag(failure=f"evaluation error at ({fx!r}, {fy!r}): {msg}")
+                "failed", None, diag(failure=f"evaluation error at {_fmt(p)}: {msg}")
             )
         grid_min = float(values.min())
         grid_max = float(values.max())
 
         if level == 0 and float(np.abs(values).max()) <= tol:
-            cx, cy = rect.center
+            center = tuple(0.5 * (lo + hi) for lo, hi in axes)
             try:
-                r_center = _scalar_residual(field, cx, cy)
+                r_center = _scalar_residual(field, center)
             except EvaluationError as exc:
                 return LocateReport("failed", None, diag(failure=str(exc)))
             evals += 1
-            point = MeanValuePoint(cx, cy, r_center, "grid-hit")
+            point = _mean_value_point(center, r_center, "grid-hit")
             return LocateReport("degenerate-identically-zero", point, diag())
 
-        flat_abs = np.abs(values).ravel()
-        k_best = int(flat_abs.argmin())
-        by, bx = divmod(k_best, n)
-        candidate = (float(xs[bx]), float(ys[by]))
+        candidate = _cell(centres, int(np.abs(values).argmin()))
         try:
-            r_candidate = _scalar_residual(field, *candidate)
+            r_candidate = _scalar_residual(field, candidate)
         except EvaluationError as exc:
             return LocateReport("failed", None, diag(failure=str(exc)))
         evals += 1
-        if best is None or abs(r_candidate) < best[0]:
-            best = (abs(r_candidate), candidate[0], candidate[1])
-            best_signed = r_candidate
+        if best is None or abs(r_candidate) < abs(best[1]):
+            best = (candidate, r_candidate)
         if abs(r_candidate) <= tol:
-            point = MeanValuePoint(candidate[0], candidate[1], r_candidate, "grid-hit")
+            point = _mean_value_point(candidate, r_candidate, "grid-hit")
             return LocateReport("found", point, diag())
 
-        k_neg = int(values.argmin())
-        k_pos = int(values.argmax())
         if grid_min < 0.0 < grid_max:
-            ny_, nx_ = divmod(k_neg, n)
-            py_, px_ = divmod(k_pos, n)
-            p_neg = (float(xs[nx_]), float(ys[ny_]))
-            p_pos = (float(xs[px_]), float(ys[py_]))
+            k_neg, k_pos = int(values.argmin()), int(values.argmax())
+            p_neg, p_pos = _cell(centres, k_neg), _cell(centres, k_pos)
             try:
-                r_neg = _scalar_residual(field, *p_neg)
-                r_pos = _scalar_residual(field, *p_pos)
+                r_neg = _scalar_residual(field, p_neg)
+                r_pos = _scalar_residual(field, p_pos)
                 evals += 2
                 if r_neg < 0.0 < r_pos:
                     sign_cells = (k_neg, k_pos)
-
-                    def counted(a: float, b: float) -> float:
-                        nonlocal evals
-                        evals += 1
-                        return _scalar_residual(field, a, b)
-
-                    x, y, r = _bisect(counted, p_neg, r_neg, p_pos, r_pos, cfg.bisect_tol, tol)
-                    if abs(r) < best[0]:
-                        best = (abs(r), x, y)
-                        best_signed = r
+                    p, r = _bisect(counted, p_neg, r_neg, p_pos, r_pos, cfg.bisect_tol, tol)
+                    if abs(r) < abs(best[1]):
+                        best = (p, r)
                     if abs(r) <= tol:
-                        point = MeanValuePoint(x, y, r, "sign-change-bisection")
+                        point = _mean_value_point(p, r, "sign-change-bisection")
                         return LocateReport("found", point, diag())
             except EvaluationError as exc:
                 return LocateReport("failed", None, diag(failure=str(exc)))
         # no sign change (or bisection fell short): refine and try again
 
     # last resort: coordinate descent on |R| from the best sample seen
-    _, px, py = best
-    cur_abs = best[0]
-    cur_signed = best_signed
-    step_x, step_y = finest_step
+    p, cur_signed = best
+    cur_abs = abs(cur_signed)
     # stay on the strict interior (the cell-center hull of the finest grid)
-    lo_x, hi_x = rect.x1 + 0.5 * step_x, rect.x2 - 0.5 * step_x
-    lo_y, hi_y = rect.y1 + 0.5 * step_y, rect.y2 - 0.5 * step_y
+    hull = [(lo + 0.5 * step, hi - 0.5 * step) for (lo, hi), step in zip(axes, steps)]
     try:
         for _ in range(cfg.minimize_iters):
             if cur_abs <= tol:
                 break
             improved = False
-            for dx_, dy_ in ((step_x, 0.0), (-step_x, 0.0), (0.0, step_y), (0.0, -step_y)):
-                cx = min(max(px + dx_, lo_x), hi_x)
-                cy = min(max(py + dy_, lo_y), hi_y)
-                if cx == px and cy == py:
-                    continue
-                r = _scalar_residual(field, cx, cy)
-                evals += 1
-                if abs(r) < cur_abs:
-                    px, py, cur_abs, cur_signed = cx, cy, abs(r), r
-                    improved = True
+            for k, step in enumerate(steps):
+                for move in (step, -step):
+                    q = tuple(
+                        min(max(c + (move if j == k else 0.0), lo), hi)
+                        for j, (c, (lo, hi)) in enumerate(zip(p, hull))
+                    )
+                    if q == p:
+                        continue
+                    r = _scalar_residual(field, q)
+                    evals += 1
+                    if abs(r) < cur_abs:
+                        p, cur_abs, cur_signed = q, abs(r), r
+                        improved = True
             if not improved:
-                step_x *= 0.5
-                step_y *= 0.5
-                if max(step_x, step_y) < cfg.bisect_tol:
+                steps = tuple(0.5 * step for step in steps)
+                if max(steps) < cfg.bisect_tol:
                     break
     except EvaluationError as exc:
         return LocateReport("failed", None, diag(failure=str(exc)))
 
     if cur_abs <= tol:
-        point = MeanValuePoint(px, py, cur_signed, "minimization")
+        point = _mean_value_point(p, cur_signed, "minimization")
         return LocateReport("found", point, diag())
-    return LocateReport(
-        "failed",
-        None,
-        diag(failure=f"no residual below tolerance {tol!r}; best |R| = {cur_abs!r}"),
-    )
+    failure = f"no residual below tolerance {tol!r}; best |R| = {cur_abs!r}"
+    return LocateReport("failed", None, diag(failure=failure))
 
 
-def locate_line(field: LineResidualField, cfg: LocateConfig | None = None) -> LocateReport:
-    """Locate a zero of a one-dimensional residual; read the point from ``xi1``."""
-    return locate(field.as_rectangle_field(), cfg)
+# the one-dimensional entry point before ``locate`` took intervals; kept as an
+# alias because callers (the benchmark under perfbench/) still import it
+locate_line = locate
 
 
-def verify_at(field: ResidualField, xi1: float, xi2: float) -> float:
-    """Residual at a claimed mean-value point; no tolerance judgment is made."""
-    if not field.rectangle.contains_open(xi1, xi2):
-        raise DomainError(
-            f"point ({xi1!r}, {xi2!r}) is not strictly inside {field.rectangle}"
-        )
-    return _scalar_residual(field, xi1, xi2)
+def verify_at(field: Field, *point: float) -> float:
+    """Residual at a claimed mean-value point, one coordinate per axis of the
+    field; no tolerance judgment is made."""
+    _check_inside(field, point, "point")
+    return _scalar_residual(field, tuple(map(float, point)))

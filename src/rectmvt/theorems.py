@@ -153,6 +153,12 @@ class ResidualField:
     decomposition: dict[str, float]
     tag: str
 
+    @property
+    def axes(self) -> tuple[tuple[float, float], ...]:
+        """Per-axis ``(lo, hi)`` bounds, x first; the residual takes one coordinate per axis."""
+        r = self.rectangle
+        return ((r.x1, r.x2), (r.y1, r.y2))
+
 
 @dataclass(eq=False, frozen=True)
 class LineResidualField:
@@ -165,21 +171,9 @@ class LineResidualField:
     decomposition: dict[str, float]
     tag: str
 
-    def as_rectangle_field(self) -> ResidualField:
-        """Lift onto a dummy unit y-interval so the rectangle locator applies."""
-        line = self.residual
-
-        def residual(x, y):
-            # the 0*y term keeps array broadcasting over the dummy axis
-            return line(x) + 0.0 * y
-
-        return ResidualField(
-            rectangle=Rectangle(self.x1, self.x2, 0.0, 1.0),
-            residual=residual,
-            scale=self.scale,
-            decomposition=dict(self.decomposition),
-            tag=self.tag,
-        )
+    @property
+    def axes(self) -> tuple[tuple[float, float], ...]:
+        return ((self.x1, self.x2),)
 
 
 def corner_difference(f: Expression, r: Rectangle) -> float:

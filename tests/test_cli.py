@@ -93,6 +93,38 @@ def test_locate_one_dimensional(capsys):
     assert abs(doc["point"]["xi"] - math.sqrt(2.0)) <= 1e-9
 
 
+def test_locate_one_dimensional_counts_one_axis(capsys):
+    # 33 grid samples, one confirmation, two bracket ends and 29 bisection steps
+    code, out, _ = run_cli(
+        capsys, "locate", "--theorem", "pompeiu1d", "--f", "x^2", "--rect", "1,2"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["evaluations"] == 65
+    assert doc["method"] == "sign-change-bisection"
+
+
+def test_locate_grid_beyond_the_bound_exits_2(capsys):
+    # validation only: the config is rejected before any grid is built
+    code, out, err = run_cli(
+        capsys,
+        "locate", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "0,1,0,1", "--refinements", "40",
+    )
+    assert code == 2
+    assert out == ""
+    assert "2048" in err
+
+
+def test_verify_one_dimensional_point_outside_names_the_interval(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--theorem", "pompeiu1d", "--f", "x^2", "--rect", "1,2", "--point", "2.5"
+    )
+    assert code == 3
+    assert out == ""
+    assert "[1.0, 2.0]" in err
+    assert "Rectangle" not in err
+
+
 def test_verify_within_tolerance(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -248,6 +280,12 @@ def test_invalid_rect_exits_2(capsys):
             "--point", "0.5,0.5", "--tau", "nan",
         ),
         ("locate", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "1,inf,1,2"),
+        (
+            "verify", "--theorem", "pompeiu2d", "--f", "x^2*y^2", "--rect", "1,2,1,3",
+            "--point", "nan,0.5",
+        ),
+        ("verify", "--theorem", "pompeiu1d", "--f", "x^2", "--rect", "1,2", "--point", "inf"),
+        ("grad-check", "--f", "x^2*y", "--at", "nan,1"),
     ],
 )
 def test_non_finite_input_exits_2_without_output(capsys, argv):

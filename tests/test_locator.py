@@ -4,7 +4,9 @@ import random
 import pytest
 
 from rectmvt.expr import parse
+from rectmvt.harness import derive_seed, generate_rectangle
 from rectmvt.locator import (
+    MAX_GRID_N,
     LocateConfig,
     bisect_on_segment,
     locate,
@@ -13,8 +15,10 @@ from rectmvt.locator import (
 )
 from rectmvt.theorems import (
     DomainError,
+    LineResidualField,
     Rectangle,
     ResidualField,
+    boggio1d_residual,
     pompeiu1d_residual,
     pompeiu2d_residual,
     rect_mvt_residual,
@@ -48,6 +52,17 @@ def test_config_validation():
             LocateConfig(tol_factor=value)
         with pytest.raises(ValueError):
             LocateConfig(bisect_tol=value)
+
+
+def test_config_bounds_the_finest_grid():
+    # validation only: a search on one of the rejected configs would screen
+    # millions of samples per level
+    assert MAX_GRID_N == 2048
+    for grid_n, refinements in ((33, 4), (257, 1), (5, 4), (1024, 1)):
+        LocateConfig(grid_n=grid_n, max_refinements=refinements)
+    for grid_n, refinements in ((257, 4), (33, 7), (33, 10**9), (1025, 1)):
+        with pytest.raises(ValueError, match="2048"):
+            LocateConfig(grid_n=grid_n, max_refinements=refinements)
 
 
 def test_locate_rmvt_closed_form_zero():
@@ -216,3 +231,78 @@ def test_locate_minimization_fallback_on_tangent_zero():
     assert report.point.method == "minimization"
     assert abs(report.point.xi1 - 0.5) <= 1e-3
     assert abs(report.point.xi2 - 0.5) <= 1e-3
+
+
+def test_locate_line_minimization_fallback_on_tangent_zero():
+    # a line residual that touches zero without a sign change
+    field = LineResidualField(1.0, 2.0, lambda x: (x - 1.3) ** 2, 1.0, {}, "test")
+    report = locate(field, LocateConfig(grid_n=4, max_refinements=1, tol_factor=1e-7))
+    assert report.outcome == "found"
+    assert report.point.method == "minimization"
+    assert report.point.xi2 is None
+    assert abs(report.point.xi1 - 1.3) <= 1e-3
+
+
+def _lift(line: LineResidualField) -> ResidualField:
+    """The same residual on [x1, x2] x [0, 1], constant along y."""
+    fn = line.residual
+    return ResidualField(
+        Rectangle(line.x1, line.x2, 0, 1), lambda x, y: fn(x) + 0.0 * y, line.scale, {}, line.tag
+    )
+
+
+def _line_cases(count: int):
+    rng = random.Random(2024)
+    for i in range(count):
+        rect = generate_rectangle(derive_seed(77, i), zero_free=True)
+        c = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+        f = parse(f"{c[0]!r}*x^3 + {c[1]!r}*x^2 + {c[2]!r}*x + {c[3]!r}")
+        yield pompeiu1d_residual(f, rect.x1, rect.x2)
+        g = parse(f"{rng.uniform(0.5, 2.0)!r}*x + {rng.uniform(0.1, 1.0)!r}*x^3")
+        yield boggio1d_residual(f, g, rect.x1, rect.x2)
+        # two close zeros, or one tangent zero, that coarse grids step over
+        m = rect.x1 + rng.uniform(0.2, 0.8) * rect.width
+        h = rng.choice((0.0, rect.width / 25))
+        yield LineResidualField(
+            rect.x1, rect.x2, lambda x, m=m, h=h: (x - m) ** 2 - h * h, 1.0, {}, "test"
+        )
+
+
+@pytest.mark.parametrize(
+    "cfg", [LocateConfig(), LocateConfig(grid_n=3, max_refinements=2)], ids=["default", "3x2"]
+)
+def test_line_search_matches_search_on_a_lifted_rectangle(cfg):
+    for line in _line_cases(20):
+        got, want = locate(line, cfg), locate(_lift(line), cfg)
+        assert got.outcome == want.outcome
+        if want.point is None:
+            assert got.point is None
+        else:
+            assert got.point.xi2 is None
+            assert (got.point.xi1, got.point.residual, got.point.method) == (
+                want.point.xi1,
+                want.point.residual,
+                want.point.method,
+            )
+        d, e = got.diagnostics, want.diagnostics
+        assert (d.grid_min, d.grid_max, d.sign_cells, d.level, d.failure) == (
+            e.grid_min,
+            e.grid_max,
+            e.sign_cells,
+            e.level,
+            e.failure,
+        )
+        if got.point is not None and got.point.method != "minimization":
+            # the lift screens n*n samples per level where the line screens n:
+            # 1,056 more at level 0 of the default 33-point grid
+            sizes = [cfg.grid_n << level for level in range(d.level + 1)]
+            assert e.evaluations - d.evaluations == sum(n * n - n for n in sizes)
+
+
+def test_verify_at_checks_the_fields_own_bounds():
+    field = pompeiu1d_residual(parse("x^2"), 1.0, 2.0)
+    assert verify_at(field, 1.5) == field.residual(1.5)
+    with pytest.raises(DomainError, match=r"\(2\.5\) is not strictly inside \[1\.0, 2\.0\]"):
+        verify_at(field, 2.5)
+    with pytest.raises(ValueError):
+        verify_at(field, 1.5, 0.5)
