@@ -97,6 +97,9 @@ def _cmd_locate(args) -> int:
     if report.outcome == "failed":
         doc["failure"] = report.diagnostics.failure
         _emit(doc)
+        # an interior domain error means f violates the theorem's hypothesis
+        if report.diagnostics.failure_kind == "domain":
+            return EXIT_PRECONDITION
         return EXIT_LOCATE_FAILURE
     _emit(doc)
     return EXIT_OK

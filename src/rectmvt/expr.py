@@ -10,10 +10,13 @@ The grammar is a small calculator language over the variables x and y
     atom   := NUMBER | 'pi' | 'e' | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 ``^`` binds tightest and is right-associative, then unary minus, then
-``*``/``/``, then ``+``/``-``.  Evaluation is generic: any object implementing
-the arithmetic operators plus ``sin``/``cos``/``exp``/``log``/``sqrt`` methods
-can flow through an expression tree, which is how the hyper-dual algebra
-obtains derivatives without a separate differentiation pass.
+``*``/``/``, then ``+``/``-``.  :func:`evaluate` is generic: plain numbers
+give plain floats, and any object implementing the arithmetic operators plus
+``sin``/``cos``/``exp``/``log``/``sqrt`` methods can flow through a tree.
+Derivatives do not take that route at run time:
+:func:`rectmvt.hyperdual.compile_hyperdual` compiles a tree once into a program
+that does the hyper-dual arithmetic directly, and ``evaluate`` over
+:class:`~rectmvt.hyperdual.HyperDual` objects is the reference it must match.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "EvaluationError",
     "Expression",
     "Neg",
+    "OutOfDomainError",
     "ParseError",
     "Var",
     "const",
@@ -60,6 +64,13 @@ class ParseError(Exception):
 
 class EvaluationError(Exception):
     """Evaluation left the algebra's domain or produced a non-finite value."""
+
+
+class OutOfDomainError(EvaluationError):
+    """An operation met an argument outside its domain: a zero divisor, a
+    non-positive log or sqrt argument, or a power of a base it is undefined
+    for.  Overflow and other non-finite results stay plain
+    :class:`EvaluationError`."""
 
 
 @dataclass(frozen=True)
@@ -290,10 +301,10 @@ def _pow_real(base: float, exponent: float) -> float:
             return 0.0
         if p == 0.0:
             return 1.0
-        raise EvaluationError("zero base raised to a negative exponent")
+        raise OutOfDomainError("zero base raised to a negative exponent")
     if p.is_integer():
         return math.pow(b, p)
-    raise EvaluationError("fractional power of a negative base")
+    raise OutOfDomainError("fractional power of a negative base")
 
 
 def _call_real(fn: str, v: float):
@@ -305,11 +316,11 @@ def _call_real(fn: str, v: float):
         return math.exp(v)
     if fn == "log":
         if v <= 0.0:
-            raise EvaluationError("log of a non-positive value")
+            raise OutOfDomainError("log of a non-positive value")
         return math.log(v)
     if fn == "sqrt":
         if v < 0.0:
-            raise EvaluationError("sqrt of a negative value")
+            raise OutOfDomainError("sqrt of a negative value")
         return math.sqrt(v)
     raise EvaluationError(f"unsupported function {fn!r}")
 
@@ -351,6 +362,15 @@ def _eval(node: Expression, x, y):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def evaluation_error(exc: ArithmeticError | ValueError) -> EvaluationError:
+    """The :class:`EvaluationError` that a float operation's own exception becomes:
+    a zero divisor is outside the domain, an overflow or a math domain error of
+    a non-finite argument is not."""
+    if isinstance(exc, ZeroDivisionError):
+        return OutOfDomainError(str(exc))
+    return EvaluationError(str(exc))
+
+
 def evaluate(expr: Expression, x, y):
     """Evaluate ``expr`` at ``(x, y)`` under whichever scalar algebra the inputs carry.
 
@@ -363,7 +383,7 @@ def evaluate(expr: Expression, x, y):
     except EvaluationError:
         raise
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise EvaluationError(str(exc)) from exc
+        raise evaluation_error(exc) from exc
     if isinstance(result, (int, float)) and not math.isfinite(result):
         raise EvaluationError("result is not finite")
     return result

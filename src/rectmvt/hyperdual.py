@@ -1,14 +1,21 @@
-"""Hyper-dual scalar algebra.
+"""Hyper-dual algebra: exact value, first partials and mixed partial.
 
-A :class:`HyperDual` carries ``(v, dx, dy, dxy)`` — the value, both first
+A hyper-dual number carries ``(v, dx, dy, dxy)`` — the value, both first
 partials, and the mixed second partial — through arithmetic exactly, so one
 evaluation of an expression yields every derivative the rectangle theorems
-need, with no truncation error and no step-size tuning.
+need, with no truncation error and no step-size tuning (Fike & Alonso,
+AIAA 2011-886).
+
+:func:`compile_hyperdual` walks an expression tree once and returns a program
+of nested closures, ``(x, y) -> (v, dx, dy, dxy)``; every residual field runs
+such a program.  The :class:`HyperDual` class does the same arithmetic one
+operator at a time when passed through the generic ``expr.evaluate``; it is
+the reference the compiled programs are tested against, bit for bit.
 
 Components are ordinarily floats, but numpy arrays broadcast through the same
 formulas, which lets a residual field be screened on a whole grid in one pass.
 The one-dimensional theorems use the same algebra: for an expression in x
-only, ``eval_hyperdual(f, x, 0.0)`` carries its value and derivative in
+only, the program run at ``(x, 0.0)`` carries its value and derivative in
 ``(v, dx)``.
 """
 
@@ -16,13 +23,27 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
-from .expr import EvaluationError, Expression, evaluate
+from .expr import (
+    BinOp,
+    Call,
+    Const,
+    EvaluationError,
+    Expression,
+    Neg,
+    OutOfDomainError,
+    Var,
+    _eval,
+    evaluate,
+    evaluation_error,
+)
 
 __all__ = [
     "HyperDual",
+    "compile_hyperdual",
     "eval_hyperdual",
     "finite_difference_oracle",
     "lift",
@@ -112,7 +133,7 @@ class HyperDual:
 
     def reciprocal(self) -> "HyperDual":
         if _any(self.v == 0):
-            raise EvaluationError("division by zero")
+            raise OutOfDomainError("division by zero")
         inv = 1.0 / self.v
         return self._chain(inv, -inv * inv, 2.0 * (inv * inv) * inv)
 
@@ -138,14 +159,14 @@ class HyperDual:
             ):
                 return self.__pow__(other.v)
             if _any(self.v <= 0):
-                raise EvaluationError("power with a varying exponent needs a positive base")
+                raise OutOfDomainError("power with a varying exponent needs a positive base")
             return (other * self.log()).exp()
         if isinstance(other, (int, float)):
             p = float(other)
             if p.is_integer():
                 return self._int_pow(int(p))
             if _any(self.v <= 0):
-                raise EvaluationError("fractional power needs a positive base")
+                raise OutOfDomainError("fractional power needs a positive base")
             return self._chain(
                 self.v ** p,
                 p * self.v ** (p - 1.0),
@@ -198,13 +219,13 @@ class HyperDual:
 
     def log(self) -> "HyperDual":
         if _any(self.v <= 0):
-            raise EvaluationError("log of a non-positive value")
+            raise OutOfDomainError("log of a non-positive value")
         inv = 1.0 / self.v
         return self._chain(self._mathlib().log(self.v), inv, -inv * inv)
 
     def sqrt(self) -> "HyperDual":
         if _any(self.v <= 0):
-            raise EvaluationError("sqrt needs a positive argument for its derivatives")
+            raise OutOfDomainError("sqrt needs a positive argument for its derivatives")
         r = self._mathlib().sqrt(self.v)
         return self._chain(r, 0.5 / r, -0.25 / (r * self.v))
 
@@ -229,16 +250,328 @@ def lift(c) -> HyperDual:
     return HyperDual(_as_component(c))
 
 
-def eval_hyperdual(f: Expression, x0, y0) -> HyperDual:
-    """Value, both first partials, and the mixed partial of ``f`` at ``(x0, y0)``."""
-    out = evaluate(f, seed_x(x0), seed_y(y0))
-    if not isinstance(out, HyperDual):
-        out = lift(out)
-    comps = (out.v, out.dx, out.dy, out.dxy)
-    if all(isinstance(c, float) for c in comps):
-        if not all(math.isfinite(c) for c in comps):
-            raise EvaluationError("non-finite derivative component")
+# -- compiled programs -----------------------------------------------------
+#
+# A compiled node is a closure ``(X, Y) -> (v, dx, dy, dxy)`` over the two seed
+# tuples, or the plain value of a constant-only subtree.  Each closure does the
+# float operations of the HyperDual method it replaces, in the same order and
+# on the same operands, so the results agree bit for bit: a plain operand takes
+# part as the tuple HyperDual lifts it to, and a plain left operand keeps the
+# operand order of the reflected method Python falls back to (``c * h`` runs
+# ``h.__mul__(c)``, ``c - h`` runs ``h.__rsub__(c)``).
+
+Components = tuple  # (v, dx, dy, dxy)
+Program = Callable[[object, object], Components]
+
+
+def _lifted(c) -> Components:
+    return (float(c), 0.0, 0.0, 0.0)
+
+
+_ONE = _lifted(1.0)
+
+
+def _mul(a: Components, b: Components) -> Components:
+    av, adx, ady, adxy = a
+    bv, bdx, bdy, bdxy = b
+    return (
+        av * bv,
+        av * bdx + adx * bv,
+        av * bdy + ady * bv,
+        (av * bdxy + adxy * bv) + (adx * bdy + ady * bdx),
+    )
+
+
+def _chain(a: Components, value, d1, d2) -> Components:
+    _, dx, dy, dxy = a
+    return (value, d1 * dx, d1 * dy, d1 * dxy + d2 * (dx * dy))
+
+
+def _reciprocal(a: Components) -> Components:
+    v = a[0]
+    if _any(v == 0):
+        raise OutOfDomainError("division by zero")
+    inv = 1.0 / v
+    return _chain(a, inv, -inv * inv, 2.0 * (inv * inv) * inv)
+
+
+def _int_pow(a: Components, n: int) -> Components:
+    if n == 0:
+        return _ONE
+    if n < 0:
+        return _int_pow(_reciprocal(a), -n)
+    out = a
+    for _ in range(n - 1):
+        out = _mul(out, a)
     return out
+
+
+def _number_pow(a: Components, p) -> Components:
+    p = float(p)
+    if p.is_integer():
+        return _int_pow(a, int(p))
+    v = a[0]
+    if _any(v <= 0):
+        raise OutOfDomainError("fractional power needs a positive base")
+    return _chain(a, v ** p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+
+
+def _pow(a: Components, b: Components) -> Components:
+    bv, bdx, bdy, bdxy = b
+    if isinstance(bv, float) and bdx == 0.0 and bdy == 0.0 and bdxy == 0.0:
+        return _number_pow(a, bv)
+    if _any(a[0] <= 0):
+        raise OutOfDomainError("power with a varying exponent needs a positive base")
+    return _exp(_mul(b, _log(a)))
+
+
+def _mathlib(v):
+    return np if isinstance(v, np.ndarray) else math
+
+
+def _sin(a: Components) -> Components:
+    v = a[0]
+    m = _mathlib(v)
+    return _chain(a, m.sin(v), m.cos(v), -m.sin(v))
+
+
+def _cos(a: Components) -> Components:
+    v = a[0]
+    m = _mathlib(v)
+    return _chain(a, m.cos(v), -m.sin(v), -m.cos(v))
+
+
+def _exp(a: Components) -> Components:
+    e = _mathlib(a[0]).exp(a[0])
+    return _chain(a, e, e, e)
+
+
+def _log(a: Components) -> Components:
+    v = a[0]
+    if _any(v <= 0):
+        raise OutOfDomainError("log of a non-positive value")
+    inv = 1.0 / v
+    return _chain(a, _mathlib(v).log(v), inv, -inv * inv)
+
+
+def _sqrt(a: Components) -> Components:
+    v = a[0]
+    if _any(v <= 0):
+        raise OutOfDomainError("sqrt needs a positive argument for its derivatives")
+    r = _mathlib(v).sqrt(v)
+    return _chain(a, r, 0.5 / r, -0.25 / (r * v))
+
+
+_UNARY = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
+
+
+def _add_node(a, b):
+    if not callable(a):  # c + h falls back to h.__radd__(c), which is h + c
+        a, b = b, a
+    if not callable(b):
+        c = float(b)
+
+        def add_number(X, Y):
+            v, dx, dy, dxy = a(X, Y)
+            return (v + c, dx + 0.0, dy + 0.0, dxy + 0.0)
+
+        return add_number
+
+    def add(X, Y):
+        av, adx, ady, adxy = a(X, Y)
+        bv, bdx, bdy, bdxy = b(X, Y)
+        return (av + bv, adx + bdx, ady + bdy, adxy + bdxy)
+
+    return add
+
+
+def _sub_node(a, b):
+    if not callable(b):
+        c = float(b)
+
+        def sub_number(X, Y):
+            v, dx, dy, dxy = a(X, Y)
+            return (v - c, dx - 0.0, dy - 0.0, dxy - 0.0)
+
+        return sub_number
+    if not callable(a):  # c - h falls back to h.__rsub__(c)
+        c = float(a)
+
+        def number_sub(X, Y):
+            v, dx, dy, dxy = b(X, Y)
+            return (c - v, 0.0 - dx, 0.0 - dy, 0.0 - dxy)
+
+        return number_sub
+
+    def sub(X, Y):
+        av, adx, ady, adxy = a(X, Y)
+        bv, bdx, bdy, bdxy = b(X, Y)
+        return (av - bv, adx - bdx, ady - bdy, adxy - bdxy)
+
+    return sub
+
+
+def _mul_node(a, b):
+    # the hottest node: _mul written out, to save a call per product
+    if not callable(a):  # c * h falls back to h.__rmul__(c), which is h * c
+        a, b = b, a
+    if not callable(b):
+        c = float(b)
+
+        def mul_number(X, Y):
+            v, dx, dy, dxy = a(X, Y)
+            return (
+                v * c,
+                v * 0.0 + dx * c,
+                v * 0.0 + dy * c,
+                (v * 0.0 + dxy * c) + (dx * 0.0 + dy * 0.0),
+            )
+
+        return mul_number
+
+    def mul(X, Y):
+        av, adx, ady, adxy = a(X, Y)
+        bv, bdx, bdy, bdxy = b(X, Y)
+        return (
+            av * bv,
+            av * bdx + adx * bv,
+            av * bdy + ady * bv,
+            (av * bdxy + adxy * bv) + (adx * bdy + ady * bdx),
+        )
+
+    return mul
+
+
+def _div_node(a, b):
+    if not callable(b):  # h / c is h * lift(c).reciprocal()
+        k = _lifted(b)
+        try:
+            k = _reciprocal(k)
+        except OutOfDomainError:  # raised on each call, once h is evaluated
+            return lambda X, Y: _mul(a(X, Y), _reciprocal(k))
+        return lambda X, Y: _mul(a(X, Y), k)
+    if not callable(a):  # c / h falls back to h.__rtruediv__(c): lift(c) * 1/h
+        k = _lifted(a)
+        return lambda X, Y: _mul(k, _reciprocal(b(X, Y)))
+    return lambda X, Y: _mul(a(X, Y), _reciprocal(b(X, Y)))
+
+
+def _pow_node(a, b):
+    if not callable(b):  # h ^ c takes HyperDual.__pow__'s plain-number path
+        p = float(b)
+        if p.is_integer():
+            n = int(p)
+            return lambda X, Y: _int_pow(a(X, Y), n)
+        return lambda X, Y: _number_pow(a(X, Y), p)
+    if not callable(a):  # c ^ h falls back to h.__rpow__(c): lift(c) ** h
+        k = _lifted(a)
+        return lambda X, Y: _pow(k, b(X, Y))
+    return lambda X, Y: _pow(a(X, Y), b(X, Y))
+
+
+_BINARY = {"+": _add_node, "-": _sub_node, "*": _mul_node, "/": _div_node, "^": _pow_node}
+
+
+def _seed_x(X, Y):
+    return X
+
+
+def _seed_y(X, Y):
+    return Y
+
+
+def _fold(node: Expression):
+    """Plain value of a constant-only subtree, computed once as ``evaluate``
+    computes it; a subtree that raises stays a closure raising the same error."""
+    try:
+        return _eval(node, None, None)
+    except (ArithmeticError, ValueError, EvaluationError):
+        return lambda X, Y: _eval(node, None, None)
+
+
+def _compile(node: Expression):
+    match node:
+        case Const(value):
+            return value
+        case Var(name):
+            return _seed_x if name == "x" else _seed_y
+        case Neg(child):
+            c = _compile(child)
+            if not callable(c):
+                return _fold(node)
+
+            def neg(X, Y):
+                v, dx, dy, dxy = c(X, Y)
+                return (-v, -dx, -dy, -dxy)
+
+            return neg
+        case BinOp(op, left, right):
+            a, b = _compile(left), _compile(right)
+            if not (callable(a) or callable(b)):
+                return _fold(node)
+            return _BINARY[op](a, b)
+        case Call(fn, arg):
+            a = _compile(arg)
+            if not callable(a):
+                return _fold(node)
+            unary = _UNARY[fn]
+            return lambda X, Y: unary(a(X, Y))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def compile_hyperdual(f: Expression) -> Program:
+    """Compile ``f`` into a program ``(x, y) -> (v, dx, dy, dxy)``.
+
+    The program computes what ``evaluate(f, seed_x(x), seed_y(y))`` computes
+    over :class:`HyperDual` objects, bit for bit, for floats and numpy arrays
+    alike, and raises the same :class:`EvaluationError` (including a
+    non-finite float component).  Compiling walks the tree once; build a
+    program once per expression and call it many times.
+    """
+    body = _compile(f)
+    if not callable(body):
+        # evaluate() rejects a non-finite plain result and lifts a finite one
+        if math.isfinite(body):
+            out = _lifted(body)
+            return lambda x, y: out
+
+        def not_finite(x, y):
+            raise EvaluationError("result is not finite")
+
+        return not_finite
+
+    def program(x, y):
+        X = (x if isinstance(x, np.ndarray) else float(x), 1.0, 0.0, 0.0)
+        Y = (y if isinstance(y, np.ndarray) else float(y), 0.0, 1.0, 0.0)
+        try:
+            out = body(X, Y)
+        except EvaluationError:
+            raise
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise evaluation_error(exc) from exc
+        v, dx, dy, dxy = out
+        if (
+            isinstance(v, float)
+            and isinstance(dx, float)
+            and isinstance(dy, float)
+            and isinstance(dxy, float)
+            and not (
+                math.isfinite(v) and math.isfinite(dx) and math.isfinite(dy) and math.isfinite(dxy)
+            )
+        ):
+            raise EvaluationError("non-finite derivative component")
+        return out
+
+    return program
+
+
+def eval_hyperdual(f: Expression, x0, y0) -> HyperDual:
+    """Value, both first partials, and the mixed partial of ``f`` at ``(x0, y0)``.
+
+    Compiles ``f`` on every call; code that evaluates one expression many times
+    should call :func:`compile_hyperdual` once and reuse the program.
+    """
+    return HyperDual(*compile_hyperdual(f)(x0, y0))
 
 
 def finite_difference_oracle(f: Expression, x0: float, y0: float) -> HyperDual:

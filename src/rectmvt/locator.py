@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import EvaluationError
+from .expr import EvaluationError, OutOfDomainError
 from .theorems import DomainError, LineResidualField, ResidualField
 
 Field = ResidualField | LineResidualField
@@ -80,6 +80,10 @@ class MeanValuePoint:
     method: str  # grid-hit | sign-change-bisection | minimization
 
 
+def _failure_kind(exc: EvaluationError) -> str:
+    return "domain" if isinstance(exc, OutOfDomainError) else "evaluation"
+
+
 @dataclass(frozen=True)
 class LocateDiagnostics:
     grid_min: float
@@ -88,6 +92,12 @@ class LocateDiagnostics:
     level: int
     evaluations: int
     failure: Optional[str] = None
+    # set with failure: "domain" when f left its domain at an interior point (a
+    # pole, a log or sqrt of a non-positive value, a fractional power of a
+    # negative base), so f violates the theorem's differentiability hypothesis;
+    # "evaluation" for any other evaluation failure, such as an overflow to a
+    # non-finite residual; "exhausted" when no residual came within tolerance
+    failure_kind: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -132,7 +142,7 @@ def _grid_values(field: Field, centres: list[np.ndarray]):
     """Evaluate the residual on the cell-center grid.
 
     Returns ``(values, failure)`` where exactly one is not None; a failure is
-    ``(point, message)`` for the first offending sample in row-major order.
+    ``(point, message, kind)`` for the first offending sample in row-major order.
     """
     try:
         with np.errstate(all="ignore"):
@@ -143,7 +153,8 @@ def _grid_values(field: Field, centres: list[np.ndarray]):
     values = np.broadcast_to(np.asarray(values, dtype=float), shape)
     finite = np.isfinite(values)
     if not finite.all():
-        return None, (_cell(centres, int((~finite).argmax())), "residual is not finite")
+        p = _cell(centres, int((~finite).argmax()))
+        return None, (p, "residual is not finite", "evaluation")
     return values, None
 
 
@@ -153,10 +164,10 @@ def _first_scalar_failure(field: Field, centres: list[np.ndarray]):
         try:
             value = _scalar_residual(field, p)
         except EvaluationError as exc:
-            return (p, str(exc))
+            return (p, str(exc), _failure_kind(exc))
         if not math.isfinite(value):
-            return (p, "residual is not finite")
-    return (_cell(centres, 0), "vectorized evaluation failed")
+            return (p, "residual is not finite", "evaluation")
+    return (_cell(centres, 0), "vectorized evaluation failed", "evaluation")
 
 
 def _bisect(rfunc, p_neg, r_neg, p_pos, r_pos, width_tol, residual_tol):
@@ -233,8 +244,12 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
     level = 0
     sign_cells: Optional[tuple[int, int]] = None
 
-    def diag(failure: str | None = None) -> LocateDiagnostics:
-        return LocateDiagnostics(grid_min, grid_max, sign_cells, level, evals, failure)
+    def diag() -> LocateDiagnostics:
+        return LocateDiagnostics(grid_min, grid_max, sign_cells, level, evals)
+
+    def failed(failure: str, kind: str) -> LocateReport:
+        d = LocateDiagnostics(grid_min, grid_max, sign_cells, level, evals, failure, kind)
+        return LocateReport("failed", None, d)
 
     def counted(p: Point) -> float:
         nonlocal evals
@@ -248,10 +263,8 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
         values, failure = _grid_values(field, centres)
         evals += n ** len(axes)
         if failure is not None:
-            p, msg = failure
-            return LocateReport(
-                "failed", None, diag(failure=f"evaluation error at {_fmt(p)}: {msg}")
-            )
+            p, msg, kind = failure
+            return failed(f"evaluation error at {_fmt(p)}: {msg}", kind)
         grid_min = float(values.min())
         grid_max = float(values.max())
 
@@ -260,7 +273,7 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
             try:
                 r_center = _scalar_residual(field, center)
             except EvaluationError as exc:
-                return LocateReport("failed", None, diag(failure=str(exc)))
+                return failed(str(exc), _failure_kind(exc))
             evals += 1
             point = _mean_value_point(center, r_center, "grid-hit")
             return LocateReport("degenerate-identically-zero", point, diag())
@@ -269,7 +282,7 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
         try:
             r_candidate = _scalar_residual(field, candidate)
         except EvaluationError as exc:
-            return LocateReport("failed", None, diag(failure=str(exc)))
+            return failed(str(exc), _failure_kind(exc))
         evals += 1
         if best is None or abs(r_candidate) < abs(best[1]):
             best = (candidate, r_candidate)
@@ -293,7 +306,7 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
                         point = _mean_value_point(p, r, "sign-change-bisection")
                         return LocateReport("found", point, diag())
             except EvaluationError as exc:
-                return LocateReport("failed", None, diag(failure=str(exc)))
+                return failed(str(exc), _failure_kind(exc))
         # no sign change (or bisection fell short): refine and try again
 
     # last resort: coordinate descent on |R| from the best sample seen
@@ -324,13 +337,12 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
                 if max(steps) < cfg.bisect_tol:
                     break
     except EvaluationError as exc:
-        return LocateReport("failed", None, diag(failure=str(exc)))
+        return failed(str(exc), _failure_kind(exc))
 
     if cur_abs <= tol:
         point = _mean_value_point(p, cur_signed, "minimization")
         return LocateReport("found", point, diag())
-    failure = f"no residual below tolerance {tol!r}; best |R| = {cur_abs!r}"
-    return LocateReport("failed", None, diag(failure=failure))
+    return failed(f"no residual below tolerance {tol!r}; best |R| = {cur_abs!r}", "exhausted")
 
 
 # the one-dimensional entry point before ``locate`` took intervals; kept as an

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expr import BinOp, Const, EvaluationError, Expression, Var, const, evaluate, substitute, variables
-from .hyperdual import eval_hyperdual
+from .hyperdual import Program, compile_hyperdual, eval_hyperdual
 
 __all__ = [
     "DegenerateError",
@@ -186,13 +186,14 @@ def corner_difference(f: Expression, r: Rectangle) -> float:
     )
 
 
-def _mixed_partial_magnitude(f: Expression, r: Rectangle, n: int = 9) -> float:
-    """Max |f_xy| over an n x n cell-center sample, for scale estimates."""
+def _mixed_partial_magnitude(program: Program, r: Rectangle, n: int = 9) -> float:
+    """Max |f_xy| over an n x n cell-center sample of f's compiled ``program``,
+    for scale estimates."""
     xs = r.x1 + (np.arange(n) + 0.5) * (r.width / n)
     ys = r.y1 + (np.arange(n) + 0.5) * (r.height / n)
     try:
         with np.errstate(all="raise"):
-            d = eval_hyperdual(f, xs[np.newaxis, :], ys[:, np.newaxis]).dxy
+            d = program(xs[np.newaxis, :], ys[:, np.newaxis])[3]
     except FloatingPointError as exc:
         raise EvaluationError(f"mixed partial not finite on the rectangle: {exc}") from exc
     return float(np.abs(np.broadcast_to(d, (n, n))).max())
@@ -219,10 +220,12 @@ def rect_rolle_residual(f: Expression, r: Rectangle) -> ResidualField:
             f"f(x1,y2)+f(x2,y1)={corners[1] + corners[2]!r}"
         )
 
-    def residual(x, y):
-        return eval_hyperdual(f, x, y).dxy
+    fp = compile_hyperdual(f)
 
-    scale = 1.0 + _mixed_partial_magnitude(f, r)
+    def residual(x, y):
+        return fp(x, y)[3]
+
+    scale = 1.0 + _mixed_partial_magnitude(fp, r)
     return ResidualField(r, residual, scale, {"delta_f": delta}, "rolle")
 
 
@@ -233,9 +236,10 @@ def rect_mvt_residual(f: Expression, r: Rectangle) -> ResidualField:
     """
     delta = corner_difference(f, r)
     area = r.area
+    fp = compile_hyperdual(f)
 
     def residual(x, y):
-        return delta - area * eval_hyperdual(f, x, y).dxy
+        return delta - area * fp(x, y)[3]
 
     return ResidualField(r, residual, 1.0 + abs(delta), {"delta_f": delta}, "rmvt")
 
@@ -253,19 +257,24 @@ def rect_cauchy_residual(f: Expression, g: Expression, r: Rectangle) -> Residual
     scale = 1.0 + abs(delta_f) + abs(delta_g)
     if abs(delta_g) <= DEGENERACY_FACTOR * scale:
         raise DegenerateError(f"corner difference of g is degenerate: {delta_g!r}")
+    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
 
     def residual(x, y):
-        return delta_f * eval_hyperdual(g, x, y).dxy - delta_g * eval_hyperdual(f, x, y).dxy
+        return delta_f * gp(x, y)[3] - delta_g * fp(x, y)[3]
 
     return ResidualField(
         r, residual, scale, {"delta_f": delta_f, "delta_g": delta_g}, "cauchy"
     )
 
 
+def _pompeiu(components, xi1, xi2):
+    v, dx, dy, dxy = components
+    return xi1 * xi2 * dxy - xi1 * dx - xi2 * dy + v
+
+
 def pompeiu_operator(f: Expression, xi1, xi2):
     """xi1*xi2*f_xy - xi1*f_x - xi2*f_y + f, all evaluated at (xi1, xi2)."""
-    h = eval_hyperdual(f, xi1, xi2)
-    return xi1 * xi2 * h.dxy - xi1 * h.dx - xi2 * h.dy + h.v
+    return _pompeiu(compile_hyperdual(f)(xi1, xi2), xi1, xi2)
 
 
 def _pompeiu_numerator(f: Expression, r: Rectangle) -> float:
@@ -294,9 +303,10 @@ def pompeiu2d_residual(f: Expression, r: Rectangle) -> ResidualField:
             f"(x1*x2 > 0 and y1*y2 > 0), got {r}"
         )
     rhs = pompeiu_rhs(f, r)
+    fp = compile_hyperdual(f)
 
     def residual(x, y):
-        return pompeiu_operator(f, x, y) - rhs
+        return _pompeiu(fp(x, y), x, y) - rhs
 
     return ResidualField(r, residual, 1.0 + abs(rhs), {"rhs": rhs}, "pompeiu2d")
 
@@ -323,11 +333,10 @@ def boggio2d_residual(f: Expression, g: Expression, r: Rectangle) -> ResidualFie
     rhs_f = _pompeiu_numerator(f, r) / (area * delta_f)
     rhs_g = _pompeiu_numerator(g, r) / (area * delta_g)
     rhs = rhs_g - rhs_f
+    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
 
     def residual(x, y):
-        return (
-            pompeiu_operator(g, x, y) / delta_g - pompeiu_operator(f, x, y) / delta_f
-        ) - rhs
+        return (_pompeiu(gp(x, y), x, y) / delta_g - _pompeiu(fp(x, y), x, y) / delta_f) - rhs
 
     return ResidualField(
         r,
@@ -360,10 +369,11 @@ def pompeiu1d_residual(f: Expression, x1: float, x2: float) -> LineResidualField
     if "y" in variables(f):
         raise ValueError("one-dimensional theorems take expressions in x only")
     rhs = (x1 * _eval_1d(f, x2) - x2 * _eval_1d(f, x1)) / (x1 - x2)
+    fp = compile_hyperdual(f)
 
     def residual(xi):
-        h = eval_hyperdual(f, xi, 0.0)
-        return (h.v - xi * h.dx) - rhs
+        v, dx, _, _ = fp(xi, 0.0)
+        return (v - xi * dx) - rhs
 
     return LineResidualField(x1, x2, residual, 1.0 + abs(rhs), {"rhs": rhs}, "pompeiu1d")
 
@@ -383,16 +393,17 @@ def boggio1d_residual(f: Expression, g: Expression, x1: float, x2: float) -> Lin
     if abs(g1 - g2) <= DEGENERACY_FACTOR * (1.0 + abs(g1) + abs(g2)):
         raise DegenerateError(f"g takes equal values at the endpoints: {g1!r}, {g2!r}")
     rhs = (g1 * _eval_1d(f, x2) - g2 * _eval_1d(f, x1)) / (g1 - g2)
+    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
 
     def residual(xi):
-        fd = eval_hyperdual(f, xi, 0.0)
-        gd = eval_hyperdual(g, xi, 0.0)
-        slope_zero = gd.dx == 0
+        fv, fdx, _, _ = fp(xi, 0.0)
+        gv, gdx, _, _ = gp(xi, 0.0)
+        slope_zero = gdx == 0
         if isinstance(slope_zero, np.ndarray):
             slope_zero = slope_zero.any()
         if slope_zero:
             raise EvaluationError("g' vanishes at an evaluation point")
-        return (fd.v - (gd.v / gd.dx) * fd.dx) - rhs
+        return (fv - (gv / gdx) * fdx) - rhs
 
     return LineResidualField(x1, x2, residual, 1.0 + abs(rhs), {"rhs": rhs}, "boggio1d")
 

@@ -53,17 +53,68 @@ def test_locate_boggio2d_on_zero_curve(capsys):
     assert abs(doc["point"]["xi1"] * doc["point"]["xi2"] - SQ6) <= 1e-6
 
 
-def test_locate_evaluation_failure_exits_1(capsys):
+def test_locate_interior_pole_exits_3(capsys):
     # 1/(x*y) has poles on the axes, and the rectangle straddles both; the
-    # 33x33 cell-center grid hits x = 0 exactly, so locate must report failure
+    # 33x33 cell-center grid hits x = 0 exactly, so locate must report failure,
+    # and f violates the theorem's differentiability hypothesis
     code, out, _ = run_cli(
         capsys, "locate", "--theorem", "rmvt", "--f", "1/(x*y)", "--rect", "-1,1,-1,1"
     )
-    assert code == 1
+    assert code == 3
     doc = json.loads(out)
     assert doc["outcome"] == "failed"
     assert doc["point"] is None
     assert "failure" in doc
+
+
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        (
+            ("--theorem", "pompeiu1d", "--f", "1/(x-1.5)", "--rect", "1,2"),
+            "evaluation error at (1.5): division by zero",
+        ),
+        (
+            ("--theorem", "rmvt", "--f", "1/(x-0.5)*y^2", "--rect", "0,1,0,1"),
+            "evaluation error at (0.5, 0.015151515151515152): division by zero",
+        ),
+    ],
+)
+def test_locate_domain_error_inside_exits_3_with_the_failed_document(capsys, argv, failure):
+    code, out, err = run_cli(capsys, "locate", *argv)
+    assert code == 3
+    assert err == ""
+    doc = json.loads(out)
+    assert (doc["outcome"], doc["point"], doc["residual"], doc["method"]) == (
+        "failed",
+        None,
+        None,
+        None,
+    )
+    assert doc["failure"] == failure
+
+
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        # the search runs out: no residual within a tolerance below rounding
+        (
+            ("--f", "sin(x)*sin(y)", "--rect", "0,1,0,1", "--tau", "1e-30", "--refinements", "1"),
+            "no residual below tolerance",
+        ),
+        # f overflows inside the square, so the residual is not finite there
+        (
+            ("--f", "exp(4000*x*(1-x)*y)", "--rect", "0,1,0,1"),
+            "residual is not finite",
+        ),
+    ],
+)
+def test_locate_search_exhausted_or_overflow_exits_1(capsys, argv, failure):
+    code, out, _ = run_cli(capsys, "locate", "--theorem", "rmvt", *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["outcome"] == "failed"
+    assert failure in doc["failure"]
 
 
 def test_locate_missing_g_exits_2(capsys):

@@ -1,12 +1,26 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from rectmvt.expr import evaluate, parse, EvaluationError
+from rectmvt.expr import (
+    FUNCTIONS,
+    BinOp,
+    Call,
+    Const,
+    EvaluationError,
+    Neg,
+    OutOfDomainError,
+    Var,
+    evaluate,
+    parse,
+    pretty_print,
+)
 from rectmvt.theorems import pompeiu1d_residual
 from rectmvt.hyperdual import (
     HyperDual,
+    compile_hyperdual,
     eval_hyperdual,
     finite_difference_oracle,
     lift,
@@ -222,3 +236,167 @@ def test_dual_division_and_power():
     assert d.dx == pytest.approx(-0.25, rel=1e-15)
     d = eval_hyperdual(parse("x^3"), 2.0, 0.0)
     assert (d.v, d.dx) == (8.0, 12.0)
+
+
+# -- the compiled program against the HyperDual reference ----------------------
+#
+# compile_hyperdual must do HyperDual's arithmetic bit for bit: equal
+# components compared as int64 bit patterns (so signed zeros and NaN payloads
+# count), equal types and shapes, and the same exception type and message.
+
+
+def _reference(f, x, y):
+    """What eval_hyperdual computed before it was compiled: HyperDual objects
+    through the generic evaluate, a constant result lifted, and a non-finite
+    float component rejected."""
+    out = evaluate(f, seed_x(x), seed_y(y))
+    if not isinstance(out, HyperDual):
+        out = lift(out)
+    comps = (out.v, out.dx, out.dy, out.dxy)
+    if all(isinstance(c, float) for c in comps) and not all(math.isfinite(c) for c in comps):
+        raise EvaluationError("non-finite derivative component")
+    return comps
+
+
+def _bits(c):
+    a = np.asarray(c, dtype=np.float64)
+    return (type(c), a.shape, a.view(np.int64).tobytes())
+
+
+def _outcome(run, x, y):
+    try:
+        comps = run(x, y)
+    except (EvaluationError, FloatingPointError) as exc:
+        return ("raised", type(exc), str(exc))
+    return tuple(_bits(c) for c in comps)
+
+
+_CONSTANT_SUBTREES = [
+    "2^3", "sqrt(4)", "1/0", "(-8)^(1/3)", "-2", "0", "0^(-1)", "log(0)", "exp(800)"
+]
+_EXPONENTS = ["2", "3", "0", "1", "-1", "-2", "4", "0.5", "1.5", "-0.5", "(1/3)", "2^1"]
+_VARYING_EXPONENTS = ["y", "x", "(x-x)", "(0.5*y)", "sin(x)", "(y-y+2)"]
+
+
+def _random_tree(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.2:
+        pick = rng.random()
+        if pick < 0.5:
+            return Var(rng.choice("xy"))
+        if pick < 0.8:
+            return Const(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 1.5, 0.25]))
+        return parse(rng.choice(_CONSTANT_SUBTREES))
+    kind = rng.choice(["neg", "+", "-", "*", "/", "^", "^", "call"])
+    if kind == "neg":
+        return Neg(_random_tree(rng, depth - 1))
+    if kind == "call":
+        return Call(rng.choice(FUNCTIONS), _random_tree(rng, depth - 1))
+    if kind == "^":
+        base = _random_tree(rng, depth - 1)
+        pick = rng.random()
+        if pick < 0.5:
+            return BinOp("^", base, parse(rng.choice(_EXPONENTS)))
+        if pick < 0.8:
+            return BinOp("^", base, parse(rng.choice(_VARYING_EXPONENTS)))
+        # a plain base under a varying exponent, as in 2^x
+        base = parse(rng.choice(["2", "0.5", "-2", "0", "2^3"]))
+        return BinOp("^", base, _random_tree(rng, depth - 1))
+    return BinOp(kind, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _node_kinds(node, seen: set) -> set:
+    match node:
+        case Const():
+            seen.add("const")
+        case Var(name):
+            seen.add(name)
+        case Neg(child):
+            seen.add("neg")
+            _node_kinds(child, seen)
+        case BinOp(op, left, right):
+            seen.add(op)
+            _node_kinds(left, seen)
+            _node_kinds(right, seen)
+        case Call(fn, arg):
+            seen.add(fn)
+            _node_kinds(arg, seen)
+    return seen
+
+
+_SCALAR_POINTS = [(0.7, 1.3), (-0.4, 0.9), (0.0, 1.1), (1.5, -0.0), (2.0, 0.5), (-1.25, -2.0)]
+# steps of 1/16, so x = 0 and y = 0 are grid points exactly
+_XS = np.linspace(-1.0, 1.0, 33)
+_YS = np.linspace(-0.5, 1.5, 33)
+_GRIDS = [(_XS[np.newaxis, :], _YS[:, np.newaxis]), (_XS, 0.0)]
+
+
+def _assert_program_matches_reference(f, points):
+    program = compile_hyperdual(f)
+    outcomes = []
+    for x, y in points:
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda a, b: _reference(f, a, b), x, y)
+            got = _outcome(program, x, y)
+        assert got == want, (pretty_print(f), x, y)
+        outcomes.append(want[0] == "raised")
+        if isinstance(x, np.ndarray):
+            # a numpy floating-point error must come from the same operation
+            with np.errstate(all="raise"):
+                assert _outcome(program, x, y) == _outcome(lambda a, b: _reference(f, a, b), x, y)
+    return outcomes
+
+
+def test_compiled_program_matches_hyperdual_on_random_trees():
+    rng = random.Random(4242)
+    kinds: set = set()
+    raised = returned = 0
+    for _ in range(400):
+        f = _random_tree(rng, 4)
+        _node_kinds(f, kinds)
+        for did_raise in _assert_program_matches_reference(f, _SCALAR_POINTS + _GRIDS):
+            raised += did_raise
+            returned += not did_raise
+    assert kinds >= {"const", "x", "y", "neg", "+", "-", "*", "/", "^", *FUNCTIONS}
+    # both the value path and the error path were exercised many times
+    assert raised > 200 and returned > 200
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2^3*x", "sqrt(4)+y", "x+1/0", "(-8)^(1/3)*x", "2^3", "1/0", "(-8)^(1/3)", "exp(1000)",
+        "1e308*10", "x^-2", "y^(-3)*x", "x^0.5", "x^1.5*y", "x^y", "2^x", "x^(x-x)", "0^x",
+        "(-2)^x", "x^(y-y+3)", "1/(x-x)", "log(x*0)", "sqrt(y-y)", "x/0", "0/x", "-x*0",
+        "2-x", "x-2", "2*x", "x*2", "2+x", "x+2", "2/x", "exp(x*1000)", "sin(exp(x*1000))",
+    ],
+)
+def test_compiled_program_matches_hyperdual_on_edge_cases(text):
+    _assert_program_matches_reference(parse(text), _SCALAR_POINTS + _GRIDS)
+
+
+def test_compiled_program_matches_hyperdual_on_generated_families():
+    from rectmvt.harness import FunctionFamily, derive_seed, generate_function, generate_rectangle
+
+    for kind in ("polynomial", "bilinear", "separable", "exp-poly", "rational"):
+        for i in range(20):
+            rect = generate_rectangle(derive_seed(31, i), zero_free=i % 2 == 0)
+            f = generate_function(FunctionFamily(kind), derive_seed(32, i), rect)
+            xs = rect.x1 + (np.arange(33) + 0.5) * (rect.width / 33)
+            ys = rect.y1 + (np.arange(33) + 0.5) * (rect.height / 33)
+            points = [
+                rect.center,
+                (float(xs[3]), float(ys[29])),
+                (xs[np.newaxis, :], ys[:, np.newaxis]),
+                (xs, 0.0),
+            ]
+            _assert_program_matches_reference(f, points)
+
+
+def test_domain_errors_are_out_of_domain_and_overflow_is_not():
+    with pytest.raises(OutOfDomainError, match="division by zero"):
+        compile_hyperdual(parse("1/(x-1)"))(1.0, 0.0)
+    with pytest.raises(OutOfDomainError, match="log of a non-positive value"):
+        compile_hyperdual(parse("log(x)"))(np.array([1.0, 0.0]), 0.0)
+    with pytest.raises(EvaluationError, match="math range error") as info:
+        compile_hyperdual(parse("exp(x)"))(1000.0, 0.0)
+    assert not isinstance(info.value, OutOfDomainError)

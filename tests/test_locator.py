@@ -306,3 +306,24 @@ def test_verify_at_checks_the_fields_own_bounds():
         verify_at(field, 2.5)
     with pytest.raises(ValueError):
         verify_at(field, 1.5, 0.5)
+
+
+def test_locate_failure_kinds():
+    # a pole of f on a grid point: f leaves its domain inside the square
+    pole = locate(rect_mvt_residual(parse("1/(x-0.5)*y^2"), Rectangle(0, 1, 0, 1)))
+    assert (pole.outcome, pole.diagnostics.failure_kind) == ("failed", "domain")
+    line_pole = locate(pompeiu1d_residual(parse("1/(x-1.5)"), 1, 2))
+    assert line_pole.diagnostics.failure_kind == "domain"
+    # an overflow is not a domain error
+    overflow = locate(rect_mvt_residual(parse("exp(4000*x*(1-x)*y)"), Rectangle(0, 1, 0, 1)))
+    assert overflow.diagnostics.failure_kind == "evaluation"
+    # a residual the search cannot bring within tolerance
+    field = _linear_field(0.0, 0.0, 1.0, Rectangle(0, 1, 0, 1))
+    exhausted = locate(field, LocateConfig(max_refinements=1, minimize_iters=5))
+    assert exhausted.diagnostics.failure_kind == "exhausted"
+    found = locate(rect_mvt_residual(parse("x^2*y"), Rectangle(0, 1, 0, 1)))
+    assert (found.outcome, found.diagnostics.failure, found.diagnostics.failure_kind) == (
+        "found",
+        None,
+        None,
+    )

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from rectmvt import cli
+from rectmvt import cli, theorems
 from rectmvt.expr import BinOp, Const, Var, EvaluationError, evaluate, parse
 from rectmvt.harness import FunctionFamily, build_field, derive_seed, generate_function, generate_rectangle
 from rectmvt.theorems import (
@@ -499,3 +499,41 @@ def test_residual_fields_attain_zero_or_both_signs():
         tiny = np.abs(values).min() <= 1e-9 * field.scale
         both_signs = values.min() < 0.0 < values.max()
         assert tiny or both_signs
+
+
+# -- compile once per field ------------------------------------------------------
+
+
+_COMPILE_ONCE_CASES = [
+    ("rolle", "sin(x)*sin(y)", None, (0.0, math.pi, 0.0, math.pi)),
+    ("rmvt", "x^2*y + exp(x*y)", None, (0.0, 1.0, 0.0, 1.0)),
+    ("cauchy", "x^2*y^2", "x*y^3 + 1/(x+y+3)", (1.0, 2.0, 1.0, 3.0)),
+    ("pompeiu2d", "x^2*y^2 + sin(x)*sin(y)", None, (1.0, 2.0, 1.0, 3.0)),
+    ("boggio2d", "x^2*y^2", "x*y^3", (1.0, 2.0, 1.0, 3.0)),
+    ("pompeiu1d", "x^3 - 2*x", None, (1.0, 2.0)),
+    ("boggio1d", "x^3 - 2*x", "x + x^3", (1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("tag, f_text, g_text, bounds", _COMPILE_ONCE_CASES)
+def test_each_field_compiles_f_and_g_once(monkeypatch, tag, f_text, g_text, bounds):
+    compiled = []
+    real = theorems.compile_hyperdual
+
+    def counting(expr):
+        compiled.append(expr)
+        return real(expr)
+
+    monkeypatch.setattr(theorems, "compile_hyperdual", counting)
+    f = parse(f_text)
+    g = None if g_text is None else parse(g_text)
+    field = build_field(tag, f, g, bounds)
+    axes = field.axes
+    grid = [lo + (np.arange(9) + 0.5) * ((hi - lo) / 9) for lo, hi in axes]
+    grid = grid if len(axes) == 1 else [grid[0][np.newaxis, :], grid[1][:, np.newaxis]]
+    for i in range(10):
+        point = [lo + (i + 0.5) / 10 * (hi - lo) for lo, hi in axes]
+        assert math.isfinite(field.residual(*point))
+        assert np.isfinite(field.residual(*grid)).all()
+    want = [f] if g is None else [f, g]
+    assert sorted(map(id, compiled)) == sorted(map(id, want))
