@@ -4,6 +4,9 @@ Parse a bivariate function, build the residual field of a rectangle theorem
 (rectangular Rolle / mean value / Cauchy, two-dimensional Pompeiu and Boggio,
 plus their one-dimensional ancestors), and locate a point of the open
 rectangle where the identity holds.
+
+The package exports the names the README's "Library API" section lists; the
+submodules hold the rest.
 """
 
 from .expr import (
@@ -19,60 +22,26 @@ from .expr import (
     evaluate,
     parse,
     pretty_print,
-    substitute,
-    variables,
 )
 from .harness import (
-    CaseResult,
-    FunctionFamily,
-    GenerationError,
-    SweepSummary,
-    build_field,
     derive_seed,
     family_from_name,
     generate_function,
     generate_rectangle,
-    proof_path_check,
     run_sweep,
 )
-from .hyperdual import (
-    HyperDual,
-    eval_hyperdual,
-    finite_difference_oracle,
-    lift,
-    seed_x,
-    seed_y,
-)
-from .locator import (
-    LocateConfig,
-    LocateDiagnostics,
-    LocateReport,
-    MeanValuePoint,
-    bisect_on_segment,
-    locate,
-    locate_line,
-    verify_at,
-)
+from .hyperdual import eval_hyperdual, finite_difference_oracle
+from .locator import LocateConfig, locate, locate_line, verify_at
 from .theorems import (
     DegenerateError,
     DomainError,
     HypothesisError,
-    LineResidualField,
     Rectangle,
-    ResidualField,
-    THEOREMS,
-    Theorem,
     boggio1d_residual,
     boggio2d_residual,
-    build_cauchy_auxiliary,
-    build_reciprocal_transform,
     corner_difference,
-    fts_expansion_check,
     pompeiu1d_residual,
     pompeiu2d_residual,
-    pompeiu_operator,
-    pompeiu_rhs,
-    reciprocal_rectangle,
     rect_cauchy_residual,
     rect_mvt_residual,
     rect_rolle_residual,
@@ -83,35 +52,19 @@ __version__ = "0.1.0"
 __all__ = [
     "BinOp",
     "Call",
-    "CaseResult",
     "Const",
     "DegenerateError",
     "DomainError",
     "EvaluationError",
     "Expression",
-    "FunctionFamily",
-    "GenerationError",
-    "HyperDual",
     "HypothesisError",
-    "LineResidualField",
     "LocateConfig",
-    "LocateDiagnostics",
-    "LocateReport",
-    "MeanValuePoint",
     "Neg",
     "ParseError",
     "Rectangle",
-    "ResidualField",
-    "SweepSummary",
-    "THEOREMS",
-    "Theorem",
     "Var",
-    "bisect_on_segment",
     "boggio1d_residual",
     "boggio2d_residual",
-    "build_cauchy_auxiliary",
-    "build_field",
-    "build_reciprocal_transform",
     "const",
     "corner_difference",
     "derive_seed",
@@ -119,27 +72,17 @@ __all__ = [
     "evaluate",
     "family_from_name",
     "finite_difference_oracle",
-    "fts_expansion_check",
     "generate_function",
     "generate_rectangle",
-    "lift",
     "locate",
     "locate_line",
     "parse",
     "pompeiu1d_residual",
     "pompeiu2d_residual",
-    "pompeiu_operator",
-    "pompeiu_rhs",
     "pretty_print",
-    "proof_path_check",
-    "reciprocal_rectangle",
     "rect_cauchy_residual",
     "rect_mvt_residual",
     "rect_rolle_residual",
     "run_sweep",
-    "seed_x",
-    "seed_y",
-    "substitute",
-    "variables",
     "verify_at",
 ]

@@ -112,6 +112,10 @@ def _cmd_verify(args) -> int:
     point = _floats(args.point, len(field.axes), "--point")
     residual = verify_at(field, *point)
     tolerance = tol_factor * field.scale
+    if not math.isfinite(tolerance):
+        raise ValueError(
+            f"--tau times the field scale is not finite: {tol_factor!r} * {field.scale!r}"
+        )
     doc = {
         "theorem": args.theorem,
         "rect": rect,

@@ -19,9 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .expr import EvaluationError, OutOfDomainError
-from .theorems import DomainError, LineResidualField, ResidualField
+from .theorems import DomainError, Rectangle, ResidualField
 
-Field = ResidualField | LineResidualField
 Point = tuple[float, ...]
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "LocateDiagnostics",
     "LocateReport",
     "MeanValuePoint",
-    "bisect_on_segment",
     "locate",
     "locate_line",
     "verify_at",
@@ -39,6 +37,11 @@ __all__ = [
 # most cell centers per axis on the finest grid; a rectangle screens the square
 # of this, so it bounds the memory of the largest screen
 MAX_GRID_N = 2048
+# a bisection stops once its segment parameter is narrower than this, and the
+# minimizer once its steps are
+BISECT_TOL = 1e-12
+# most coordinate-descent sweeps of the fallback minimizer
+MINIMIZE_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -48,22 +51,16 @@ class LocateConfig:
     grid_n: int = 33
     max_refinements: int = 4
     tol_factor: float = 1e-9
-    bisect_tol: float = 1e-12
-    minimize_iters: int = 200
 
     def __post_init__(self):
         if self.grid_n < 3:
             raise ValueError("grid_n must be at least 3")
         if self.tol_factor <= 0:
             raise ValueError("tol_factor must be positive")
-        if self.bisect_tol <= 0:
-            raise ValueError("bisect_tol must be positive")
-        if not (math.isfinite(self.tol_factor) and math.isfinite(self.bisect_tol)):
-            raise ValueError("tol_factor and bisect_tol must be finite")
+        if not math.isfinite(self.tol_factor):
+            raise ValueError("tol_factor must be finite")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be at least 1")
-        if self.minimize_iters < 1:
-            raise ValueError("minimize_iters must be at least 1")
         # grid_n > MAX_GRID_N >> r is grid_n * 2**r > MAX_GRID_N without forming 2**r
         if self.grid_n > MAX_GRID_N >> self.max_refinements:
             raise ValueError(
@@ -107,7 +104,7 @@ class LocateReport:
     diagnostics: LocateDiagnostics
 
 
-def _scalar_residual(field: Field, p: Point) -> float:
+def _scalar_residual(field: ResidualField, p: Point) -> float:
     """Residual at ``p``, whose coordinates must already be Python floats."""
     return float(field.residual(*p))
 
@@ -120,12 +117,12 @@ def _mean_value_point(p: Point, residual: float, method: str) -> MeanValuePoint:
     return MeanValuePoint(p[0], p[1] if len(p) > 1 else None, residual, method)
 
 
-def _check_inside(field: Field, p: Point, what: str) -> None:
+def _check_inside(field: ResidualField, p: Point, what: str) -> None:
     axes = field.axes
     if len(p) != len(axes):
         raise ValueError(f"{what} {_fmt(p)} needs {len(axes)} coordinates")
     if not all(lo < c < hi for c, (lo, hi) in zip(p, axes)):
-        domain = field.rectangle if len(axes) == 2 else list(axes[0])
+        domain = Rectangle(*axes[0], *axes[1]) if len(axes) == 2 else list(axes[0])
         raise DomainError(f"{what} {_fmt(p)} is not strictly inside {domain}")
 
 
@@ -138,7 +135,7 @@ def _cell(centres: list[np.ndarray], k: int) -> Point:
     return tuple(point)
 
 
-def _grid_values(field: Field, centres: list[np.ndarray]):
+def _grid_values(field: ResidualField, centres: list[np.ndarray]):
     """Evaluate the residual on the cell-center grid.
 
     Returns ``(values, failure)`` where exactly one is not None; a failure is
@@ -158,7 +155,7 @@ def _grid_values(field: Field, centres: list[np.ndarray]):
     return values, None
 
 
-def _first_scalar_failure(field: Field, centres: list[np.ndarray]):
+def _first_scalar_failure(field: ResidualField, centres: list[np.ndarray]):
     for k in range(math.prod(c.size for c in centres)):
         p = _cell(centres, k)
         try:
@@ -170,11 +167,11 @@ def _first_scalar_failure(field: Field, centres: list[np.ndarray]):
     return (_cell(centres, 0), "vectorized evaluation failed", "evaluation")
 
 
-def _bisect(rfunc, p_neg, r_neg, p_pos, r_pos, width_tol, residual_tol):
+def _bisect(rfunc, p_neg, r_neg, p_pos, r_pos, residual_tol):
     """Bisection along the segment p_neg -> p_pos; returns (point, residual).
 
     Stops as soon as |R| <= residual_tol or the parameter width drops below
-    width_tol.  The endpoints must already satisfy R(p_neg) < 0 < R(p_pos).
+    ``BISECT_TOL``.  The endpoints must already satisfy R(p_neg) < 0 < R(p_pos).
     """
     if abs(r_neg) <= residual_tol:
         return p_neg, r_neg
@@ -183,7 +180,7 @@ def _bisect(rfunc, p_neg, r_neg, p_pos, r_pos, width_tol, residual_tol):
     lo, hi = 0.0, 1.0  # lo parameterizes the negative end
     span = tuple((a, b - a) for a, b in zip(p_neg, p_pos))
     p, r = p_neg, r_neg
-    while hi - lo > width_tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         p = tuple(a + mid * d for a, d in span)
         r = rfunc(p)
@@ -196,35 +193,7 @@ def _bisect(rfunc, p_neg, r_neg, p_pos, r_pos, width_tol, residual_tol):
     return p, r
 
 
-def bisect_on_segment(
-    field: Field,
-    p_neg: Point,
-    p_pos: Point,
-    tol: float,
-    residual_tol: float = 0.0,
-) -> Point:
-    """Point on the open segment between a negative and a positive sample.
-
-    ``tol`` bounds the final segment-parameter width; ``residual_tol`` (an
-    absolute residual threshold) allows early exit.  Raises ``ValueError`` if
-    the sign contract fails and ``DomainError`` if an endpoint is not interior.
-    """
-    for p in (p_neg, p_pos):
-        _check_inside(field, p, "segment endpoint")
-    p_neg, p_pos = tuple(map(float, p_neg)), tuple(map(float, p_pos))
-    r_neg = _scalar_residual(field, p_neg)
-    r_pos = _scalar_residual(field, p_pos)
-    if not (r_neg < 0.0 < r_pos):
-        raise ValueError(
-            f"bisection requires R(p_neg) < 0 < R(p_pos), got {r_neg!r} and {r_pos!r}"
-        )
-    p, _ = _bisect(
-        lambda q: _scalar_residual(field, q), p_neg, r_neg, p_pos, r_pos, tol, residual_tol
-    )
-    return p
-
-
-def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
+def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateReport:
     """Find a point of the open rectangle or interval where the residual vanishes.
 
     Strategy: sample cell centers, accept any sample already within tolerance,
@@ -299,7 +268,7 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
                 evals += 2
                 if r_neg < 0.0 < r_pos:
                     sign_cells = (k_neg, k_pos)
-                    p, r = _bisect(counted, p_neg, r_neg, p_pos, r_pos, cfg.bisect_tol, tol)
+                    p, r = _bisect(counted, p_neg, r_neg, p_pos, r_pos, tol)
                     if abs(r) < abs(best[1]):
                         best = (p, r)
                     if abs(r) <= tol:
@@ -315,7 +284,7 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
     # stay on the strict interior (the cell-center hull of the finest grid)
     hull = [(lo + 0.5 * step, hi - 0.5 * step) for (lo, hi), step in zip(axes, steps)]
     try:
-        for _ in range(cfg.minimize_iters):
+        for _ in range(MINIMIZE_ITERS):
             if cur_abs <= tol:
                 break
             improved = False
@@ -334,7 +303,7 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
                         improved = True
             if not improved:
                 steps = tuple(0.5 * step for step in steps)
-                if max(steps) < cfg.bisect_tol:
+                if max(steps) < BISECT_TOL:
                     break
     except EvaluationError as exc:
         return failed(str(exc), _failure_kind(exc))
@@ -350,8 +319,12 @@ def locate(field: Field, cfg: LocateConfig | None = None) -> LocateReport:
 locate_line = locate
 
 
-def verify_at(field: Field, *point: float) -> float:
+def verify_at(field: ResidualField, *point: float) -> float:
     """Residual at a claimed mean-value point, one coordinate per axis of the
-    field; no tolerance judgment is made."""
+    field; no tolerance judgment is made, but a non-finite residual raises
+    ``EvaluationError``."""
     _check_inside(field, point, "point")
-    return _scalar_residual(field, tuple(map(float, point)))
+    residual = _scalar_residual(field, tuple(map(float, point)))
+    if not math.isfinite(residual):
+        raise EvaluationError("residual is not finite")
+    return residual

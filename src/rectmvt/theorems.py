@@ -17,14 +17,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import BinOp, Const, EvaluationError, Expression, Var, const, evaluate, substitute, variables
+from .expr import (
+    BinOp,
+    Const,
+    EvaluationError,
+    Expression,
+    OutOfDomainError,
+    Var,
+    const,
+    evaluate,
+    substitute,
+    variables,
+)
 from .hyperdual import Program, compile_hyperdual, eval_hyperdual
 
 __all__ = [
     "DegenerateError",
     "DomainError",
     "HypothesisError",
-    "LineResidualField",
     "Rectangle",
     "ResidualField",
     "THEOREMS",
@@ -142,38 +152,32 @@ class Rectangle:
     def contains_open(self, x: float, y: float) -> bool:
         return self.x1 < x < self.x2 and self.y1 < y < self.y2
 
+    @property
+    def axes(self) -> tuple[tuple[float, float], ...]:
+        """Per-axis ``(lo, hi)`` bounds, x first."""
+        return ((self.x1, self.x2), (self.y1, self.y2))
+
 
 @dataclass(eq=False, frozen=True)
 class ResidualField:
-    """A theorem instance: a continuous scalar field whose zeros are mean-value points."""
+    """A theorem instance: a continuous scalar field whose zeros are mean-value points.
 
-    rectangle: Rectangle
-    residual: Callable[[float, float], float]
+    ``axes`` holds per-axis ``(lo, hi)`` bounds, x first: two for a rectangle,
+    one for an interval.  The residual takes one coordinate per axis.
+    """
+
+    axes: tuple[tuple[float, float], ...]
+    residual: Callable[..., float]
     scale: float
     decomposition: dict[str, float]
     tag: str
 
-    @property
-    def axes(self) -> tuple[tuple[float, float], ...]:
-        """Per-axis ``(lo, hi)`` bounds, x first; the residual takes one coordinate per axis."""
-        r = self.rectangle
-        return ((r.x1, r.x2), (r.y1, r.y2))
-
-
-@dataclass(eq=False, frozen=True)
-class LineResidualField:
-    """One-dimensional counterpart of :class:`ResidualField` on an interval."""
-
-    x1: float
-    x2: float
-    residual: Callable[[float], float]
-    scale: float
-    decomposition: dict[str, float]
-    tag: str
-
-    @property
-    def axes(self) -> tuple[tuple[float, float], ...]:
-        return ((self.x1, self.x2),)
+    def __post_init__(self):
+        # every tolerance is relative to scale, and the CLI prints both as JSON
+        if not all(math.isfinite(v) for v in (self.scale, *self.decomposition.values())):
+            raise EvaluationError(
+                f"field constants are not finite: scale {self.scale!r}, {self.decomposition!r}"
+            )
 
 
 def corner_difference(f: Expression, r: Rectangle) -> float:
@@ -226,7 +230,7 @@ def rect_rolle_residual(f: Expression, r: Rectangle) -> ResidualField:
         return fp(x, y)[3]
 
     scale = 1.0 + _mixed_partial_magnitude(fp, r)
-    return ResidualField(r, residual, scale, {"delta_f": delta}, "rolle")
+    return ResidualField(r.axes, residual, scale, {"delta_f": delta}, "rolle")
 
 
 def rect_mvt_residual(f: Expression, r: Rectangle) -> ResidualField:
@@ -241,7 +245,7 @@ def rect_mvt_residual(f: Expression, r: Rectangle) -> ResidualField:
     def residual(x, y):
         return delta - area * fp(x, y)[3]
 
-    return ResidualField(r, residual, 1.0 + abs(delta), {"delta_f": delta}, "rmvt")
+    return ResidualField(r.axes, residual, 1.0 + abs(delta), {"delta_f": delta}, "rmvt")
 
 
 def rect_cauchy_residual(f: Expression, g: Expression, r: Rectangle) -> ResidualField:
@@ -263,7 +267,7 @@ def rect_cauchy_residual(f: Expression, g: Expression, r: Rectangle) -> Residual
         return delta_f * gp(x, y)[3] - delta_g * fp(x, y)[3]
 
     return ResidualField(
-        r, residual, scale, {"delta_f": delta_f, "delta_g": delta_g}, "cauchy"
+        r.axes, residual, scale, {"delta_f": delta_f, "delta_g": delta_g}, "cauchy"
     )
 
 
@@ -308,7 +312,7 @@ def pompeiu2d_residual(f: Expression, r: Rectangle) -> ResidualField:
     def residual(x, y):
         return _pompeiu(fp(x, y), x, y) - rhs
 
-    return ResidualField(r, residual, 1.0 + abs(rhs), {"rhs": rhs}, "pompeiu2d")
+    return ResidualField(r.axes, residual, 1.0 + abs(rhs), {"rhs": rhs}, "pompeiu2d")
 
 
 def boggio2d_residual(f: Expression, g: Expression, r: Rectangle) -> ResidualField:
@@ -339,7 +343,7 @@ def boggio2d_residual(f: Expression, g: Expression, r: Rectangle) -> ResidualFie
         return (_pompeiu(gp(x, y), x, y) / delta_g - _pompeiu(fp(x, y), x, y) / delta_f) - rhs
 
     return ResidualField(
-        r,
+        r.axes,
         residual,
         1.0 + abs(rhs_f) + abs(rhs_g),
         {"delta_f": delta_f, "delta_g": delta_g, "rhs_f": rhs_f, "rhs_g": rhs_g},
@@ -360,7 +364,7 @@ def _eval_1d(f: Expression, x: float) -> float:
     return evaluate(f, x, 0.0)
 
 
-def pompeiu1d_residual(f: Expression, x1: float, x2: float) -> LineResidualField:
+def pompeiu1d_residual(f: Expression, x1: float, x2: float) -> ResidualField:
     """One-dimensional Pompeiu residual on an interval away from 0.
 
     R(xi) = [f(xi) - xi f'(xi)] - [x1 f(x2) - x2 f(x1)] / (x1 - x2)
@@ -375,10 +379,10 @@ def pompeiu1d_residual(f: Expression, x1: float, x2: float) -> LineResidualField
         v, dx, _, _ = fp(xi, 0.0)
         return (v - xi * dx) - rhs
 
-    return LineResidualField(x1, x2, residual, 1.0 + abs(rhs), {"rhs": rhs}, "pompeiu1d")
+    return ResidualField(((x1, x2),), residual, 1.0 + abs(rhs), {"rhs": rhs}, "pompeiu1d")
 
 
-def boggio1d_residual(f: Expression, g: Expression, x1: float, x2: float) -> LineResidualField:
+def boggio1d_residual(f: Expression, g: Expression, x1: float, x2: float) -> ResidualField:
     """One-dimensional Boggio residual, with the denominator oriented so that
     g(x) = x reduces it exactly to the Pompeiu residual.
 
@@ -402,10 +406,11 @@ def boggio1d_residual(f: Expression, g: Expression, x1: float, x2: float) -> Lin
         if isinstance(slope_zero, np.ndarray):
             slope_zero = slope_zero.any()
         if slope_zero:
-            raise EvaluationError("g' vanishes at an evaluation point")
+            # a zero divisor, and g' != 0 is a hypothesis of Boggio's theorem
+            raise OutOfDomainError("g' vanishes at an evaluation point")
         return (fv - (gv / gdx) * fdx) - rhs
 
-    return LineResidualField(x1, x2, residual, 1.0 + abs(rhs), {"rhs": rhs}, "boggio1d")
+    return ResidualField(((x1, x2),), residual, 1.0 + abs(rhs), {"rhs": rhs}, "boggio1d")
 
 
 def build_cauchy_auxiliary(f: Expression, g: Expression, r: Rectangle) -> Expression:

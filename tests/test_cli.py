@@ -78,6 +78,11 @@ def test_locate_interior_pole_exits_3(capsys):
             ("--theorem", "rmvt", "--f", "1/(x-0.5)*y^2", "--rect", "0,1,0,1"),
             "evaluation error at (0.5, 0.015151515151515152): division by zero",
         ),
+        # g' = 3(x-1.5)^2 vanishes at the grid point 1.5; Boggio's theorem assumes g' != 0
+        (
+            ("--theorem", "boggio1d", "--f", "x^3", "--g", "(x-1.5)^3", "--rect", "1,2"),
+            "evaluation error at (1.5): g' vanishes at an evaluation point",
+        ),
     ],
 )
 def test_locate_domain_error_inside_exits_3_with_the_failed_document(capsys, argv, failure):
@@ -337,6 +342,11 @@ def test_invalid_rect_exits_2(capsys):
         ),
         ("verify", "--theorem", "pompeiu1d", "--f", "x^2", "--rect", "1,2", "--point", "inf"),
         ("grad-check", "--f", "x^2*y", "--at", "nan,1"),
+        # finite on its own, but tau * scale overflows
+        (
+            "verify", "--theorem", "rmvt", "--f", "1e308*sin(x)*sin(y)", "--rect", "0,3,0,3",
+            "--point", "1.5,1.5", "--tau", "1000",
+        ),
     ],
 )
 def test_non_finite_input_exits_2_without_output(capsys, argv):
@@ -344,6 +354,63 @@ def test_non_finite_input_exits_2_without_output(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("invalid input:") and "finite" in err
+
+
+def _strict_json(text: str):
+    """``json.loads`` that rejects the non-JSON tokens NaN, Infinity and -Infinity."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# each once printed NaN or Infinity: a field constant that overflows (the
+# interval rhs is inf - inf, the corner difference of the cosine is -inf) or a
+# residual that overflows at the point verified
+NON_FINITE = [
+    ("verify", "--theorem", "pompeiu1d", "--f", "1e308*x", "--rect", "1.5,1.7", "--point", "1.6"),
+    (
+        "locate", "--theorem", "rmvt", "--f", "1.7e308*cos(3.141592653589793*x*y)",
+        "--rect", "1,2,1,2",
+    ),
+    (
+        "verify", "--theorem", "rmvt", "--f", "1e308*sin(x)*sin(y)", "--rect", "0,3,0,3",
+        "--point", "0.1,0.1",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE)
+def test_non_finite_result_exits_3_without_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("evaluation failed:") and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    NON_FINITE
+    + [
+        ("locate", "--theorem", "rolle", "--f", "x^2*y - x*y", "--rect", "0,1,0,1"),
+        ("locate", "--theorem", "cauchy", "--f", "x^2*y", "--g", "x*y^2", "--rect", "0,1,0,1"),
+        ("locate", "--theorem", "pompeiu2d", "--f", "x^2*y^2", "--rect", "1,2,1,3"),
+        ("locate", "--theorem", "boggio1d", "--f", "x^3", "--g", "(x-1.5)^3", "--rect", "1,2"),
+        ("locate", "--theorem", "rmvt", "--f", "exp(4000*x*(1-x)*y)", "--rect", "0,1,0,1"),
+        ("locate", "--theorem", "rmvt", "--f", "1/(x*y)", "--rect", "-1,1,-1,1"),
+        (
+            "verify", "--theorem", "boggio2d", "--f", "x^2*y^2", "--g", "x*y",
+            "--rect", "1,2,1,3", "--point", "1.5,1.6",
+        ),
+        ("verify", "--theorem", "pompeiu1d", "--f", "x^2", "--rect", "1,2", "--point", "1.4"),
+        ("sweep", "--theorem", "boggio2d", "--family", "rational", "--count", "20"),
+        ("grad-check", "--f", "exp(700*x)", "--at", "1,1"),
+    ],
+)
+def test_stdout_is_strict_json(capsys, argv):
+    _, out, _ = run_cli(capsys, *argv)
+    if out:
+        _strict_json(out)
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -3,19 +3,17 @@ import random
 
 import pytest
 
-from rectmvt.expr import parse
+from rectmvt.expr import EvaluationError, parse
 from rectmvt.harness import derive_seed, generate_rectangle
 from rectmvt.locator import (
     MAX_GRID_N,
     LocateConfig,
-    bisect_on_segment,
     locate,
     locate_line,
     verify_at,
 )
 from rectmvt.theorems import (
     DomainError,
-    LineResidualField,
     Rectangle,
     ResidualField,
     boggio1d_residual,
@@ -33,7 +31,7 @@ def _linear_field(a: float, b: float, c: float, rect: Rectangle) -> ResidualFiel
     def residual(x, y):
         return a * x + b * y + c
 
-    return ResidualField(rect, residual, 1.0, {}, "test")
+    return ResidualField(rect.axes, residual, 1.0, {}, "test")
 
 
 def test_config_validation():
@@ -43,15 +41,9 @@ def test_config_validation():
         LocateConfig(tol_factor=0.0)
     with pytest.raises(ValueError):
         LocateConfig(max_refinements=0)
-    with pytest.raises(ValueError):
-        LocateConfig(minimize_iters=0)
-    with pytest.raises(ValueError):
-        LocateConfig(bisect_tol=-1e-12)
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError):
             LocateConfig(tol_factor=value)
-        with pytest.raises(ValueError):
-            LocateConfig(bisect_tol=value)
 
 
 def test_config_bounds_the_finest_grid():
@@ -97,9 +89,9 @@ def test_found_points_are_strictly_interior():
     for field in cases:
         report = locate(field)
         assert report.outcome == "found"
-        r = field.rectangle
-        assert r.x1 < report.point.xi1 < r.x2
-        assert r.y1 < report.point.xi2 < r.y2
+        (x1, x2), (y1, y2) = field.axes
+        assert x1 < report.point.xi1 < x2
+        assert y1 < report.point.xi2 < y2
 
 
 def test_found_residual_is_reproducible():
@@ -121,7 +113,7 @@ def test_locate_reports_evaluation_failure_point():
     def residual(x, y):
         return 1.0 / (x - 0.5)  # pole crosses the grid
 
-    field = ResidualField(rect, residual, 1.0, {}, "test")
+    field = ResidualField(rect.axes, residual, 1.0, {}, "test")
     report = locate(field)
     assert report.outcome == "failed"
     assert "0.5" in report.diagnostics.failure
@@ -130,60 +122,36 @@ def test_locate_reports_evaluation_failure_point():
 def test_locate_fails_when_no_zero_exists():
     # strictly positive residual: not a theorem field, locator must say failed
     field = _linear_field(0.0, 0.0, 1.0, Rectangle(0, 1, 0, 1))
-    cfg = LocateConfig(max_refinements=1, minimize_iters=5)
+    cfg = LocateConfig(max_refinements=1)
     report = locate(field, cfg)
     assert report.outcome == "failed"
     assert report.point is None
     assert report.diagnostics.failure is not None
 
 
-def test_bisect_on_segment_linear():
-    field = _linear_field(-2.0, 0.0, 1.0, Rectangle(0, 1, 0, 1))  # R = 1 - 2x
-    x, y = bisect_on_segment(field, (0.9, 0.5), (0.1, 0.5), 1e-12)
-    assert abs(x - 0.5) <= 1e-10
-    assert y == 0.5
-
-
-def test_bisect_on_segment_rejects_bad_signs():
-    field = _linear_field(-2.0, 0.0, 1.0, Rectangle(0, 1, 0, 1))
-    with pytest.raises(ValueError):
-        bisect_on_segment(field, (0.1, 0.5), (0.9, 0.5), 1e-12)  # signs swapped
-
-
-def test_bisect_on_segment_requires_interior_endpoints():
-    field = _linear_field(-2.0, 0.0, 1.0, Rectangle(0, 1, 0, 1))
-    with pytest.raises(DomainError):
-        bisect_on_segment(field, (0.9, 0.5), (0.0, 0.5), 1e-12)
-
-
-def test_bisect_on_segment_immediate_return_within_tolerance():
-    field = _linear_field(-2.0, 0.0, 1.0, Rectangle(0, 1, 0, 1))
-    x, y = bisect_on_segment(field, (0.5 + 1e-13, 0.5), (0.1, 0.5), 1e-12, residual_tol=1e-9)
-    assert (x, y) == (0.5 + 1e-13, 0.5)
-
-
-def test_bisect_on_segment_random_linear_fields():
+def test_locate_random_linear_fields():
+    # R = a*x + b*y + c vanishes on a line; where that line crosses the square,
+    # the point found must lie on it to within the tolerance
     rng = random.Random(107)
     rect = Rectangle(0, 1, 0, 1)
+    located = 0
     for _ in range(50):
         a = rng.choice((-1, 1)) * rng.uniform(0.5, 3.0)
         b = rng.choice((-1, 1)) * rng.uniform(0.5, 3.0)
         c = rng.uniform(-0.4, 0.4)
-        field = _linear_field(a, b, c, rect)
-        p = (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
-        q = (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
-        rp, rq = field.residual(*p), field.residual(*q)
-        if rp == 0.0 or rq == 0.0 or (rp < 0) == (rq < 0):
+        corners = [a * x + b * y + c for x in (0, 1) for y in (0, 1)]
+        if min(corners) >= 0.0 or max(corners) <= 0.0:
             continue
-        p_neg, p_pos = (p, q) if rp < 0 else (q, p)
-        x, y = bisect_on_segment(field, p_neg, p_pos, 1e-12)
-        # closed form: root of the linear residual along the segment
-        t = -(a * p_neg[0] + b * p_neg[1] + c) / (
-            a * (p_pos[0] - p_neg[0]) + b * (p_pos[1] - p_neg[1])
-        )
-        want = (p_neg[0] + t * (p_pos[0] - p_neg[0]), p_neg[1] + t * (p_pos[1] - p_neg[1]))
-        assert abs(x - want[0]) <= 1e-10
-        assert abs(y - want[1]) <= 1e-10
+        field = _linear_field(a, b, c, rect)
+        report = locate(field)
+        assert report.outcome == "found"
+        p = report.point
+        assert p.method in ("grid-hit", "sign-change-bisection")
+        assert 0 < p.xi1 < 1 and 0 < p.xi2 < 1
+        assert p.residual == field.residual(p.xi1, p.xi2)
+        assert abs(a * p.xi1 + b * p.xi2 + c) <= 1e-9
+        located += 1
+    assert located >= 25
 
 
 def test_verify_at_values_and_domain():
@@ -194,6 +162,20 @@ def test_verify_at_values_and_domain():
     assert off_curve == pytest.approx(8.0625, rel=1e-12)
     with pytest.raises(DomainError):
         verify_at(field, 0.5, 2.0)
+
+
+def test_verify_at_rejects_a_non_finite_residual():
+    field = rect_mvt_residual(parse("1e308*sin(x)*sin(y)"), Rectangle(0, 3, 0, 3))
+    with pytest.raises(EvaluationError, match="residual is not finite"):
+        verify_at(field, 0.1, 0.1)
+
+
+def test_verify_at_names_the_rectangle_it_checks():
+    field = rect_mvt_residual(parse("x^2*y"), Rectangle(0, 1, 0, 1))
+    with pytest.raises(
+        DomainError, match=r"\(1\.5, 0\.5\) is not strictly inside Rectangle\(x1=0, x2=1, y1=0, y2=1\)"
+    ):
+        verify_at(field, 1.5, 0.5)
 
 
 def test_locate_line_pompeiu_sqrt2():
@@ -211,7 +193,7 @@ def test_locate_refines_past_coarse_grid():
     def residual(x, y):
         return (x - 0.53) ** 2 + (y - 0.56) ** 2 - 0.0004
 
-    field = ResidualField(rect, residual, 1.0, {}, "test")
+    field = ResidualField(rect.axes, residual, 1.0, {}, "test")
     report = locate(field, LocateConfig(grid_n=5, max_refinements=4))
     assert report.outcome == "found"
     assert report.diagnostics.level >= 2
@@ -225,7 +207,7 @@ def test_locate_minimization_fallback_on_tangent_zero():
     def residual(x, y):
         return (x - 0.5) ** 2 + (y - 0.5) ** 2
 
-    field = ResidualField(rect, residual, 1.0, {}, "test")
+    field = ResidualField(rect.axes, residual, 1.0, {}, "test")
     report = locate(field, LocateConfig(grid_n=4, max_refinements=1, tol_factor=1e-7))
     assert report.outcome == "found"
     assert report.point.method == "minimization"
@@ -235,7 +217,7 @@ def test_locate_minimization_fallback_on_tangent_zero():
 
 def test_locate_line_minimization_fallback_on_tangent_zero():
     # a line residual that touches zero without a sign change
-    field = LineResidualField(1.0, 2.0, lambda x: (x - 1.3) ** 2, 1.0, {}, "test")
+    field = ResidualField(((1.0, 2.0),), lambda x: (x - 1.3) ** 2, 1.0, {}, "test")
     report = locate(field, LocateConfig(grid_n=4, max_refinements=1, tol_factor=1e-7))
     assert report.outcome == "found"
     assert report.point.method == "minimization"
@@ -243,11 +225,11 @@ def test_locate_line_minimization_fallback_on_tangent_zero():
     assert abs(report.point.xi1 - 1.3) <= 1e-3
 
 
-def _lift(line: LineResidualField) -> ResidualField:
+def _lift(line: ResidualField) -> ResidualField:
     """The same residual on [x1, x2] x [0, 1], constant along y."""
     fn = line.residual
     return ResidualField(
-        Rectangle(line.x1, line.x2, 0, 1), lambda x, y: fn(x) + 0.0 * y, line.scale, {}, line.tag
+        (*line.axes, (0, 1)), lambda x, y: fn(x) + 0.0 * y, line.scale, {}, line.tag
     )
 
 
@@ -263,8 +245,8 @@ def _line_cases(count: int):
         # two close zeros, or one tangent zero, that coarse grids step over
         m = rect.x1 + rng.uniform(0.2, 0.8) * rect.width
         h = rng.choice((0.0, rect.width / 25))
-        yield LineResidualField(
-            rect.x1, rect.x2, lambda x, m=m, h=h: (x - m) ** 2 - h * h, 1.0, {}, "test"
+        yield ResidualField(
+            ((rect.x1, rect.x2),), lambda x, m=m, h=h: (x - m) ** 2 - h * h, 1.0, {}, "test"
         )
 
 
@@ -319,7 +301,7 @@ def test_locate_failure_kinds():
     assert overflow.diagnostics.failure_kind == "evaluation"
     # a residual the search cannot bring within tolerance
     field = _linear_field(0.0, 0.0, 1.0, Rectangle(0, 1, 0, 1))
-    exhausted = locate(field, LocateConfig(max_refinements=1, minimize_iters=5))
+    exhausted = locate(field, LocateConfig(max_refinements=1))
     assert exhausted.diagnostics.failure_kind == "exhausted"
     found = locate(rect_mvt_residual(parse("x^2*y"), Rectangle(0, 1, 0, 1)))
     assert (found.outcome, found.diagnostics.failure, found.diagnostics.failure_kind) == (

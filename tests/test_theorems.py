@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from rectmvt import cli, theorems
-from rectmvt.expr import BinOp, Const, Var, EvaluationError, evaluate, parse
+from rectmvt.expr import BinOp, Const, Var, EvaluationError, OutOfDomainError, evaluate, parse
 from rectmvt.harness import FunctionFamily, build_field, derive_seed, generate_function, generate_rectangle
 from rectmvt.theorems import (
     THEOREMS,
     DegenerateError,
     DomainError,
     HypothesisError,
-    LineResidualField,
     Rectangle,
+    ResidualField,
     boggio1d_residual,
     boggio2d_residual,
     build_cauchy_auxiliary,
@@ -34,13 +34,11 @@ from rectmvt.theorems import (
 SQ6 = math.sqrt(6.0)
 
 
-def _interior_points(rect: Rectangle, n: int, seed: int):
+def _interior_points(axes, n: int, seed: int):
+    """``n`` seeded points of the box with per-axis bounds ``axes``, 5% in from its edges."""
     rng = random.Random(seed)
     for _ in range(n):
-        yield (
-            rng.uniform(rect.x1 + 0.05 * rect.width, rect.x2 - 0.05 * rect.width),
-            rng.uniform(rect.y1 + 0.05 * rect.height, rect.y2 - 0.05 * rect.height),
-        )
+        yield tuple(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)) for lo, hi in axes)
 
 
 # -- Rectangle -----------------------------------------------------------------
@@ -67,6 +65,26 @@ def test_rectangle_bounds_must_be_finite():
         Rectangle(1.0, 2.0, math.nan, 2.0)
     with pytest.raises(ValueError):
         Rectangle(-math.inf, 2.0, 1.0, 2.0)
+
+
+def test_rectangle_axes():
+    assert Rectangle(1, 2, -3, 4).axes == ((1, 2), (-3, 4))
+
+
+def test_residual_field_rejects_non_finite_constants():
+    def residual(x):
+        return x
+
+    ResidualField(((1.0, 2.0),), residual, 2.0, {"rhs": 1.0}, "test")
+    for scale, decomposition in ((math.nan, {}), (math.inf, {}), (2.0, {"rhs": -math.inf})):
+        with pytest.raises(EvaluationError, match="not finite"):
+            ResidualField(((1.0, 2.0),), residual, scale, decomposition, "test")
+    # the builders' constants overflow: rhs is inf - inf on the interval, and
+    # the corner difference of the cosine is -inf
+    with pytest.raises(EvaluationError, match="not finite"):
+        pompeiu1d_residual(parse("1e308*x"), 1.5, 1.7)
+    with pytest.raises(EvaluationError, match="not finite"):
+        rect_mvt_residual(parse("1.7e308*cos(3.141592653589793*x*y)"), Rectangle(1, 2, 1, 2))
 
 
 def test_theorem_case_validation():
@@ -137,7 +155,7 @@ def test_theorem_table_matches_builders(tag):
     f, g = parse(f), None if g is None else parse(g)
     field = build_field(tag, f, g, bounds)
     assert field.tag == tag
-    assert isinstance(field, LineResidualField) == theorem.one_dim
+    assert len(field.axes) == (1 if theorem.one_dim else 2)
     assert _raises(ValueError, build_field, tag, f, None, bounds) == theorem.needs_g
     straddling = (-1, 2) if theorem.one_dim else (-1, 2, -1, 3)
     assert _raises(DomainError, build_field, tag, f, g, straddling) == theorem.zero_free
@@ -175,7 +193,7 @@ def test_rolle_sine_product():
 
 def test_rolle_constant_function_identically_zero():
     field = rect_rolle_residual(parse("3"), Rectangle(0, 1, 0, 1))
-    for x, y in _interior_points(field.rectangle, 10, 5):
+    for x, y in _interior_points(field.axes, 10, 5):
         assert field.residual(x, y) == 0.0
 
 
@@ -185,20 +203,20 @@ def test_rolle_constant_function_identically_zero():
 def test_rmvt_residual_closed_form():
     field = rect_mvt_residual(parse("x^2*y"), Rectangle(0, 1, 0, 1))
     assert field.decomposition["delta_f"] == 1.0
-    for x, y in _interior_points(field.rectangle, 20, 31):
+    for x, y in _interior_points(field.axes, 20, 31):
         assert field.residual(x, y) == pytest.approx(1.0 - 2.0 * x, rel=1e-12, abs=1e-12)
 
 
 def test_rmvt_bilinear_residual_vanishes():
     field = rect_mvt_residual(parse("x*y"), Rectangle(-1.5, 2.0, 0.5, 4.0))
-    for x, y in _interior_points(field.rectangle, 20, 37):
+    for x, y in _interior_points(field.axes, 20, 37):
         assert abs(field.residual(x, y)) <= 1e-13 * field.scale
 
 
 def test_rmvt_sine_product_closed_form():
     field = rect_mvt_residual(parse("sin(x)*sin(y)"), Rectangle(0, math.pi / 2, 0, math.pi / 2))
     assert field.decomposition["delta_f"] == pytest.approx(1.0, rel=1e-15)
-    for x, y in _interior_points(field.rectangle, 20, 41):
+    for x, y in _interior_points(field.axes, 20, 41):
         want = 1.0 - (math.pi / 2) ** 2 * math.cos(x) * math.cos(y)
         assert field.residual(x, y) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -210,7 +228,7 @@ def test_cauchy_residual_closed_form():
     field = rect_cauchy_residual(parse("x^2*y^2"), parse("x*y"), Rectangle(1, 2, 1, 3))
     assert field.decomposition["delta_f"] == 24.0
     assert field.decomposition["delta_g"] == 2.0
-    for x, y in _interior_points(field.rectangle, 20, 43):
+    for x, y in _interior_points(field.axes, 20, 43):
         assert field.residual(x, y) == pytest.approx(24.0 - 8.0 * x * y, rel=1e-12)
     # the zero curve x*y = 3 passes through (1.5, 2)
     assert field.residual(1.5, 2.0) == pytest.approx(0.0, abs=1e-12)
@@ -233,7 +251,7 @@ def test_cauchy_reduces_to_rmvt_for_bilinear_g():
 def test_cauchy_equal_functions_vanish():
     f = parse("x^2*y + x*y^2")
     field = rect_cauchy_residual(f, f, Rectangle(0.5, 2.0, 0.5, 2.0))
-    for x, y in _interior_points(field.rectangle, 10, 53):
+    for x, y in _interior_points(field.axes, 10, 53):
         assert field.residual(x, y) == 0.0
 
 
@@ -278,7 +296,7 @@ def test_pompeiu_rhs_examples():
 def test_pompeiu2d_residual_closed_form():
     field = pompeiu2d_residual(parse("x^2*y^2"), Rectangle(1, 2, 1, 3))
     assert field.decomposition["rhs"] == pytest.approx(6.0, rel=1e-15)
-    for x, y in _interior_points(field.rectangle, 20, 67):
+    for x, y in _interior_points(field.axes, 20, 67):
         assert field.residual(x, y) == pytest.approx(x * x * y * y - 6.0, rel=1e-12, abs=1e-12)
     # (1.5, 2*sqrt(6)/3) sits on the zero curve xi1*xi2 = sqrt(6)
     assert abs(field.residual(1.5, 2.0 * SQ6 / 3.0)) <= 1e-12 * field.scale
@@ -286,7 +304,7 @@ def test_pompeiu2d_residual_closed_form():
 
 def test_pompeiu2d_bilinear_identically_zero():
     field = pompeiu2d_residual(parse("x*y"), Rectangle(1, 2, 1, 3))
-    for x, y in _interior_points(field.rectangle, 10, 71):
+    for x, y in _interior_points(field.axes, 10, 71):
         assert abs(field.residual(x, y)) <= 1e-13 * field.scale
 
 
@@ -317,7 +335,7 @@ def test_boggio2d_bilinear_g_proportional_to_pompeiu():
 def test_boggio2d_equal_functions_vanish():
     f = parse("x^2*y^2 + x*y")
     field = boggio2d_residual(f, f, Rectangle(1, 2, 1, 3))
-    for x, y in _interior_points(field.rectangle, 10, 79):
+    for x, y in _interior_points(field.axes, 10, 79):
         assert field.residual(x, y) == 0.0
 
 
@@ -402,9 +420,12 @@ def test_boggio1d_degenerate_g_rejected():
 
 
 def test_boggio1d_gprime_zero_surfaces_as_evaluation_error():
+    # a zero divisor, so a domain error: g' != 0 is a hypothesis of the theorem
     field = boggio1d_residual(parse("x^2"), parse("(x-1.5)^3"), 1.0, 2.0)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(OutOfDomainError, match="g' vanishes"):
         field.residual(1.5)
+    with pytest.raises(OutOfDomainError):
+        field.residual(np.array([1.25, 1.5]))
 
 
 # -- proof constructions ------------------------------------------------------------
@@ -415,7 +436,7 @@ def test_build_cauchy_auxiliary_structure_and_values():
     rect = Rectangle(1, 2, 1, 3)
     aux = build_cauchy_auxiliary(f, g, rect)
     assert aux == BinOp("-", BinOp("*", Const(24.0), g), BinOp("*", Const(2.0), f))
-    for x, y in _interior_points(rect, 10, 89):
+    for x, y in _interior_points(rect.axes, 10, 89):
         want = 24.0 * x * y - 2.0 * x * x * y * y
         assert evaluate(aux, x, y) == pytest.approx(want, rel=1e-13)
 
@@ -437,13 +458,13 @@ def test_build_cauchy_auxiliary_equal_functions_vanish():
     f = parse("x^2*y + y")
     rect = Rectangle(0.5, 1.5, 0.5, 1.5)
     aux = build_cauchy_auxiliary(f, f, rect)
-    for x, y in _interior_points(rect, 10, 97):
+    for x, y in _interior_points(rect.axes, 10, 97):
         assert evaluate(aux, x, y) == 0.0
 
 
 def test_build_reciprocal_transform_examples():
     transform = build_reciprocal_transform(parse("x*y"))
-    for x, y in _interior_points(Rectangle(0.5, 3, 0.5, 3), 10, 101):
+    for x, y in _interior_points(Rectangle(0.5, 3, 0.5, 3).axes, 10, 101):
         assert evaluate(transform, x, y) == pytest.approx(1.0, rel=1e-14)
     assert build_reciprocal_transform(parse("1")) == BinOp(
         "*", BinOp("*", Var("x"), Var("y")), Const(1.0)
