@@ -9,6 +9,7 @@ representation, so parsing the output reproduces the exact doubles.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -132,21 +133,14 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     family = family_from_name(args.family)
     cfg = _config_from_args(args)
-    summary = run_sweep(args.theorem, family, args.count, args.seed, cfg)
-    doc = {
-        "theorem": summary.tag,
-        "family": args.family,
-        "seed": args.seed,
-        "total": summary.total,
-        "found": summary.found,
-        "degenerate": summary.degenerate,
-        "failed": summary.failed,
-        "max_found_residual": summary.max_found_residual,
-        "max_found_ratio": summary.max_found_ratio,
-        "failing_seeds": list(summary.failing_seeds),
-    }
-    if args.csv:
-        with open(args.csv, "w", newline="") as handle:
+    # open the CSV first, so an unwritable path fails before the sweep runs
+    try:
+        csv_file = open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext()
+    except OSError as err:
+        raise ValueError(f"cannot write --csv {args.csv!r}: {err.strerror}") from err
+    with csv_file as handle:
+        summary = run_sweep(args.theorem, family, args.count, args.seed, cfg)
+        if handle is not None:
             writer = csv.writer(handle)
             writer.writerow(["case_index", "seed", "outcome", "xi1", "xi2", "residual"])
             for case in summary.cases:
@@ -160,6 +154,18 @@ def _cmd_sweep(args) -> int:
                         "" if case.residual is None else repr(case.residual),
                     ]
                 )
+    doc = {
+        "theorem": summary.tag,
+        "family": args.family,
+        "seed": args.seed,
+        "total": summary.total,
+        "found": summary.found,
+        "degenerate": summary.degenerate,
+        "failed": summary.failed,
+        "max_found_residual": summary.max_found_residual,
+        "max_found_ratio": summary.max_found_ratio,
+        "failing_seeds": list(summary.failing_seeds),
+    }
     _emit(doc)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Bivariate expression trees: parsing, printing, and evaluation over any scalar algebra.
+"""Bivariate expression trees: parsing, printing, and plain evaluation.
 
 The grammar is a small calculator language over the variables x and y
 (t and s are accepted as aliases and normalized at parse time):
@@ -10,13 +10,11 @@ The grammar is a small calculator language over the variables x and y
     atom   := NUMBER | 'pi' | 'e' | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 ``^`` binds tightest and is right-associative, then unary minus, then
-``*``/``/``, then ``+``/``-``.  :func:`evaluate` is generic: plain numbers
-give plain floats, and any object implementing the arithmetic operators plus
-``sin``/``cos``/``exp``/``log``/``sqrt`` methods can flow through a tree.
-Derivatives do not take that route at run time:
-:func:`rectmvt.hyperdual.compile_hyperdual` compiles a tree once into a program
-that does the hyper-dual arithmetic directly, and ``evaluate`` over
-:class:`~rectmvt.hyperdual.HyperDual` objects is the reference it must match.
+``*``/``/``, then ``+``/``-``.  :func:`evaluate` gives plain values: a
+float for plain numbers, and an array for numpy arrays, which broadcast
+through the arithmetic operators and ``^``.  Derivatives come from
+:func:`rectmvt.hyperdual.compile_hyperdual`, which compiles a tree once into a
+program that does the hyper-dual arithmetic.
 """
 
 from __future__ import annotations
@@ -150,10 +148,19 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# most levels an expression may nest: each parenthesis, unary minus, ``^``,
+# function call and binary operator is one level over its operands, which
+# bounds the recursion of the parser and of every walk over the tree
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns its node and its nesting height."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses, minus signs, exponents and calls open at pos
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -163,75 +170,100 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> Expression:
-        node = self.term()
+    def level(self, tok: _Token, *heights: int) -> int:
+        """Height of the construct ``tok`` opens over operands of these heights."""
+        height = max(heights) + 1
+        if height > MAX_DEPTH:
+            raise ParseError(tok.offset, "nested too deeply", tok.text)
+        return height
+
+    def nested(self, tok: _Token, rule, *heights: int) -> tuple[Expression, int]:
+        """``rule()`` inside the construct ``tok`` opens, and the construct's height.
+
+        A construct is at least as high as it is deep, so checking the depth on
+        the way down rejects deep input before the recursion gets deep.
+        """
+        self.depth = self.level(tok, self.depth)
+        node, height = rule()
+        self.depth -= 1
+        return node, self.level(tok, height, *heights)
+
+    def expr(self) -> tuple[Expression, int]:
+        node, height = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, right_height = self.term()
+            node, height = BinOp(tok.kind, node, right), self.level(tok, height, right_height)
+        return node, height
 
-    def term(self) -> Expression:
-        node = self.factor()
+    def term(self) -> tuple[Expression, int]:
+        node, height = self.factor()
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.factor())
-        return node
+            tok = self.advance()
+            right, right_height = self.factor()
+            node, height = BinOp(tok.kind, node, right), self.level(tok, height, right_height)
+        return node, height
 
-    def factor(self) -> Expression:
+    def factor(self) -> tuple[Expression, int]:
         if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.factor())
+            tok = self.advance()
+            child, height = self.nested(tok, self.factor)
+            return Neg(child), height
         return self.power()
 
-    def power(self) -> Expression:
-        node = self.atom()
+    def power(self) -> tuple[Expression, int]:
+        node, height = self.atom()
         if self.peek().kind == "^":
-            self.advance()
+            tok = self.advance()
             # right-associative: the exponent restarts at factor level
-            node = BinOp("^", node, self.factor())
-        return node
+            exponent, height = self.nested(tok, self.factor, height)
+            return BinOp("^", node, exponent), height
+        return node, height
 
-    def atom(self) -> Expression:
+    def atom(self) -> tuple[Expression, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 0
         if tok.kind == "ident":
             self.advance()
             name = tok.text
             if name in _CONSTANTS:
-                return Const(_CONSTANTS[name])
+                return Const(_CONSTANTS[name]), 0
             if name in _ALIASES:
-                return Var(_ALIASES[name])
+                return Var(_ALIASES[name]), 0
             if name in FUNCTIONS:
                 opener = self.peek()
                 if opener.kind != "(":
                     raise ParseError(opener.offset, "expected '(' after function name", opener.text)
                 self.advance()
-                arg = self.expr()
+                arg, height = self.nested(tok, self.expr)
                 closer = self.peek()
                 if closer.kind != ")":
                     raise ParseError(closer.offset, "unbalanced parentheses", closer.text)
                 self.advance()
-                return Call(name, arg)
+                return Call(name, arg), height
             raise ParseError(tok.offset, "unknown identifier", name)
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            node, height = self.nested(tok, self.expr)
             closer = self.peek()
             if closer.kind != ")":
                 raise ParseError(closer.offset, "unbalanced parentheses", closer.text)
             self.advance()
-            return node
+            return node, height
         raise ParseError(tok.offset, "empty operand", tok.text)
 
 
 def parse(text: str) -> Expression:
-    """Parse expression text into a tree, normalizing the t/s aliases to x/y."""
+    """Parse expression text into a tree, normalizing the t/s aliases to x/y.
+
+    Input nested more than :data:`MAX_DEPTH` levels deep raises :class:`ParseError`.
+    """
     if not text or not text.strip():
         raise ParseError(0, "empty input")
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    node, _ = parser.expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(tok.offset, "trailing garbage", tok.text)
@@ -325,18 +357,6 @@ def _call_real(fn: str, v: float):
     raise EvaluationError(f"unsupported function {fn!r}")
 
 
-def _apply_call(fn: str, value):
-    if isinstance(value, (int, float)):
-        return _call_real(fn, value)
-    return getattr(value, fn)()
-
-
-def _apply_power(base, exponent):
-    if isinstance(base, (int, float)) and isinstance(exponent, (int, float)):
-        return _pow_real(base, exponent)
-    return base ** exponent
-
-
 def _eval(node: Expression, x, y):
     match node:
         case Const(value):
@@ -356,9 +376,11 @@ def _eval(node: Expression, x, y):
                 return a * b
             if op == "/":
                 return a / b
-            return _apply_power(a, b)
+            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+                return _pow_real(a, b)
+            return a ** b  # numpy arrays
         case Call(fn, arg):
-            return _apply_call(fn, _eval(arg, x, y))
+            return _call_real(fn, _eval(arg, x, y))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -372,11 +394,12 @@ def evaluation_error(exc: ArithmeticError | ValueError) -> EvaluationError:
 
 
 def evaluate(expr: Expression, x, y):
-    """Evaluate ``expr`` at ``(x, y)`` under whichever scalar algebra the inputs carry.
+    """Evaluate ``expr`` at ``(x, y)``.
 
-    Plain numbers produce a plain float; dual or hyper-dual inputs produce
-    derivative-carrying results.  Any domain violation or non-finite plain
-    result raises :class:`EvaluationError`.
+    Plain numbers produce a plain float.  numpy arrays broadcast through the
+    arithmetic operators and ``^`` to an array; the functions take scalars
+    only.  Any domain violation or non-finite plain result raises
+    :class:`EvaluationError`.
     """
     try:
         result = _eval(expr, x, y)

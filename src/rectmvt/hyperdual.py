@@ -8,9 +8,9 @@ AIAA 2011-886).
 
 :func:`compile_hyperdual` walks an expression tree once and returns a program
 of nested closures, ``(x, y) -> (v, dx, dy, dxy)``; every residual field runs
-such a program.  The :class:`HyperDual` class does the same arithmetic one
-operator at a time when passed through the generic ``expr.evaluate``; it is
-the reference the compiled programs are tested against, bit for bit.
+such a program, which is tested bit for bit against the operator-by-operator
+reference in ``tests/hyperdual_reference.py``.  :func:`eval_hyperdual` and
+:func:`finite_difference_oracle` return a :class:`Derivatives` named tuple.
 
 Components are ordinarily floats, but numpy arrays broadcast through the same
 formulas, which lets a residual field be screened on a whole grid in one pass.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,220 +42,35 @@ from .expr import (
 )
 
 __all__ = [
-    "HyperDual",
+    "Derivatives",
     "compile_hyperdual",
     "eval_hyperdual",
     "finite_difference_oracle",
-    "lift",
-    "seed_x",
-    "seed_y",
 ]
 
 _CBRT_EPS = sys.float_info.epsilon ** (1.0 / 3.0)
-
-
-def _as_component(v):
-    return v if isinstance(v, np.ndarray) else float(v)
 
 
 def _any(cond) -> bool:
     return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
 
 
-class HyperDual:
-    """Four-component truncated number: value, d/dx, d/dy, d2/dxdy.
+class Derivatives(NamedTuple):
+    """Value, first partials and mixed partial of ``f`` at a point (or grid)."""
 
-    Multiplication uses the second-order Leibniz rule
-    ``(ab)_xy = a b_xy + a_xy b + a_x b_y + a_y b_x``; the terms are grouped in
-    symmetric pairs so that products commute bitwise and swapping the x/y seed
-    roles reproduces the mixed partial exactly.
-    """
-
-    __slots__ = ("v", "dx", "dy", "dxy")
-
-    def __init__(self, v, dx=0.0, dy=0.0, dxy=0.0):
-        self.v = v
-        self.dx = dx
-        self.dy = dy
-        self.dxy = dxy
-
-    def __repr__(self) -> str:
-        return f"HyperDual(v={self.v!r}, dx={self.dx!r}, dy={self.dy!r}, dxy={self.dxy!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, HyperDual):
-            return NotImplemented
-        return (
-            self.v == other.v
-            and self.dx == other.dx
-            and self.dy == other.dy
-            and self.dxy == other.dxy
-        )
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other):
-        o = _lift_hd(other)
-        if o is None:
-            return NotImplemented
-        return HyperDual(self.v + o.v, self.dx + o.dx, self.dy + o.dy, self.dxy + o.dxy)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _lift_hd(other)
-        if o is None:
-            return NotImplemented
-        return HyperDual(self.v - o.v, self.dx - o.dx, self.dy - o.dy, self.dxy - o.dxy)
-
-    def __rsub__(self, other):
-        o = _lift_hd(other)
-        if o is None:
-            return NotImplemented
-        return HyperDual(o.v - self.v, o.dx - self.dx, o.dy - self.dy, o.dxy - self.dxy)
-
-    def __neg__(self):
-        return HyperDual(-self.v, -self.dx, -self.dy, -self.dxy)
-
-    def __mul__(self, other):
-        o = _lift_hd(other)
-        if o is None:
-            return NotImplemented
-        a, b = self, o
-        return HyperDual(
-            a.v * b.v,
-            a.v * b.dx + a.dx * b.v,
-            a.v * b.dy + a.dy * b.v,
-            (a.v * b.dxy + a.dxy * b.v) + (a.dx * b.dy + a.dy * b.dx),
-        )
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "HyperDual":
-        if _any(self.v == 0):
-            raise OutOfDomainError("division by zero")
-        inv = 1.0 / self.v
-        return self._chain(inv, -inv * inv, 2.0 * (inv * inv) * inv)
-
-    def __truediv__(self, other):
-        o = _lift_hd(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = _lift_hd(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
-    def __pow__(self, other):
-        if isinstance(other, HyperDual):
-            if (
-                isinstance(other.v, float)
-                and other.dx == 0.0
-                and other.dy == 0.0
-                and other.dxy == 0.0
-            ):
-                return self.__pow__(other.v)
-            if _any(self.v <= 0):
-                raise OutOfDomainError("power with a varying exponent needs a positive base")
-            return (other * self.log()).exp()
-        if isinstance(other, (int, float)):
-            p = float(other)
-            if p.is_integer():
-                return self._int_pow(int(p))
-            if _any(self.v <= 0):
-                raise OutOfDomainError("fractional power needs a positive base")
-            return self._chain(
-                self.v ** p,
-                p * self.v ** (p - 1.0),
-                p * (p - 1.0) * self.v ** (p - 2.0),
-            )
-        return NotImplemented
-
-    def __rpow__(self, base):
-        o = _lift_hd(base)
-        if o is None:
-            return NotImplemented
-        return o.__pow__(self)
-
-    def _int_pow(self, n: int) -> "HyperDual":
-        # repeated multiplication keeps integer powers exact
-        if n == 0:
-            return HyperDual(1.0)
-        if n < 0:
-            return self.reciprocal()._int_pow(-n)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
-    # -- unary functions via the second-order chain rule ----------------------
-
-    def _chain(self, value, d1, d2) -> "HyperDual":
-        # value = u(v), d1 = u'(v), d2 = u''(v)
-        return HyperDual(
-            value,
-            d1 * self.dx,
-            d1 * self.dy,
-            d1 * self.dxy + d2 * (self.dx * self.dy),
-        )
-
-    def _mathlib(self):
-        return np if isinstance(self.v, np.ndarray) else math
-
-    def sin(self) -> "HyperDual":
-        m = self._mathlib()
-        return self._chain(m.sin(self.v), m.cos(self.v), -m.sin(self.v))
-
-    def cos(self) -> "HyperDual":
-        m = self._mathlib()
-        return self._chain(m.cos(self.v), -m.sin(self.v), -m.cos(self.v))
-
-    def exp(self) -> "HyperDual":
-        e = self._mathlib().exp(self.v)
-        return self._chain(e, e, e)
-
-    def log(self) -> "HyperDual":
-        if _any(self.v <= 0):
-            raise OutOfDomainError("log of a non-positive value")
-        inv = 1.0 / self.v
-        return self._chain(self._mathlib().log(self.v), inv, -inv * inv)
-
-    def sqrt(self) -> "HyperDual":
-        if _any(self.v <= 0):
-            raise OutOfDomainError("sqrt needs a positive argument for its derivatives")
-        r = self._mathlib().sqrt(self.v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * self.v))
-
-
-def _lift_hd(value):
-    if isinstance(value, HyperDual):
-        return value
-    if isinstance(value, (int, float)):
-        return HyperDual(float(value))
-    return None
-
-
-def seed_x(x0) -> HyperDual:
-    return HyperDual(_as_component(x0), 1.0, 0.0, 0.0)
-
-
-def seed_y(y0) -> HyperDual:
-    return HyperDual(_as_component(y0), 0.0, 1.0, 0.0)
-
-
-def lift(c) -> HyperDual:
-    return HyperDual(_as_component(c))
+    v: float | np.ndarray
+    dx: float | np.ndarray
+    dy: float | np.ndarray
+    dxy: float | np.ndarray
 
 
 # -- compiled programs -----------------------------------------------------
 #
 # A compiled node is a closure ``(X, Y) -> (v, dx, dy, dxy)`` over the two seed
 # tuples, or the plain value of a constant-only subtree.  Each closure does the
-# float operations of the HyperDual method it replaces, in the same order and
-# on the same operands, so the results agree bit for bit: a plain operand takes
+# float operations of the matching method of the reference class
+# ``HyperDual`` in ``tests/hyperdual_reference.py``, in the same order and on
+# the same operands, so the results agree bit for bit: a plain operand takes
 # part as the tuple HyperDual lifts it to, and a plain left operand keeps the
 # operand order of the reflected method Python falls back to (``c * h`` runs
 # ``h.__mul__(c)``, ``c - h`` runs ``h.__rsub__(c)``).
@@ -522,15 +337,15 @@ def _compile(node: Expression):
 def compile_hyperdual(f: Expression) -> Program:
     """Compile ``f`` into a program ``(x, y) -> (v, dx, dy, dxy)``.
 
-    The program computes what ``evaluate(f, seed_x(x), seed_y(y))`` computes
-    over :class:`HyperDual` objects, bit for bit, for floats and numpy arrays
-    alike, and raises the same :class:`EvaluationError` (including a
-    non-finite float component).  Compiling walks the tree once; build a
+    The program computes what the reference evaluator of
+    ``tests/hyperdual_reference.py`` computes over hyper-dual seeds, bit for
+    bit, for floats and numpy arrays alike, and raises the same
+    :class:`EvaluationError` (including a non-finite float component).  Compiling walks the tree once; build a
     program once per expression and call it many times.
     """
     body = _compile(f)
     if not callable(body):
-        # evaluate() rejects a non-finite plain result and lifts a finite one
+        # a constant f: a non-finite value is rejected, a finite one lifted
         if math.isfinite(body):
             out = _lifted(body)
             return lambda x, y: out
@@ -565,16 +380,16 @@ def compile_hyperdual(f: Expression) -> Program:
     return program
 
 
-def eval_hyperdual(f: Expression, x0, y0) -> HyperDual:
+def eval_hyperdual(f: Expression, x0, y0) -> Derivatives:
     """Value, both first partials, and the mixed partial of ``f`` at ``(x0, y0)``.
 
     Compiles ``f`` on every call; code that evaluates one expression many times
     should call :func:`compile_hyperdual` once and reuse the program.
     """
-    return HyperDual(*compile_hyperdual(f)(x0, y0))
+    return Derivatives(*compile_hyperdual(f)(x0, y0))
 
 
-def finite_difference_oracle(f: Expression, x0: float, y0: float) -> HyperDual:
+def finite_difference_oracle(f: Expression, x0: float, y0: float) -> Derivatives:
     """Central-difference approximation of what :func:`eval_hyperdual` computes.
 
     First partials use the two-point central stencil with step
@@ -598,4 +413,4 @@ def finite_difference_oracle(f: Expression, x0: float, y0: float) -> HyperDual:
         - e(x0 - hx, y0 + hy)
         + e(x0 - hx, y0 - hy)
     ) / (4.0 * hx * hy)
-    return HyperDual(v, dx, dy, dxy)
+    return Derivatives(v, dx, dy, dxy)

@@ -13,6 +13,7 @@ axis for an interval and two for a rectangle, whose grid is indexed [iy, ix].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +54,11 @@ class LocateConfig:
     tol_factor: float = 1e-9
 
     def __post_init__(self):
+        # a float count puts cell centers on the boundary
+        for name in ("grid_n", "max_refinements"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.grid_n < 3:
             raise ValueError("grid_n must be at least 3")
         if self.tol_factor <= 0:

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from rectmvt import cli
 from rectmvt.cli import main
+from rectmvt.expr import MAX_DEPTH
 
 SQ6 = math.sqrt(6.0)
 
@@ -270,6 +272,17 @@ def test_sweep_csv_output(capsys, tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("where", ["missing-dir/x.csv", "."], ids=["missing-dir", "a-directory"])
+def test_sweep_csv_unwritable_exits_2_before_the_sweep(capsys, tmp_path, monkeypatch, where):
+    path = str(tmp_path / where)
+    ran = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: ran.append(args))
+    code, out, err = run_cli(capsys, "sweep", "--theorem", "rmvt", "--count", "3", "--csv", path)
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith("invalid input: cannot write --csv") and repr(path) in err
+    assert err.count("\n") == 1
+
+
 def test_sweep_count_zero_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--theorem", "rmvt", "--count", "0"])
@@ -311,6 +324,36 @@ def test_parse_alias_output(capsys):
     assert "var x" in out
     assert "var y" in out
     assert "var t" not in out
+
+
+def _nested(kind: str, levels: int) -> str:
+    """``x^2*y`` (two levels) under ``levels`` more of one kind of nesting."""
+    return {
+        "paren": "(" * levels + "x^2*y" + ")" * levels,
+        "minus": "-" * levels + "x^2*y",
+        "call": "sin(" * levels + "x^2*y" + ")" * levels,
+        "chain": "x^2*y" + "+x" * levels,
+        "power": "y*x^2" + "^1" * levels,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["paren", "minus", "call", "chain", "power"])
+def test_nesting_past_max_depth_exits_2_before_any_work(capsys, kind):
+    at_limit = _nested(kind, MAX_DEPTH - 2)
+    code, out, _ = run_cli(
+        capsys, "locate", "--theorem", "rmvt", "--f", at_limit, "--rect", "1,2,1,2"
+    )
+    assert code == 0
+    assert json.loads(out)["outcome"] == "found"
+    past = _nested(kind, MAX_DEPTH - 1)
+    for argv in (
+        ["parse", "--f", past],
+        ["locate", "--theorem", "rmvt", "--f", past, "--rect", "1,2,1,2"],
+        ["verify", "--theorem", "rmvt", "--f", past, "--rect", "1,2,1,2", "--point", "1.5,1.5"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: nested too deeply at offset")
 
 
 def test_parse_error_offset(capsys):

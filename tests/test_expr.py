@@ -69,6 +69,17 @@ def test_parse_errors():
         parse("x @ y")
     with pytest.raises(ParseError, match="expected '\\('"):
         parse("sin x")
+    # nested deeper than MAX_DEPTH: each would overflow the stack of the
+    # parser or of a later walk over the tree
+    for text in (
+        "(" * 300 + "x" + ")" * 300,
+        "-" * 1200 + "x",
+        "x*y" + "+x" * 2999,
+        "sin(" * 300 + "x" + ")" * 300,
+        "x" + "^x" * 300,
+    ):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
 
 
 def test_parse_error_offset_within_input():

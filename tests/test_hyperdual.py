@@ -13,20 +13,15 @@ from rectmvt.expr import (
     Neg,
     OutOfDomainError,
     Var,
-    evaluate,
     parse,
     pretty_print,
+    substitute,
 )
-from rectmvt.theorems import pompeiu1d_residual
-from rectmvt.hyperdual import (
-    HyperDual,
-    compile_hyperdual,
-    eval_hyperdual,
-    finite_difference_oracle,
-    lift,
-    seed_x,
-    seed_y,
-)
+from rectmvt.theorems import Rectangle, pompeiu1d_residual
+from rectmvt.hyperdual import compile_hyperdual, eval_hyperdual, finite_difference_oracle
+
+import hyperdual_reference as reference
+from hyperdual_reference import HyperDual, lift, seed_x, seed_y
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -124,7 +119,7 @@ def test_fractional_power_of_negative_base_is_error():
 
 
 def test_eval_hyperdual_closed_form_partials():
-    assert eval_hyperdual(parse("x^2*y"), 2.0, 3.0) == HyperDual(12.0, 12.0, 4.0, 4.0)
+    assert eval_hyperdual(parse("x^2*y"), 2.0, 3.0) == (12.0, 12.0, 4.0, 4.0)
 
 
 def test_eval_hyperdual_bilinear_mixed_partial_exact():
@@ -141,26 +136,42 @@ def test_eval_hyperdual_product_rule():
 
 
 def test_eval_hyperdual_via_generic_evaluate():
-    out = evaluate(parse("x*y"), seed_x(2), seed_y(3))
+    out = reference.evaluate(parse("x*y"), seed_x(2), seed_y(3))
     assert out == HyperDual(6.0, 3.0, 2.0, 1.0)
 
 
 def test_mixed_partial_symmetric_under_seed_swap():
     # swapping which seed carries dx and which carries dy must reproduce dxy
-    # bitwise and exchange the first partials
+    # bitwise and exchange the first partials, in the reference and in the
+    # compiled program, where the swap is f(y, x) run at (y0, x0)
+    from rectmvt.harness import FunctionFamily, derive_seed, generate_function, generate_rectangle
+
     exprs = ["x^2*y", "sin(x)*sin(y)", "exp(x+y)", "1/(x*y)", "x^3*y^2 - 2*x*y"]
+    # factors that each depend on x and y, so both cross terms of a product count
+    exprs += ["sin(x+y)*exp(x*y)", "(x+2*y)^3/(x*y+1)", "sqrt(x+y)*log(x*y+2)"]
+    cases = [(parse(text), Rectangle(0.5, 2.5, 0.5, 2.5)) for text in exprs]
+    for kind in ("polynomial", "separable", "exp-poly", "rational"):
+        for i in range(5):
+            rect = generate_rectangle(derive_seed(37, i), zero_free=True)
+            cases.append((generate_function(FunctionFamily(kind), derive_seed(38, i), rect), rect))
+    swap = {"x": Var("y"), "y": Var("x")}
     rng = random.Random(19)
-    for text in exprs:
-        tree = parse(text)
+    for tree, rect in cases:
+        program = compile_hyperdual(tree)
+        swapped_program = compile_hyperdual(substitute(tree, swap))
         for _ in range(10):
-            x0 = rng.uniform(0.5, 2.5)
-            y0 = rng.uniform(0.5, 2.5)
-            normal = evaluate(tree, HyperDual(x0, 1.0, 0.0, 0.0), HyperDual(y0, 0.0, 1.0, 0.0))
-            swapped = evaluate(tree, HyperDual(x0, 0.0, 1.0, 0.0), HyperDual(y0, 1.0, 0.0, 0.0))
+            x0 = rng.uniform(rect.x1, rect.x2)
+            y0 = rng.uniform(rect.y1, rect.y2)
+            normal = reference.evaluate(tree, seed_x(x0), seed_y(y0))
+            swapped = reference.evaluate(tree, seed_y(x0), seed_x(y0))
             assert normal.dxy == swapped.dxy
             assert normal.dx == swapped.dy
             assert normal.dy == swapped.dx
             assert normal.v == swapped.v
+            v, dx, dy, dxy = program(x0, y0)
+            sv, sdx, sdy, sdxy = swapped_program(y0, x0)
+            assert _bits(sv) == _bits(v) and _bits(sdxy) == _bits(dxy), pretty_print(tree)
+            assert _bits(sdx) == _bits(dy) and _bits(sdy) == _bits(dx), pretty_print(tree)
 
 
 def test_finite_difference_oracle_examples():
@@ -247,9 +258,9 @@ def test_dual_division_and_power():
 
 def _reference(f, x, y):
     """What eval_hyperdual computed before it was compiled: HyperDual objects
-    through the generic evaluate, a constant result lifted, and a non-finite
+    through the reference evaluator, a constant result lifted, and a non-finite
     float component rejected."""
-    out = evaluate(f, seed_x(x), seed_y(y))
+    out = reference.evaluate(f, seed_x(x), seed_y(y))
     if not isinstance(out, HyperDual):
         out = lift(out)
     comps = (out.v, out.dx, out.dy, out.dxy)

@@ -44,6 +44,11 @@ def test_config_validation():
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError):
             LocateConfig(tol_factor=value)
+    for value in (33.5, 4.0):
+        with pytest.raises(ValueError, match="grid_n must be an integer"):
+            LocateConfig(grid_n=value)
+    with pytest.raises(ValueError, match="max_refinements must be an integer"):
+        LocateConfig(max_refinements=1.5)
 
 
 def test_config_bounds_the_finest_grid():

@@ -3,6 +3,9 @@ the benchmark under ``perfbench/`` imports from it."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rectmvt
@@ -59,3 +62,20 @@ def test_every_name_the_benchmark_imports_is_exported():
     # a submodule (``from rectmvt import cli``) is importable without an export
     submodules = {n for n in names if importlib.util.find_spec(f"rectmvt.{n}") is not None}
     assert not names - submodules - set(rectmvt.__all__)
+
+
+def test_runtime_imports_no_test_or_bench_dependency():
+    # run from the tests directory, where the test reference is importable, so
+    # a runtime import of it would succeed and show here rather than fail
+    code = (
+        "import sys, rectmvt, rectmvt.cli, rectmvt.expr, rectmvt.harness, "
+        "rectmvt.hyperdual, rectmvt.locator, rectmvt.theorems; print(*sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rectmvt.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "numpy" in out and "rectmvt.cli" in out
+    loaded = {name.partition(".")[0] for name in out}
+    assert not loaded & {"hyperdual_reference", "sympy", "scipy", "hypothesis", "pytest"}
