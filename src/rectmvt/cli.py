@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -195,17 +196,21 @@ def _cmd_gradcheck(args) -> int:
 
 def _dump_ast(expr: Expression, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    match expr:
-        case Const(value):
-            return [f"{pad}const {value!r}"]
-        case Var(name):
-            return [f"{pad}var {name}"]
-        case Neg(child):
-            return [f"{pad}neg"] + _dump_ast(child, indent + 1)
-        case BinOp(op, left, right):
-            return [f"{pad}binary {op}"] + _dump_ast(left, indent + 1) + _dump_ast(right, indent + 1)
-        case Call(fn, arg):
-            return [f"{pad}call {fn}"] + _dump_ast(arg, indent + 1)
+    t = type(expr)
+    if t is BinOp:
+        return (
+            [f"{pad}binary {expr.op}"]
+            + _dump_ast(expr.left, indent + 1)
+            + _dump_ast(expr.right, indent + 1)
+        )
+    if t is Const:
+        return [f"{pad}const {expr.value!r}"]
+    if t is Var:
+        return [f"{pad}var {expr.name}"]
+    if t is Neg:
+        return [f"{pad}neg"] + _dump_ast(expr.child, indent + 1)
+    if t is Call:
+        return [f"{pad}call {expr.fn}"] + _dump_ast(expr.arg, indent + 1)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -221,7 +226,14 @@ def _add_locate_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tau", type=float, default=1e-9, help="residual tolerance factor (times scale)")
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared after it.
+
+    Building it costs about a millisecond, more than a whole ``parse`` or
+    ``grad-check`` call; parsing reads it and never changes it, so repeated
+    :func:`main` calls in one process can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="rectmvt",
         description="Locate and verify mean-value points of rectangle mean value theorems.",

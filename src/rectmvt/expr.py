@@ -15,6 +15,13 @@ float for plain numbers, and an array for numpy arrays, which broadcast
 through the arithmetic operators and ``^``.  Derivatives come from
 :func:`rectmvt.hyperdual.compile_hyperdual`, which compiles a tree once into a
 program that does the hyper-dual arithmetic.
+
+Every walk over a tree, here and in :mod:`rectmvt.hyperdual` and the CLI,
+branches on ``type(node) is BinOp`` (the most common node, so it comes
+first), then ``Const``, ``Var``, ``Neg`` and ``Call``, and raises
+``TypeError`` for anything else.  No node class has subclasses, so this
+accepts what a ``match`` on class patterns accepts, at about a third of the
+cost per node.
 """
 
 from __future__ import annotations
@@ -278,49 +285,49 @@ def _fmt_number(v: float) -> str:
 
 def pretty_print(expr: Expression) -> str:
     """Fully parenthesized canonical form; ``parse(pretty_print(e)) == e``."""
-    match expr:
-        case Const(value):
-            return _fmt_number(value)
-        case Var(name):
-            return name
-        case Neg(child):
-            return f"(-{pretty_print(child)})"
-        case BinOp(op, left, right):
-            return f"({pretty_print(left)}{op}{pretty_print(right)})"
-        case Call(fn, arg):
-            return f"{fn}({pretty_print(arg)})"
+    t = type(expr)
+    if t is BinOp:
+        return f"({pretty_print(expr.left)}{expr.op}{pretty_print(expr.right)})"
+    if t is Const:
+        return _fmt_number(expr.value)
+    if t is Var:
+        return expr.name
+    if t is Neg:
+        return f"(-{pretty_print(expr.child)})"
+    if t is Call:
+        return f"{expr.fn}({pretty_print(expr.arg)})"
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def variables(expr: Expression) -> frozenset[str]:
     """Set of variable names the expression actually uses."""
-    match expr:
-        case Const():
-            return frozenset()
-        case Var(name):
-            return frozenset((name,))
-        case Neg(child):
-            return variables(child)
-        case BinOp(_, left, right):
-            return variables(left) | variables(right)
-        case Call(_, arg):
-            return variables(arg)
+    t = type(expr)
+    if t is BinOp:
+        return variables(expr.left) | variables(expr.right)
+    if t is Const:
+        return frozenset()
+    if t is Var:
+        return frozenset((expr.name,))
+    if t is Neg:
+        return variables(expr.child)
+    if t is Call:
+        return variables(expr.arg)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def substitute(expr: Expression, mapping: dict[str, Expression]) -> Expression:
     """Replace each variable named in ``mapping`` by the given subtree."""
-    match expr:
-        case Const():
-            return expr
-        case Var(name):
-            return mapping.get(name, expr)
-        case Neg(child):
-            return Neg(substitute(child, mapping))
-        case BinOp(op, left, right):
-            return BinOp(op, substitute(left, mapping), substitute(right, mapping))
-        case Call(fn, arg):
-            return Call(fn, substitute(arg, mapping))
+    t = type(expr)
+    if t is BinOp:
+        return BinOp(expr.op, substitute(expr.left, mapping), substitute(expr.right, mapping))
+    if t is Const:
+        return expr
+    if t is Var:
+        return mapping.get(expr.name, expr)
+    if t is Neg:
+        return Neg(substitute(expr.child, mapping))
+    if t is Call:
+        return Call(expr.fn, substitute(expr.arg, mapping))
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -358,29 +365,30 @@ def _call_real(fn: str, v: float):
 
 
 def _eval(node: Expression, x, y):
-    match node:
-        case Const(value):
-            return value
-        case Var(name):
-            return x if name == "x" else y
-        case Neg(child):
-            return -_eval(child, x, y)
-        case BinOp(op, left, right):
-            a = _eval(left, x, y)
-            b = _eval(right, x, y)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                return a / b
-            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                return _pow_real(a, b)
-            return a ** b  # numpy arrays
-        case Call(fn, arg):
-            return _call_real(fn, _eval(arg, x, y))
+    t = type(node)
+    if t is BinOp:
+        a = _eval(node.left, x, y)
+        b = _eval(node.right, x, y)
+        op = node.op
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            return a / b
+        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+            return _pow_real(a, b)
+        return a ** b  # numpy arrays
+    if t is Const:
+        return node.value
+    if t is Var:
+        return x if node.name == "x" else y
+    if t is Neg:
+        return -_eval(node.child, x, y)
+    if t is Call:
+        return _call_real(node.fn, _eval(node.arg, x, y))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -17,6 +17,10 @@ formulas, which lets a residual field be screened on a whole grid in one pass.
 The one-dimensional theorems use the same algebra: for an expression in x
 only, the program run at ``(x, 0.0)`` carries its value and derivative in
 ``(v, dx)``.
+
+A constant integer power ``h ^ n`` is |n| - 1 products, so compiling one with
+|n| above :data:`MAX_INT_POWER` raises ``ValueError`` before anything is
+evaluated.  An exponent that depends on x or y is not bounded.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .expr import (
     OutOfDomainError,
     Var,
     _eval,
+    _fmt_number,
     evaluate,
     evaluation_error,
 )
@@ -49,6 +54,10 @@ __all__ = [
 ]
 
 _CBRT_EPS = sys.float_info.epsilon ** (1.0 / 3.0)
+
+# largest |n| of a constant integer exponent ``h ^ n``: the power takes |n| - 1
+# hyper-dual products per evaluation, and compiling a larger one raises ValueError
+MAX_INT_POWER = 1024
 
 
 def _any(cond) -> bool:
@@ -275,6 +284,11 @@ def _pow_node(a, b):
     if not callable(b):  # h ^ c takes HyperDual.__pow__'s plain-number path
         p = float(b)
         if p.is_integer():
+            if abs(p) > MAX_INT_POWER:
+                raise ValueError(
+                    f"integer exponents must be at most {MAX_INT_POWER} in magnitude, "
+                    f"got {_fmt_number(p)}"
+                )
             n = int(p)
             return lambda X, Y: _int_pow(a(X, Y), n)
         return lambda X, Y: _number_pow(a(X, Y), p)
@@ -305,32 +319,32 @@ def _fold(node: Expression):
 
 
 def _compile(node: Expression):
-    match node:
-        case Const(value):
-            return value
-        case Var(name):
-            return _seed_x if name == "x" else _seed_y
-        case Neg(child):
-            c = _compile(child)
-            if not callable(c):
-                return _fold(node)
+    t = type(node)
+    if t is BinOp:
+        a, b = _compile(node.left), _compile(node.right)
+        if not (callable(a) or callable(b)):
+            return _fold(node)
+        return _BINARY[node.op](a, b)
+    if t is Const:
+        return node.value
+    if t is Var:
+        return _seed_x if node.name == "x" else _seed_y
+    if t is Neg:
+        c = _compile(node.child)
+        if not callable(c):
+            return _fold(node)
 
-            def neg(X, Y):
-                v, dx, dy, dxy = c(X, Y)
-                return (-v, -dx, -dy, -dxy)
+        def neg(X, Y):
+            v, dx, dy, dxy = c(X, Y)
+            return (-v, -dx, -dy, -dxy)
 
-            return neg
-        case BinOp(op, left, right):
-            a, b = _compile(left), _compile(right)
-            if not (callable(a) or callable(b)):
-                return _fold(node)
-            return _BINARY[op](a, b)
-        case Call(fn, arg):
-            a = _compile(arg)
-            if not callable(a):
-                return _fold(node)
-            unary = _UNARY[fn]
-            return lambda X, Y: unary(a(X, Y))
+        return neg
+    if t is Call:
+        a = _compile(node.arg)
+        if not callable(a):
+            return _fold(node)
+        unary = _UNARY[node.fn]
+        return lambda X, Y: unary(a(X, Y))
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -341,7 +355,8 @@ def compile_hyperdual(f: Expression) -> Program:
     ``tests/hyperdual_reference.py`` computes over hyper-dual seeds, bit for
     bit, for floats and numpy arrays alike, and raises the same
     :class:`EvaluationError` (including a non-finite float component).  Compiling walks the tree once; build a
-    program once per expression and call it many times.
+    program once per expression and call it many times.  A constant integer
+    exponent beyond :data:`MAX_INT_POWER` in magnitude raises ``ValueError``.
     """
     body = _compile(f)
     if not callable(body):

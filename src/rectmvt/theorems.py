@@ -7,6 +7,11 @@ so locating a point reduces to finding a zero of a scalar field.  Every field
 carries a ``scale`` (1 + |constant side of the identity|) that all tolerance
 checks are measured against, which keeps thresholds meaningful for both tiny
 and huge functions.
+
+A builder compiles its functions before it evaluates them, so an input that
+compiling rejects fails before any evaluation error can.  It then evaluates
+each function at each corner once and builds the corner difference and the
+Pompeiu numerator from those four values.
 """
 
 from __future__ import annotations
@@ -180,14 +185,38 @@ class ResidualField:
             )
 
 
+Corners = tuple[float, float, float, float]  # f(x1,y1), f(x1,y2), f(x2,y1), f(x2,y2)
+
+
+def _corners(f: Expression, r: Rectangle, low_first: bool = False) -> Corners:
+    """f at the four corners of ``r``, each evaluated once.
+
+    They are evaluated from (x2,y2) back to (x1,y1), the order the corner
+    difference reads them, or from (x1,y1) on with ``low_first``, the order
+    the Pompeiu numerator reads them.  When f fails at more than one corner,
+    the order decides which error is raised.
+    """
+    if low_first:
+        f11 = evaluate(f, r.x1, r.y1)
+        f12 = evaluate(f, r.x1, r.y2)
+        f21 = evaluate(f, r.x2, r.y1)
+        f22 = evaluate(f, r.x2, r.y2)
+    else:
+        f22 = evaluate(f, r.x2, r.y2)
+        f21 = evaluate(f, r.x2, r.y1)
+        f12 = evaluate(f, r.x1, r.y2)
+        f11 = evaluate(f, r.x1, r.y1)
+    return f11, f12, f21, f22
+
+
+def _difference(c: Corners) -> float:
+    f11, f12, f21, f22 = c
+    return f22 - f21 - f12 + f11
+
+
 def corner_difference(f: Expression, r: Rectangle) -> float:
     """Rectangular mixed difference f(x2,y2) - f(x2,y1) - f(x1,y2) + f(x1,y1)."""
-    return (
-        evaluate(f, r.x2, r.y2)
-        - evaluate(f, r.x2, r.y1)
-        - evaluate(f, r.x1, r.y2)
-        + evaluate(f, r.x1, r.y1)
-    )
+    return _difference(_corners(f, r))
 
 
 def _mixed_partial_magnitude(program: Program, r: Rectangle, n: int = 9) -> float:
@@ -209,22 +238,16 @@ def rect_rolle_residual(f: Expression, r: Rectangle) -> ResidualField:
     Requires the corner identity f(x1,y1) + f(x2,y2) = f(x1,y2) + f(x2,y1);
     under it some interior point has a vanishing mixed partial.
     """
-    corners = [
-        evaluate(f, r.x1, r.y1),
-        evaluate(f, r.x1, r.y2),
-        evaluate(f, r.x2, r.y1),
-        evaluate(f, r.x2, r.y2),
-    ]
+    fp = compile_hyperdual(f)
+    corners = _corners(f, r, low_first=True)
     hypothesis_scale = 1.0 + max(abs(c) for c in corners)
-    delta = corner_difference(f, r)
+    delta = _difference(corners)
     if abs(delta) > ROLLE_HYPOTHESIS_FACTOR * hypothesis_scale:
         raise HypothesisError(
             "corner identity fails: "
             f"f(x1,y1)+f(x2,y2)={corners[0] + corners[3]!r} but "
             f"f(x1,y2)+f(x2,y1)={corners[1] + corners[2]!r}"
         )
-
-    fp = compile_hyperdual(f)
 
     def residual(x, y):
         return fp(x, y)[3]
@@ -238,9 +261,9 @@ def rect_mvt_residual(f: Expression, r: Rectangle) -> ResidualField:
 
     R(x, y) = [f(x2,y2) - f(x2,y1) - f(x1,y2) + f(x1,y1)] - (x2-x1)(y2-y1) f_xy(x, y)
     """
+    fp = compile_hyperdual(f)
     delta = corner_difference(f, r)
     area = r.area
-    fp = compile_hyperdual(f)
 
     def residual(x, y):
         return delta - area * fp(x, y)[3]
@@ -256,12 +279,12 @@ def rect_cauchy_residual(f: Expression, g: Expression, r: Rectangle) -> Residual
     assumption on interior zeros of g_xy and has the same zero set wherever
     the quotient form is defined.
     """
+    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
     delta_f = corner_difference(f, r)
     delta_g = corner_difference(g, r)
     scale = 1.0 + abs(delta_f) + abs(delta_g)
     if abs(delta_g) <= DEGENERACY_FACTOR * scale:
         raise DegenerateError(f"corner difference of g is degenerate: {delta_g!r}")
-    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
 
     def residual(x, y):
         return delta_f * gp(x, y)[3] - delta_g * fp(x, y)[3]
@@ -281,18 +304,14 @@ def pompeiu_operator(f: Expression, xi1, xi2):
     return _pompeiu(compile_hyperdual(f)(xi1, xi2), xi1, xi2)
 
 
-def _pompeiu_numerator(f: Expression, r: Rectangle) -> float:
-    return (
-        r.x2 * r.y2 * evaluate(f, r.x1, r.y1)
-        - r.x2 * r.y1 * evaluate(f, r.x1, r.y2)
-        - r.x1 * r.y2 * evaluate(f, r.x2, r.y1)
-        + r.x1 * r.y1 * evaluate(f, r.x2, r.y2)
-    )
+def _pompeiu_numerator(c: Corners, r: Rectangle) -> float:
+    f11, f12, f21, f22 = c
+    return r.x2 * r.y2 * f11 - r.x2 * r.y1 * f12 - r.x1 * r.y2 * f21 + r.x1 * r.y1 * f22
 
 
 def pompeiu_rhs(f: Expression, r: Rectangle) -> float:
     """Constant side of the two-dimensional Pompeiu identity on ``r``."""
-    return _pompeiu_numerator(f, r) / r.area
+    return _pompeiu_numerator(_corners(f, r, low_first=True), r) / r.area
 
 
 def pompeiu2d_residual(f: Expression, r: Rectangle) -> ResidualField:
@@ -306,8 +325,8 @@ def pompeiu2d_residual(f: Expression, r: Rectangle) -> ResidualField:
             "Pompeiu's theorem needs a zero-free rectangle "
             f"(x1*x2 > 0 and y1*y2 > 0), got {r}"
         )
-    rhs = pompeiu_rhs(f, r)
     fp = compile_hyperdual(f)
+    rhs = pompeiu_rhs(f, r)
 
     def residual(x, y):
         return _pompeiu(fp(x, y), x, y) - rhs
@@ -326,18 +345,19 @@ def boggio2d_residual(f: Expression, g: Expression, r: Rectangle) -> ResidualFie
             "Boggio's theorem needs a zero-free rectangle "
             f"(x1*x2 > 0 and y1*y2 > 0), got {r}"
         )
-    delta_f = corner_difference(f, r)
-    delta_g = corner_difference(g, r)
+    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
+    f_corners, g_corners = _corners(f, r), _corners(g, r)
+    delta_f = _difference(f_corners)
+    delta_g = _difference(g_corners)
     delta_scale = 1.0 + abs(delta_f) + abs(delta_g)
     if abs(delta_f) <= DEGENERACY_FACTOR * delta_scale:
         raise DegenerateError(f"corner difference of f is degenerate: {delta_f!r}")
     if abs(delta_g) <= DEGENERACY_FACTOR * delta_scale:
         raise DegenerateError(f"corner difference of g is degenerate: {delta_g!r}")
     area = r.area
-    rhs_f = _pompeiu_numerator(f, r) / (area * delta_f)
-    rhs_g = _pompeiu_numerator(g, r) / (area * delta_g)
+    rhs_f = _pompeiu_numerator(f_corners, r) / (area * delta_f)
+    rhs_g = _pompeiu_numerator(g_corners, r) / (area * delta_g)
     rhs = rhs_g - rhs_f
-    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
 
     def residual(x, y):
         return (_pompeiu(gp(x, y), x, y) / delta_g - _pompeiu(fp(x, y), x, y) / delta_f) - rhs
@@ -372,8 +392,8 @@ def pompeiu1d_residual(f: Expression, x1: float, x2: float) -> ResidualField:
     _check_interval(x1, x2)
     if "y" in variables(f):
         raise ValueError("one-dimensional theorems take expressions in x only")
-    rhs = (x1 * _eval_1d(f, x2) - x2 * _eval_1d(f, x1)) / (x1 - x2)
     fp = compile_hyperdual(f)
+    rhs = (x1 * _eval_1d(f, x2) - x2 * _eval_1d(f, x1)) / (x1 - x2)
 
     def residual(xi):
         v, dx, _, _ = fp(xi, 0.0)
@@ -393,11 +413,11 @@ def boggio1d_residual(f: Expression, g: Expression, x1: float, x2: float) -> Res
     for name, e in (("f", f), ("g", g)):
         if "y" in variables(e):
             raise ValueError(f"one-dimensional theorems take expressions in x only ({name})")
+    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
     g1, g2 = _eval_1d(g, x1), _eval_1d(g, x2)
     if abs(g1 - g2) <= DEGENERACY_FACTOR * (1.0 + abs(g1) + abs(g2)):
         raise DegenerateError(f"g takes equal values at the endpoints: {g1!r}, {g2!r}")
     rhs = (g1 * _eval_1d(f, x2) - g2 * _eval_1d(f, x1)) / (g1 - g2)
-    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
 
     def residual(xi):
         fv, fdx, _, _ = fp(xi, 0.0)

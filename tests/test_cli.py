@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rectmvt
 from rectmvt import cli
 from rectmvt.cli import main
 from rectmvt.expr import MAX_DEPTH
@@ -356,6 +361,30 @@ def test_nesting_past_max_depth_exits_2_before_any_work(capsys, kind):
         assert err.startswith("parse error: nested too deeply at offset")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["locate", "--theorem", "rmvt", "--f", "x^10000*y", "--rect", "0,1,0,1"],
+        # the corners would overflow; the power is rejected before they are evaluated
+        ["locate", "--theorem", "rmvt", "--f", "x^2000*y", "--rect", "0.5,2,0,1"],
+        ["locate", "--theorem", "boggio1d", "--f", "x^3", "--g", "x+x^3000", "--rect", "0.1,0.9"],
+        ["verify", "--theorem", "pompeiu1d", "--f", "x^1025", "--rect", "1,2", "--point", "1.5"],
+        ["grad-check", "--f", "x^10000000*y", "--at", "1,1"],
+        ["grad-check", "--f", "x^1e300", "--at", "1,1"],
+    ],
+)
+def test_integer_power_past_the_bound_exits_2_without_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: integer exponents must be at most 1024 in magnitude, got ")
+
+
+def test_integer_power_at_the_bound_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "grad-check", "--f", "x^1024*y", "--at", "1,1")
+    assert code == 0
+    assert json.loads(out)["hyperdual"] == {"v": 1.0, "dx": 1024.0, "dy": 1.0, "dxy": 1024.0}
+
+
 def test_parse_error_offset(capsys):
     code, _, err = run_cli(capsys, "parse", "--f", "2*+x")
     assert code == 2
@@ -466,3 +495,50 @@ def test_negative_expression_value_accepted(capsys):
     code, out, _ = run_cli(capsys, "parse", "--f", "-x^2+1")
     assert code == 0
     assert out.splitlines()[0] == "binary +"
+
+
+# -- one parser per process --------------------------------------------------------
+
+
+def test_argparser_is_built_once_per_process():
+    assert cli._build_argparser() is cli._build_argparser()
+
+
+_INTERLEAVED = [
+    ["locate", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "0,1,0,1"],
+    ["verify", "--theorem", "pompeiu1d", "--f", "x^3", "--rect", "1,2", "--point", "1.5", "--tau", "1e-6"],
+    ["grad-check", "--f", "sin(x)*y", "--at", "-0.5,2"],
+    ["parse", "--f", "x^2*y"],
+    ["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "0,1,0,1", "--bogus"],  # argparse error
+    ["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "0,1,0"],  # ValueError, exit 2
+]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(rectmvt.__file__).parents[1])}
+    alone = [
+        subprocess.run(
+            [sys.executable, "-m", "rectmvt.cli", *argv], env=env, capture_output=True, text=True
+        )
+        for argv in _INTERLEAVED
+    ]
+    assert {p.returncode for p in alone} == {0, 2}
+    # every call twice, the second round in reverse, so each call follows a
+    # call of every other kind, an argparse error included
+    order = list(range(len(_INTERLEAVED))) + list(reversed(range(len(_INTERLEAVED))))
+    for i in order:
+        expected = alone[i]
+        assert _in_process(capsys, _INTERLEAVED[i]) == (
+            expected.returncode,
+            expected.stdout,
+            expected.stderr,
+        )

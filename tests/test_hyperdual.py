@@ -18,7 +18,7 @@ from rectmvt.expr import (
     substitute,
 )
 from rectmvt.theorems import Rectangle, pompeiu1d_residual
-from rectmvt.hyperdual import compile_hyperdual, eval_hyperdual, finite_difference_oracle
+from rectmvt.hyperdual import MAX_INT_POWER, compile_hyperdual, eval_hyperdual, finite_difference_oracle
 
 import hyperdual_reference as reference
 from hyperdual_reference import HyperDual, lift, seed_x, seed_y
@@ -383,6 +383,27 @@ def test_compiled_program_matches_hyperdual_on_random_trees():
 )
 def test_compiled_program_matches_hyperdual_on_edge_cases(text):
     _assert_program_matches_reference(parse(text), _SCALAR_POINTS + _GRIDS)
+
+
+_NEAR_ONE = [(1.0005, 0.75), (0.9995, -1.25), (-1.0002, 2.0)]
+_NEAR_ONE_GRID = np.linspace(0.999, 1.001, 9)
+
+
+@pytest.mark.parametrize(
+    "text", ["x^1024*y", "y*x^(-1024)", "(x*y)^(1000+24)", "x^(2^10)", "x^-1024", "x^1023.5"]
+)
+def test_integer_powers_up_to_the_bound_match_the_reference(text):
+    grids = [(_NEAR_ONE_GRID[np.newaxis, :], _NEAR_ONE_GRID[:, np.newaxis] - 1.5)]
+    _assert_program_matches_reference(parse(text), _NEAR_ONE + grids)
+
+
+@pytest.mark.parametrize(
+    "text", ["x^1025", "x^(-1025)", "y*x^(1000+25)", "x^1e300", "(x+y)^(2^11)", "sin(x)^-2048"]
+)
+def test_integer_powers_past_the_bound_are_rejected_when_compiled(text):
+    assert MAX_INT_POWER == 1024
+    with pytest.raises(ValueError, match="integer exponents must be at most 1024 in magnitude"):
+        compile_hyperdual(parse(text))
 
 
 def test_compiled_program_matches_hyperdual_on_generated_families():

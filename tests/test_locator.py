@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from rectmvt.expr import EvaluationError, parse
-from rectmvt.harness import derive_seed, generate_rectangle
+from rectmvt.expr import BinOp, Const, EvaluationError, Var, const, parse, substitute
+from rectmvt.harness import (
+    GenerationError,
+    build_field,
+    derive_seed,
+    family_from_name,
+    generate_function,
+    generate_rectangle,
+)
 from rectmvt.locator import (
     MAX_GRID_N,
     LocateConfig,
@@ -13,10 +20,14 @@ from rectmvt.locator import (
     verify_at,
 )
 from rectmvt.theorems import (
+    THEOREMS,
+    DegenerateError,
     DomainError,
+    HypothesisError,
     Rectangle,
     ResidualField,
     boggio1d_residual,
+    corner_difference,
     pompeiu1d_residual,
     pompeiu2d_residual,
     rect_mvt_residual,
@@ -314,3 +325,105 @@ def test_locate_failure_kinds():
         None,
         None,
     )
+
+
+# -- the locate contract, and how a translation moves its points -----------------
+
+
+FAILURE_KINDS = ("domain", "evaluation", "exhausted")
+
+
+def _drawn_case(draw, st, tag):
+    """A config and the inputs of a field of theorem ``tag``, drawn by Hypothesis."""
+    theorem = THEOREMS[tag]
+
+    def axis():
+        if theorem.zero_free:
+            lo = draw(st.floats(0.1, 3.0))
+            hi = lo + draw(st.floats(0.05, 3.0))
+            return (-hi, -lo) if draw(st.booleans()) else (lo, hi)
+        lo = draw(st.floats(-4.0, 3.5))
+        return lo, lo + draw(st.floats(0.05, 4.0))
+
+    cfg = LocateConfig(
+        grid_n=draw(st.integers(3, 33)),
+        max_refinements=draw(st.integers(1, 3)),
+        tol_factor=draw(st.sampled_from((1e-12, 1e-9, 1e-6))),
+    )
+    if theorem.one_dim:
+        bounds = axis()
+        c = [draw(st.floats(-2.0, 2.0)) for _ in range(4)]
+        f = parse(f"{c[0]!r}*x^3 + {c[1]!r}*x^2 + {c[2]!r}*x + {c[3]!r}")
+        # a positive slope everywhere keeps g' away from zero
+        a, b = draw(st.floats(0.5, 2.0)), draw(st.floats(0.1, 1.0))
+        g = parse(f"{a!r}*x + {b!r}*x^3") if theorem.needs_g else None
+        return f, g, bounds, cfg
+    rect = Rectangle(*axis(), *axis())
+    family = family_from_name(draw(st.sampled_from(("poly4", "bilinear", "separable", "exp-poly", "rational"))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    f = generate_function(family, derive_seed(seed, 1), rect)
+    if draw(st.booleans()):
+        # a pole on a vertical line, inside the rectangle or near it, which no
+        # theorem allows: the contract then asks for a failure with its kind
+        c = rect.x1 + draw(st.floats(-0.25, 1.25)) * rect.width
+        pole = BinOp("/", BinOp("*", Const(0.01), Var("y")), BinOp("-", Var("x"), const(c)))
+        f = BinOp("+", f, pole)
+    if tag == "rolle":
+        # remove the bilinear interpolant's mixed part, so the corner identity holds
+        delta = corner_difference(f, rect)
+        f = BinOp("-", f, BinOp("*", const(delta / rect.area), BinOp("*", Var("x"), Var("y"))))
+    g = generate_function(family, derive_seed(seed, 2), rect) if theorem.needs_g else None
+    return f, g, (rect.x1, rect.x2, rect.y1, rect.y2), cfg
+
+
+@pytest.mark.parametrize("tag", tuple(THEOREMS))
+def test_locate_contract_holds_on_drawn_cases(tag):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        try:
+            f, g, bounds, cfg = _drawn_case(data.draw, st, tag)
+            field = build_field(tag, f, g, bounds)
+        except (DegenerateError, DomainError, HypothesisError, EvaluationError, GenerationError):
+            return  # the theorem does not apply, so locate has no contract here
+        report = locate(field, cfg)
+        if report.outcome == "failed":
+            assert report.point is None
+            assert report.diagnostics.failure_kind in FAILURE_KINDS
+            return
+        p = report.point
+        point = (p.xi1,) if p.xi2 is None else (p.xi1, p.xi2)
+        assert len(point) == len(field.axes)
+        assert all(lo < c < hi for c, (lo, hi) in zip(point, field.axes))
+        assert abs(p.residual) <= cfg.tol_factor * field.scale
+        assert verify_at(field, *point) == p.residual
+
+    check()
+
+
+def test_translating_f_and_the_rectangle_translates_rmvt_points():
+    # x - a and y - b take exact derivatives, so the shifted residual at p + (a, b)
+    # differs from f's at p only by the rounding of the shifted corners and
+    # area: allow 2*tau
+    tau = LocateConfig().tol_factor
+    rng = random.Random(1618)
+    family = family_from_name("poly4")
+    found = 0
+    for i in range(100):
+        seed = derive_seed(1618, i)
+        rect = generate_rectangle(derive_seed(seed, 0))
+        f = generate_function(family, derive_seed(seed, 1), rect)
+        a, b = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        moved = Rectangle(rect.x1 + a, rect.x2 + a, rect.y1 + b, rect.y2 + b)
+        shift = {"x": BinOp("-", Var("x"), Const(a)), "y": BinOp("-", Var("y"), Const(b))}
+        report = locate(rect_mvt_residual(substitute(f, shift), moved))
+        if report.outcome != "found":
+            continue
+        found += 1
+        field = rect_mvt_residual(f, rect)
+        p = report.point
+        assert abs(verify_at(field, p.xi1 - a, p.xi2 - b)) <= 2 * tau * field.scale
+    assert found >= 90

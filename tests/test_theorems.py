@@ -7,7 +7,14 @@ import pytest
 
 from rectmvt import cli, theorems
 from rectmvt.expr import BinOp, Const, Var, EvaluationError, OutOfDomainError, evaluate, parse
-from rectmvt.harness import FunctionFamily, build_field, derive_seed, generate_function, generate_rectangle
+from rectmvt.harness import (
+    FunctionFamily,
+    build_field,
+    derive_seed,
+    family_from_name,
+    generate_function,
+    generate_rectangle,
+)
 from rectmvt.theorems import (
     THEOREMS,
     DegenerateError,
@@ -558,3 +565,126 @@ def test_each_field_compiles_f_and_g_once(monkeypatch, tag, f_text, g_text, boun
         assert np.isfinite(field.residual(*grid)).all()
     want = [f] if g is None else [f, g]
     assert sorted(map(id, compiled)) == sorted(map(id, want))
+
+
+# -- each corner evaluated once ---------------------------------------------------
+
+
+# evaluate calls per field: each function at its four corners (two endpoints on
+# an interval), once
+_CORNER_EVALUATIONS = {
+    "rolle": 4, "rmvt": 4, "cauchy": 8, "pompeiu2d": 4, "boggio2d": 8, "pompeiu1d": 2, "boggio1d": 4,
+}
+
+
+@pytest.mark.parametrize("tag, f_text, g_text, bounds", _COMPILE_ONCE_CASES)
+def test_each_field_evaluates_each_corner_once(monkeypatch, tag, f_text, g_text, bounds):
+    points = []
+    real = theorems.evaluate
+
+    def counting(expr, x, y):
+        points.append((id(expr), x, y))
+        return real(expr, x, y)
+
+    monkeypatch.setattr(theorems, "evaluate", counting)
+    build_field(tag, parse(f_text), None if g_text is None else parse(g_text), bounds)
+    assert len(points) == _CORNER_EVALUATIONS[tag]
+    assert len(set(points)) == len(points)
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _corner_difference_by_formula(f, r):
+    return evaluate(f, r.x2, r.y2) - evaluate(f, r.x2, r.y1) - evaluate(f, r.x1, r.y2) + evaluate(f, r.x1, r.y1)
+
+
+def _pompeiu_numerator_by_formula(f, r):
+    return (
+        r.x2 * r.y2 * evaluate(f, r.x1, r.y1)
+        - r.x2 * r.y1 * evaluate(f, r.x1, r.y2)
+        - r.x1 * r.y2 * evaluate(f, r.x2, r.y1)
+        + r.x1 * r.y1 * evaluate(f, r.x2, r.y2)
+    )
+
+
+def _constants_by_formula(tag, f, g, r):
+    """``(scale, decomposition)`` of a 2-D field, each corner term written out
+    and evaluated where it is used, as the formulas read."""
+    if tag == "rolle":
+        scale = 1.0 + theorems._mixed_partial_magnitude(theorems.compile_hyperdual(f), r)
+        return scale, {"delta_f": _corner_difference_by_formula(f, r)}
+    if tag == "rmvt":
+        delta = _corner_difference_by_formula(f, r)
+        return 1.0 + abs(delta), {"delta_f": delta}
+    if tag == "pompeiu2d":
+        rhs = _pompeiu_numerator_by_formula(f, r) / r.area
+        return 1.0 + abs(rhs), {"rhs": rhs}
+    delta_f = _corner_difference_by_formula(f, r)
+    delta_g = _corner_difference_by_formula(g, r)
+    if tag == "cauchy":
+        return 1.0 + abs(delta_f) + abs(delta_g), {"delta_f": delta_f, "delta_g": delta_g}
+    rhs_f = _pompeiu_numerator_by_formula(f, r) / (r.area * delta_f)
+    rhs_g = _pompeiu_numerator_by_formula(g, r) / (r.area * delta_g)
+    return (
+        1.0 + abs(rhs_f) + abs(rhs_g),
+        {"delta_f": delta_f, "delta_g": delta_g, "rhs_f": rhs_f, "rhs_g": rhs_g},
+    )
+
+
+@pytest.mark.parametrize("family", ["poly4", "bilinear", "separable", "exp-poly", "rational"])
+def test_field_constants_match_the_corner_formulas_bit_for_bit(family):
+    fam = family_from_name(family)
+    compared = 0
+    for tag in ("rolle", "rmvt", "cauchy", "pompeiu2d", "boggio2d"):
+        theorem = THEOREMS[tag]
+        for i in range(12):
+            seed = derive_seed(31, i)
+            r = generate_rectangle(derive_seed(seed, 0), zero_free=theorem.zero_free)
+            f = generate_function(fam, derive_seed(seed, 1), r)
+            if tag == "rolle":
+                # remove the bilinear interpolant's mixed part, so the corner identity holds
+                delta = corner_difference(f, r)
+                f = BinOp("-", f, BinOp("*", Const(delta / r.area), BinOp("*", Var("x"), Var("y"))))
+            g = generate_function(fam, derive_seed(seed, 2), r) if theorem.needs_g else None
+            try:
+                field = build_field(tag, f, g, (r.x1, r.x2, r.y1, r.y2))
+            except (DegenerateError, HypothesisError):
+                continue
+            scale, decomposition = _constants_by_formula(tag, f, g, r)
+            assert list(field.decomposition) == list(decomposition)
+            assert _bits([field.scale, *field.decomposition.values()]) == _bits(
+                [scale, *decomposition.values()]
+            )
+            compared += 1
+    assert compared >= 50
+
+
+# f fails at two corners of [1, 2] x [1, 2] with two different errors: at
+# (1, 1) its first term divides by zero, at (2, 2) its second takes the square
+# root of -0.5.  The corner difference reads (2, 2) first, the Pompeiu
+# numerator and the Rolle corner check read (1, 1) first.
+_TWO_CORNER_FAILURE = "1/(x+y-2) + sqrt(3.5-x-y)"
+_DIVISION = "float division by zero"
+_SQRT = "sqrt of a negative value"
+
+
+@pytest.mark.parametrize(
+    "tag, f_text, g_text, message",
+    [
+        ("rolle", _TWO_CORNER_FAILURE, None, _DIVISION),
+        ("rmvt", _TWO_CORNER_FAILURE, None, _SQRT),
+        ("cauchy", _TWO_CORNER_FAILURE, "x*y", _SQRT),
+        ("cauchy", "x*y", _TWO_CORNER_FAILURE, _SQRT),
+        ("pompeiu2d", _TWO_CORNER_FAILURE, None, _DIVISION),
+        ("boggio2d", _TWO_CORNER_FAILURE, "x*y", _SQRT),
+        ("boggio2d", "x*y", _TWO_CORNER_FAILURE, _SQRT),
+    ],
+)
+def test_first_failing_corner_decides_the_error(tag, f_text, g_text, message):
+    f = parse(f_text)
+    g = None if g_text is None else parse(g_text)
+    with pytest.raises(OutOfDomainError) as info:
+        build_field(tag, f, g, (1.0, 2.0, 1.0, 2.0))
+    assert str(info.value) == message
