@@ -18,9 +18,11 @@ The one-dimensional theorems use the same algebra: for an expression in x
 only, the program run at ``(x, 0.0)`` carries its value and derivative in
 ``(v, dx)``.
 
-A constant integer power ``h ^ n`` is |n| - 1 products, so compiling one with
-|n| above :data:`MAX_INT_POWER` raises ``ValueError`` before anything is
-evaluated.  An exponent that depends on x or y is not bounded.
+An integer power ``h ^ n`` is |n| - 1 products, so |n| is bounded by
+:data:`MAX_INT_POWER`: compiling a constant exponent beyond it raises
+``ValueError`` before anything is evaluated, and an exponent that depends on
+x or y but evaluates to such an integer raises ``EvaluationError`` when it
+is evaluated.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ __all__ = [
 
 _CBRT_EPS = sys.float_info.epsilon ** (1.0 / 3.0)
 
-# largest |n| of a constant integer exponent ``h ^ n``: the power takes |n| - 1
-# hyper-dual products per evaluation, and compiling a larger one raises ValueError
+# largest |n| of an integer exponent ``h ^ n``: the power takes |n| - 1 hyper-dual
+# products per evaluation; compiling a larger constant one raises ValueError, and
+# evaluating a larger one that depends on x or y raises EvaluationError
 MAX_INT_POWER = 1024
 
 
@@ -133,6 +136,12 @@ def _int_pow(a: Components, n: int) -> Components:
 def _number_pow(a: Components, p) -> Components:
     p = float(p)
     if p.is_integer():
+        # an exponent that depends on x or y is only known here, when evaluated
+        if abs(p) > MAX_INT_POWER:
+            raise EvaluationError(
+                f"integer exponents must be at most MAX_INT_POWER = {MAX_INT_POWER} "
+                f"in magnitude, got {_fmt_number(p)}"
+            )
         return _int_pow(a, int(p))
     v = a[0]
     if _any(v <= 0):
@@ -356,7 +365,8 @@ def compile_hyperdual(f: Expression) -> Program:
     bit, for floats and numpy arrays alike, and raises the same
     :class:`EvaluationError` (including a non-finite float component).  Compiling walks the tree once; build a
     program once per expression and call it many times.  A constant integer
-    exponent beyond :data:`MAX_INT_POWER` in magnitude raises ``ValueError``.
+    exponent beyond :data:`MAX_INT_POWER` in magnitude raises ``ValueError``;
+    a varying one that evaluates to such an integer raises ``EvaluationError``.
     """
     body = _compile(f)
     if not callable(body):

@@ -2,8 +2,10 @@
 
 The theorems guarantee a zero of the continuous residual exists strictly
 inside the domain, so the search never needs derivatives of the residual:
-sample cell centers (never the boundary), bisect between opposite signs,
-refine the grid if necessary, and fall back to coordinate descent on |R|.
+sample cell centers (never the boundary), bracket the sample nearest zero with
+a neighbouring cell of opposite sign, close the bracket by safeguarded false
+position (within twice bisection's step count), refine the grid if necessary,
+and fall back to coordinate descent on |R|.
 Grid screening is vectorized, but every residual that ends up in a report is
 re-evaluated through the scalar path so reports are exactly reproducible.
 One search serves both domains: it runs over the field's per-axis bounds, one
@@ -38,8 +40,8 @@ __all__ = [
 # most cell centers per axis on the finest grid; a rectangle screens the square
 # of this, so it bounds the memory of the largest screen
 MAX_GRID_N = 2048
-# a bisection stops once its segment parameter is narrower than this, and the
-# minimizer once its steps are
+# a bracket search stops once its segment parameter is narrower than this, and
+# the minimizer once its steps are
 BISECT_TOL = 1e-12
 # most coordinate-descent sweeps of the fallback minimizer
 MINIMIZE_ITERS = 200
@@ -174,8 +176,15 @@ def _first_scalar_failure(field: ResidualField, centres: list[np.ndarray]):
 
 
 def _bisect(rfunc, p_neg, r_neg, p_pos, r_pos, residual_tol):
-    """Bisection along the segment p_neg -> p_pos; returns (point, residual).
+    """Safeguarded false position along the segment p_neg -> p_pos; returns
+    (point, residual), the last point evaluated.
 
+    A step evaluates where the chord through the bracket's end values crosses
+    zero (Illinois false position: while false-position steps keep moving the
+    same end, the other end's value is halved once more for each, so the chord
+    soon falls past the zero).  After k steps the parameter bracket is at most
+    2**-((k - 2) // 2) wide: a step that could leave it wider is a midpoint
+    step instead, so at most twice bisection's step count plus two are taken.
     Stops as soon as |R| <= residual_tol or the parameter width drops below
     ``BISECT_TOL``.  The endpoints must already satisfy R(p_neg) < 0 < R(p_pos).
     """
@@ -184,28 +193,69 @@ def _bisect(rfunc, p_neg, r_neg, p_pos, r_pos, residual_tol):
     if abs(r_pos) <= residual_tol:
         return p_pos, r_pos
     lo, hi = 0.0, 1.0  # lo parameterizes the negative end
+    f_lo, f_hi = r_neg, r_pos
     span = tuple((a, b - a) for a, b in zip(p_neg, p_pos))
     p, r = p_neg, r_neg
+    k = 0  # steps taken
+    # the end that false position last moved (-1 lo, 1 hi), and how often in a row
+    moved, run = 0, 0
     while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        p = tuple(a + mid * d for a, d in span)
+        chord = hi - lo <= 0.5 ** ((k - 1) // 2)
+        t = 0.5 * (lo + hi)
+        if chord:
+            weight = 0.5 ** max(run - 1, 0)
+            a, b = (f_lo, f_hi * weight) if moved < 0 else (f_lo * weight, f_hi)
+            s = lo + (hi - lo) * (a / (a - b))
+            if lo < s < hi:  # not when it rounds onto an end or is NaN
+                t = s
+        p = tuple(a + t * d for a, d in span)
         r = rfunc(p)
+        k += 1
         if abs(r) <= residual_tol:
             return p, r
-        if r < 0.0:
-            lo = mid
+        side = -1 if r < 0.0 else 1
+        if side < 0:
+            lo, f_lo = t, r
         else:
-            hi = mid
+            hi, f_hi = t, r
+        if chord:
+            run = run + 1 if side == moved else 1
+            moved = side
     return p, r
+
+
+def _neighbours(k: int, n: int, dims: int) -> list[int]:
+    """Flat indices of the cells next to cell ``k`` of an n-per-axis grid,
+    along x and then along y; x varies fastest, as in :func:`_cell`."""
+    out = []
+    stride = 1
+    for _ in range(dims):
+        i = k // stride % n
+        if i > 0:
+            out.append(k - stride)
+        if i < n - 1:
+            out.append(k + stride)
+        stride *= n
+    return out
+
+
+# off-grid probes that confirm a residual which vanishes on the whole level-0
+# grid, as fractions of each axis; the golden section is irrational, so no cell
+# center of any grid lies on them
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_PROBES = ((1.0 - _GOLDEN, _GOLDEN), (_GOLDEN, 1.0 - _GOLDEN))
 
 
 def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateReport:
     """Find a point of the open rectangle or interval where the residual vanishes.
 
     Strategy: sample cell centers, accept any sample already within tolerance,
-    otherwise bisect between the most negative and most positive samples;
-    refine the grid (doubling) up to the cap, then coordinate-descend on |R|
-    from the best sample.  An all-tiny level-0 grid is reported as
+    otherwise run safeguarded false position from the smallest-|R| sample to
+    its neighbouring cell of opposite sign (or, when no neighbour has one,
+    between the most negative and most positive samples); refine the grid
+    (doubling) up to the cap, then coordinate-descend on |R| from the best
+    sample.  A level-0 grid within tolerance everywhere whose domain center
+    and two off-grid probes are within tolerance too is reported as
     ``degenerate-identically-zero`` with the domain center.  On an interval
     the point's ``xi2`` is None.
     """
@@ -228,8 +278,9 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
 
     def counted(p: Point) -> float:
         nonlocal evals
+        r = _scalar_residual(field, p)
         evals += 1
-        return _scalar_residual(field, p)
+        return r
 
     for level in range(cfg.max_refinements + 1):
         n = cfg.grid_n * (1 << level)
@@ -242,47 +293,60 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
             return failed(f"evaluation error at {_fmt(p)}: {msg}", kind)
         grid_min = float(values.min())
         grid_max = float(values.max())
+        flat = values.ravel()
 
-        if level == 0 and float(np.abs(values).max()) <= tol:
-            center = tuple(0.5 * (lo + hi) for lo, hi in axes)
-            try:
-                r_center = _scalar_residual(field, center)
-            except EvaluationError as exc:
-                return failed(str(exc), _failure_kind(exc))
-            evals += 1
-            point = _mean_value_point(center, r_center, "grid-hit")
-            return LocateReport("degenerate-identically-zero", point, diag())
-
-        candidate = _cell(centres, int(np.abs(values).argmin()))
         try:
-            r_candidate = _scalar_residual(field, candidate)
+            if level == 0 and float(np.abs(values).max()) <= tol:
+                center = tuple(0.5 * (lo + hi) for lo, hi in axes)
+                r_center = counted(center)
+                probes = (
+                    tuple(lo + f * (hi - lo) for f, (lo, hi) in zip(fractions, axes))
+                    for fractions in _PROBES
+                )
+                if abs(r_center) <= tol and all(abs(counted(q)) <= tol for q in probes):
+                    point = _mean_value_point(center, r_center, "grid-hit")
+                    return LocateReport("degenerate-identically-zero", point, diag())
+                # the grid missed where the residual lives: search as usual
+
+            k_best = int(np.abs(flat).argmin())
+            candidate = _cell(centres, k_best)
+            r_candidate = counted(candidate)
+            if best is None or abs(r_candidate) < abs(best[1]):
+                best = (candidate, r_candidate)
+            if abs(r_candidate) <= tol:
+                point = _mean_value_point(candidate, r_candidate, "grid-hit")
+                return LocateReport("found", point, diag())
+            if not grid_min < 0.0 < grid_max:
+                continue  # no sign change: refine and try again
+
+            # bracket the best sample with its neighbour of opposite sign whose
+            # |R| is largest; fall back to the extreme samples when it has none,
+            # or when the scalar residuals disagree with the grid's signs
+            pairs = [(int(flat.argmin()), int(flat.argmax()))]  # (negative, positive)
+            side = np.sign(flat[k_best])
+            opposite = [k for k in _neighbours(k_best, n, len(axes)) if np.sign(flat[k]) == -side]
+            if side and opposite:
+                k_other = max(opposite, key=lambda k: abs(flat[k]))
+                pairs.insert(0, (k_best, k_other) if side < 0 else (k_other, k_best))
+            scalars = {k_best: r_candidate}
+            for k_neg, k_pos in pairs:
+                for k in (k_neg, k_pos):
+                    if k not in scalars:
+                        scalars[k] = counted(_cell(centres, k))
+                if not scalars[k_neg] < 0.0 < scalars[k_pos]:
+                    continue
+                sign_cells = (k_neg, k_pos)
+                p_neg, p_pos = _cell(centres, k_neg), _cell(centres, k_pos)
+                p, r = _bisect(counted, p_neg, scalars[k_neg], p_pos, scalars[k_pos], tol)
+                if abs(r) < abs(best[1]):
+                    best = (p, r)
+                if abs(r) <= tol:
+                    point = _mean_value_point(p, r, "sign-change-bisection")
+                    return LocateReport("found", point, diag())
+                break
         except EvaluationError as exc:
             return failed(str(exc), _failure_kind(exc))
-        evals += 1
-        if best is None or abs(r_candidate) < abs(best[1]):
-            best = (candidate, r_candidate)
-        if abs(r_candidate) <= tol:
-            point = _mean_value_point(candidate, r_candidate, "grid-hit")
-            return LocateReport("found", point, diag())
-
-        if grid_min < 0.0 < grid_max:
-            k_neg, k_pos = int(values.argmin()), int(values.argmax())
-            p_neg, p_pos = _cell(centres, k_neg), _cell(centres, k_pos)
-            try:
-                r_neg = _scalar_residual(field, p_neg)
-                r_pos = _scalar_residual(field, p_pos)
-                evals += 2
-                if r_neg < 0.0 < r_pos:
-                    sign_cells = (k_neg, k_pos)
-                    p, r = _bisect(counted, p_neg, r_neg, p_pos, r_pos, tol)
-                    if abs(r) < abs(best[1]):
-                        best = (p, r)
-                    if abs(r) <= tol:
-                        point = _mean_value_point(p, r, "sign-change-bisection")
-                        return LocateReport("found", point, diag())
-            except EvaluationError as exc:
-                return failed(str(exc), _failure_kind(exc))
-        # no sign change (or bisection fell short): refine and try again
+        # no sign change (or the search fell short): refine and try again
 
     # last resort: coordinate descent on |R| from the best sample seen
     p, cur_signed = best
@@ -302,8 +366,7 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
                     )
                     if q == p:
                         continue
-                    r = _scalar_residual(field, q)
-                    evals += 1
+                    r = counted(q)
                     if abs(r) < cur_abs:
                         p, cur_abs, cur_signed = q, abs(r), r
                         improved = True

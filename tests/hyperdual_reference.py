@@ -23,9 +23,11 @@ from rectmvt.expr import (
     OutOfDomainError,
     Var,
     _call_real,
+    _fmt_number,
     _pow_real,
     evaluation_error,
 )
+from rectmvt.hyperdual import MAX_INT_POWER
 
 
 def _as_component(v):
@@ -138,6 +140,11 @@ class HyperDual:
         if isinstance(other, (int, float)):
             p = float(other)
             if p.is_integer():
+                if abs(p) > MAX_INT_POWER:
+                    raise EvaluationError(
+                        f"integer exponents must be at most MAX_INT_POWER = {MAX_INT_POWER} "
+                        f"in magnitude, got {_fmt_number(p)}"
+                    )
                 return self._int_pow(int(p))
             if _any(self.v <= 0):
                 raise OutOfDomainError("fractional power needs a positive base")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,9 +110,10 @@ def test_locate_domain_error_inside_exits_3_with_the_failed_document(capsys, arg
 @pytest.mark.parametrize(
     "argv, failure",
     [
-        # the search runs out: no residual within a tolerance below rounding
+        # the search runs out: f_xy = 1e8*cos(1e8*x) moves by about 1 between
+        # adjacent floats x, so no x the search can reach is within tolerance
         (
-            ("--f", "sin(x)*sin(y)", "--rect", "0,1,0,1", "--tau", "1e-30", "--refinements", "1"),
+            ("--f", "sin(1e8*x)*y", "--rect", "0,1,0,1", "--tau", "1e-30", "--refinements", "1"),
             "no residual below tolerance",
         ),
         # f overflows inside the square, so the residual is not finite there
@@ -147,6 +149,20 @@ def test_locate_degenerate_bilinear(capsys):
     assert doc["point"] == {"xi1": 1.5, "xi2": 1.5}
 
 
+def test_locate_grid_that_misses_the_residual_is_not_degenerate(capsys):
+    # f_xy = 4*pi*cos(4*pi*x) vanishes at the four cell centers of each row but
+    # not at the center x = 0.5, so the level-0 grid alone is no evidence of a
+    # residual that vanishes identically: the search goes on from the grid
+    code, out, _ = run_cli(
+        capsys,
+        "locate", "--theorem", "rmvt", "--f", "sin(4*pi*x)*y", "--rect", "0,1,0,1", "--grid-n", "4",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["outcome"] == "found"
+    assert abs(doc["residual"]) <= 1e-9 * doc["scale"]
+
+
 def test_locate_one_dimensional(capsys):
     code, out, _ = run_cli(
         capsys, "locate", "--theorem", "pompeiu1d", "--f", "x^2", "--rect", "1,2", "--tau", "1e-12"
@@ -157,13 +173,14 @@ def test_locate_one_dimensional(capsys):
 
 
 def test_locate_one_dimensional_counts_one_axis(capsys):
-    # 33 grid samples, one confirmation, two bracket ends and 29 bisection steps
+    # 33 grid samples, the best sample's confirmation, its neighbour of
+    # opposite sign (the other bracket end) and 4 false-position steps
     code, out, _ = run_cli(
         capsys, "locate", "--theorem", "pompeiu1d", "--f", "x^2", "--rect", "1,2"
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["evaluations"] == 65
+    assert doc["evaluations"] == 39
     assert doc["method"] == "sign-change-bisection"
 
 
@@ -383,6 +400,16 @@ def test_integer_power_at_the_bound_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "grad-check", "--f", "x^1024*y", "--at", "1,1")
     assert code == 0
     assert json.loads(out)["hyperdual"] == {"v": 1.0, "dx": 1024.0, "dy": 1.0, "dxy": 1024.0}
+
+
+def test_varying_integer_power_past_the_bound_fails_fast(capsys):
+    # y - y + 1e7 depends on y, so only its evaluation shows that it is the
+    # integer 10,000,000, whose 9,999,999 products used to take seconds
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "grad-check", "--f", "x^(y-y+1e7)*y", "--at", "1,1")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert "integer exponents must be at most MAX_INT_POWER = 1024 in magnitude" in err
 
 
 def test_parse_error_offset(capsys):

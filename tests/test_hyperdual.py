@@ -406,6 +406,23 @@ def test_integer_powers_past_the_bound_are_rejected_when_compiled(text):
         compile_hyperdual(parse(text))
 
 
+def test_varying_integer_powers_up_to_the_bound_match_the_reference():
+    # an exponent with zero derivative components takes the integer-power path
+    for text in ("x^(y-y+1024)*y", "y*x^(y-y-1024)", "(x*y)^(x-x+3)"):
+        raised = _assert_program_matches_reference(parse(text), _NEAR_ONE)
+        assert not any(raised)
+
+
+@pytest.mark.parametrize(
+    "text", ["x^(y-y+1025)", "y*x^(y-y-1025)", "x^(y-y+1e7)*y", "x^(x-x+1e300)"]
+)
+def test_varying_integer_powers_past_the_bound_raise_when_evaluated(text):
+    program = compile_hyperdual(parse(text))  # not a constant exponent, so it compiles
+    with pytest.raises(EvaluationError, match="at most MAX_INT_POWER = 1024 in magnitude, got "):
+        program(1.0005, 0.75)
+    assert all(_assert_program_matches_reference(parse(text), _NEAR_ONE))
+
+
 def test_compiled_program_matches_hyperdual_on_generated_families():
     from rectmvt.harness import FunctionFamily, derive_seed, generate_function, generate_rectangle
 

@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rectmvt.expr import BinOp, Const, EvaluationError, Var, const, parse, substitute
 from rectmvt.harness import (
     GenerationError,
+    _build_case,
     build_field,
     derive_seed,
     family_from_name,
@@ -13,8 +15,10 @@ from rectmvt.harness import (
     generate_rectangle,
 )
 from rectmvt.locator import (
+    BISECT_TOL,
     MAX_GRID_N,
     LocateConfig,
+    _bisect,
     locate,
     locate_line,
     verify_at,
@@ -87,6 +91,21 @@ def test_locate_bilinear_degenerate_center():
     assert report.outcome == "degenerate-identically-zero"
     assert report.point.xi1 == 1.5
     assert report.point.xi2 == 1.5
+    # the level-0 grid, the center and two off-grid probes
+    assert report.diagnostics.evaluations == 33 * 33 + 3
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_a_residual_vanishing_only_on_the_grid_is_not_degenerate(dims):
+    # sin(8*pi*x) vanishes at the four cell centers (2i + 1)/8 of each row and
+    # at the center x = 0.5, but not at the off-grid probes
+    axes = ((0.0, 1.0),) * dims
+    field = ResidualField(axes, lambda x, *_: np.sin(8 * np.pi * x), 1.0, {}, "test")
+    report = locate(field, LocateConfig(grid_n=4))
+    assert abs(field.residual(*(0.5,) * dims)) <= 1e-9
+    assert report.outcome == "found"
+    assert report.point.method == "grid-hit"
+    assert abs(report.point.residual) <= 1e-9
 
 
 def test_locate_pompeiu_quartic_zero_curve():
@@ -168,6 +187,116 @@ def test_locate_random_linear_fields():
         assert abs(a * p.xi1 + b * p.xi2 + c) <= 1e-9
         located += 1
     assert located >= 25
+
+
+def _grid_index(k: int, n: int, dims: int) -> tuple[int, ...]:
+    return tuple(k // n**axis % n for axis in range(dims))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        _linear_field(1.0, 0.3, -0.6, Rectangle(0, 1, 0, 1)),
+        _linear_field(-0.2, 2.0, -1.13, Rectangle(0, 1, 0, 1)),
+        pompeiu2d_residual(parse("x^2*y^2"), Rectangle(1, 2, 1, 3)),
+        rect_mvt_residual(parse("exp(x+y)"), Rectangle(-1, 1, -1, 1)),
+        pompeiu1d_residual(parse("x^2"), 1.0, 2.0),
+    ],
+    ids=["linear-x", "linear-y", "pompeiu2d", "rmvt-exp", "pompeiu1d"],
+)
+def test_the_bracket_joins_the_best_sample_to_a_neighbour(field):
+    report = locate(field)
+    assert report.point.method == "sign-change-bisection"
+    dims = len(field.axes)
+    k_neg, k_pos = report.diagnostics.sign_cells
+    a, b = _grid_index(k_neg, 33, dims), _grid_index(k_pos, 33, dims)
+    assert sum(abs(i - j) for i, j in zip(a, b)) == 1
+
+
+def _no_adjacent_sign_change(x):
+    # positive near x = 0.3 with its smallest |R| there; the only sign change
+    # is near x = 0.935, 20 cells away
+    return 0.001 + (x - 0.3) ** 2 - 3.0 * np.maximum(x - 0.8, 0.0)
+
+
+def test_without_a_neighbour_of_opposite_sign_the_bracket_is_global():
+    field = ResidualField(((0.0, 1.0),), _no_adjacent_sign_change, 1.0, {}, "test")
+    values = _no_adjacent_sign_change((np.arange(33) + 0.5) / 33)
+    best = int(np.abs(values).argmin())
+    assert values[best] > 0 and values[best - 1] > 0 and values[best + 1] > 0
+    report = locate(field)
+    assert report.outcome == "found"
+    assert report.point.method == "sign-change-bisection"
+    assert report.diagnostics.sign_cells == (int(values.argmin()), int(values.argmax()))
+    assert 0.9 < report.point.xi1 < 0.97
+
+
+def test_a_neighbour_whose_scalar_sign_disagrees_falls_back_to_the_global_bracket():
+    # R = x - 0.49: the best sample is cell 16 (x = 0.5) and its neighbour of
+    # opposite sign cell 15, which the scalar path (but not the grid) puts on
+    # the positive side, so the two cells do not bracket a zero
+    centre_15 = float((np.arange(33) + 0.5)[15] * (1.0 / 33))
+
+    def residual(x):
+        if not isinstance(x, np.ndarray) and x == centre_15:
+            return 1.0
+        return x - 0.49
+
+    field = ResidualField(((0.0, 1.0),), residual, 1.0, {}, "test")
+    report = locate(field)
+    assert report.outcome == "found"
+    assert report.diagnostics.sign_cells == (0, 32)
+    assert abs(report.point.xi1 - 0.49) <= 1e-9
+
+
+def _adversarial_residuals():
+    for m in (1 / 3, 0.5 + 1e-7, 0.999, 1e-3, 0.7071):
+        yield lambda t, m=m: (t - m) ** 9  # a flat zero
+        yield lambda t, m=m: math.tanh(1e6 * (t - m))  # a steep one
+        # two values across the whole bracket, however close the ends come
+        yield lambda t, m=m: 1.0 if t >= m else -1.0
+        yield lambda t, m=m: 1e6 if t >= m else -1.0
+        yield lambda t, m=m: 1.0 if t >= m else -1e6
+
+
+def test_bisect_steps_stay_within_twice_bisection():
+    bound = 2 * math.ceil(math.log2(1 / BISECT_TOL)) + 2
+    for line in _adversarial_residuals():
+        steps = []
+
+        def rfunc(p):
+            steps.append(p)
+            return line(p[0])
+
+        p, r = _bisect(rfunc, (0.0,), line(0.0), (1.0,), line(1.0), 0.0)
+        assert len(steps) <= bound
+        # the result is the last point evaluated
+        assert p == steps[-1] and r == line(p[0])
+
+
+def test_scalar_evaluations_per_found_case_are_within_budget():
+    # the seed-42 poly4 sweep cases of every theorem; everything but the grid
+    # samples is a scalar evaluation
+    cfg = LocateConfig()
+    family = family_from_name("poly4")
+    scalar = []
+    for theorem in THEOREMS.values():
+        for index in range(200):
+            try:
+                field = _build_case(theorem, family, derive_seed(42, index))
+            except (DegenerateError, DomainError, HypothesisError, EvaluationError,
+                    GenerationError):
+                continue
+            report = locate(field, cfg)
+            if report.outcome != "found":
+                continue
+            d = report.diagnostics
+            grid = sum((cfg.grid_n << level) ** len(field.axes) for level in range(d.level + 1))
+            scalar.append(d.evaluations - grid)
+    scalar.sort()
+    assert len(scalar) >= 1300
+    assert scalar[len(scalar) // 2] <= 10
+    assert scalar[-1] <= 16
 
 
 def test_verify_at_values_and_domain():
