@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import BinOp, Call, Const, EvaluationError, Expression, Var, const, evaluate, substitute
+from .hyperdual import MAX_INT_POWER
 from .locator import LocateConfig, locate, verify_at
 from .theorems import (
     THEOREMS,
@@ -81,6 +82,9 @@ class FunctionFamily:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.max_degree < 0:
             raise ValueError("max_degree must be non-negative")
+        # a drawn power past the bound fails to compile, which would stop a sweep midway
+        if self.max_degree > MAX_INT_POWER:
+            raise ValueError(f"max_degree must be at most {MAX_INT_POWER}, got {self.max_degree}")
         if not self.coeff_range[0] <= self.coeff_range[1]:
             raise ValueError("coeff_range must be ordered")
 
@@ -332,10 +336,6 @@ def run_sweep(
         raise ValueError("count must be at least 1")
     theorem = _theorem(tag)
     cfg = cfg or LocateConfig()
-    found = degenerate = failed = 0
-    max_residual = 0.0
-    max_ratio = 0.0
-    failing: list[int] = []
     cases: list[CaseResult] = []
     for index in range(count):
         case_seed = derive_seed(master_seed, index)
@@ -343,36 +343,27 @@ def run_sweep(
             field = _build_case(theorem, family, case_seed)
             report = locate(field, cfg)
         except (DegenerateError, DomainError, HypothesisError, EvaluationError, GenerationError):
-            failed += 1
-            failing.append(case_seed)
             cases.append(CaseResult(index, case_seed, "failed", None, None, None, None))
             continue
         if report.outcome == "failed":
-            failed += 1
-            failing.append(case_seed)
             cases.append(CaseResult(index, case_seed, "failed", None, None, None, field.scale))
             continue
         point = report.point
-        if report.outcome == "found":
-            found += 1
-            max_residual = max(max_residual, abs(point.residual))
-            max_ratio = max(max_ratio, abs(point.residual) / field.scale)
-            outcome = "found"
-        else:
-            degenerate += 1
-            outcome = "degenerate"
+        outcome = "found" if report.outcome == "found" else "degenerate"
         cases.append(
             CaseResult(index, case_seed, outcome, point.xi1, point.xi2, point.residual, field.scale)
         )
+    found = [c for c in cases if c.outcome == "found"]
+    failing = tuple(c.seed for c in cases if c.outcome == "failed")
     return SweepSummary(
         tag=tag,
         total=count,
-        found=found,
-        degenerate=degenerate,
-        failed=failed,
-        max_found_residual=max_residual,
-        max_found_ratio=max_ratio,
-        failing_seeds=tuple(failing),
+        found=len(found),
+        degenerate=sum(c.outcome == "degenerate" for c in cases),
+        failed=len(failing),
+        max_found_residual=max((abs(c.residual) for c in found), default=0.0),
+        max_found_ratio=max((abs(c.residual) / c.scale for c in found), default=0.0),
+        failing_seeds=failing,
         cases=tuple(cases),
     )
 

@@ -79,13 +79,15 @@ class Derivatives(NamedTuple):
 # -- compiled programs -----------------------------------------------------
 #
 # A compiled node is a closure ``(X, Y) -> (v, dx, dy, dxy)`` over the two seed
-# tuples, or the plain value of a constant-only subtree.  Each closure does the
-# float operations of the matching method of the reference class
-# ``HyperDual`` in ``tests/hyperdual_reference.py``, in the same order and on
-# the same operands, so the results agree bit for bit: a plain operand takes
-# part as the tuple HyperDual lifts it to, and a plain left operand keeps the
-# operand order of the reflected method Python falls back to (``c * h`` runs
-# ``h.__mul__(c)``, ``c - h`` runs ``h.__rsub__(c)``).
+# tuples, or the plain value of a constant-only subtree.  Each operator compiles
+# to one closure, which does the float operations of the matching method of the
+# reference class ``HyperDual`` in ``tests/hyperdual_reference.py``, in the same
+# order and on the same operands, so the results agree bit for bit: a folded
+# constant that meets a varying operand enters as an operand closure returning
+# the tuple HyperDual lifts it to, and a plain left operand keeps the operand
+# order of the reflected method Python falls back to (``c * h`` runs
+# ``h.__mul__(c)``, ``c - h`` runs ``h.__rsub__(c)``).  Only ``h ^ c`` is split
+# at compile time, for the exponent bound and the direct integer power.
 
 Components = tuple  # (v, dx, dy, dxy)
 Program = Callable[[object, object], Components]
@@ -198,17 +200,18 @@ def _sqrt(a: Components) -> Components:
 _UNARY = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
 
 
+def _operand(a) -> Program:
+    """A compiled operand as a closure; a folded constant returns its lifted tuple."""
+    if callable(a):
+        return a
+    k = _lifted(a)
+    return lambda X, Y: k
+
+
 def _add_node(a, b):
     if not callable(a):  # c + h falls back to h.__radd__(c), which is h + c
         a, b = b, a
-    if not callable(b):
-        c = float(b)
-
-        def add_number(X, Y):
-            v, dx, dy, dxy = a(X, Y)
-            return (v + c, dx + 0.0, dy + 0.0, dxy + 0.0)
-
-        return add_number
+    b = _operand(b)
 
     def add(X, Y):
         av, adx, ady, adxy = a(X, Y)
@@ -219,22 +222,7 @@ def _add_node(a, b):
 
 
 def _sub_node(a, b):
-    if not callable(b):
-        c = float(b)
-
-        def sub_number(X, Y):
-            v, dx, dy, dxy = a(X, Y)
-            return (v - c, dx - 0.0, dy - 0.0, dxy - 0.0)
-
-        return sub_number
-    if not callable(a):  # c - h falls back to h.__rsub__(c)
-        c = float(a)
-
-        def number_sub(X, Y):
-            v, dx, dy, dxy = b(X, Y)
-            return (c - v, 0.0 - dx, 0.0 - dy, 0.0 - dxy)
-
-        return number_sub
+    a, b = _operand(a), _operand(b)  # c - h falls back to h.__rsub__(c): lift(c) - h
 
     def sub(X, Y):
         av, adx, ady, adxy = a(X, Y)
@@ -248,19 +236,7 @@ def _mul_node(a, b):
     # the hottest node: _mul written out, to save a call per product
     if not callable(a):  # c * h falls back to h.__rmul__(c), which is h * c
         a, b = b, a
-    if not callable(b):
-        c = float(b)
-
-        def mul_number(X, Y):
-            v, dx, dy, dxy = a(X, Y)
-            return (
-                v * c,
-                v * 0.0 + dx * c,
-                v * 0.0 + dy * c,
-                (v * 0.0 + dxy * c) + (dx * 0.0 + dy * 0.0),
-            )
-
-        return mul_number
+    b = _operand(b)
 
     def mul(X, Y):
         av, adx, ady, adxy = a(X, Y)
@@ -276,16 +252,9 @@ def _mul_node(a, b):
 
 
 def _div_node(a, b):
-    if not callable(b):  # h / c is h * lift(c).reciprocal()
-        k = _lifted(b)
-        try:
-            k = _reciprocal(k)
-        except OutOfDomainError:  # raised on each call, once h is evaluated
-            return lambda X, Y: _mul(a(X, Y), _reciprocal(k))
-        return lambda X, Y: _mul(a(X, Y), k)
-    if not callable(a):  # c / h falls back to h.__rtruediv__(c): lift(c) * 1/h
-        k = _lifted(a)
-        return lambda X, Y: _mul(k, _reciprocal(b(X, Y)))
+    # h / c is h * lift(c).reciprocal(); c / h falls back to h.__rtruediv__(c),
+    # which is lift(c) * h.reciprocal()
+    a, b = _operand(a), _operand(b)
     return lambda X, Y: _mul(a(X, Y), _reciprocal(b(X, Y)))
 
 
@@ -301,9 +270,7 @@ def _pow_node(a, b):
             n = int(p)
             return lambda X, Y: _int_pow(a(X, Y), n)
         return lambda X, Y: _number_pow(a(X, Y), p)
-    if not callable(a):  # c ^ h falls back to h.__rpow__(c): lift(c) ** h
-        k = _lifted(a)
-        return lambda X, Y: _pow(k, b(X, Y))
+    a = _operand(a)  # c ^ h falls back to h.__rpow__(c): lift(c) ** h
     return lambda X, Y: _pow(a(X, Y), b(X, Y))
 
 

@@ -239,6 +239,25 @@ def _neighbours(k: int, n: int, dims: int) -> list[int]:
     return out
 
 
+def _check_centres(axes, cfg: LocateConfig) -> None:
+    """Raise ``ValueError`` when a cell center of some grid level, the edge of
+    the minimizer's hull or the domain center would round onto the boundary of
+    its axis, so that the search could report a point that is not inside."""
+    for lo, hi in axes:
+        inside = lo < 0.5 * (lo + hi) < hi
+        n = cfg.grid_n
+        for _ in range(cfg.max_refinements + 1):
+            # the first and last cell centers, computed as ``locate`` computes them
+            step = (hi - lo) / n
+            inside = inside and lo < lo + 0.5 * step and lo + (n - 0.5) * step < hi
+            n *= 2
+        if not (inside and hi - 0.5 * step < hi):
+            raise ValueError(
+                f"axis [{lo!r}, {hi!r}] is too narrow to search: a grid cell center "
+                "or the domain center rounds onto its boundary"
+            )
+
+
 # off-grid probes that confirm a residual which vanishes on the whole level-0
 # grid, as fractions of each axis; the golden section is irrational, so no cell
 # center of any grid lies on them
@@ -257,10 +276,13 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
     sample.  A level-0 grid within tolerance everywhere whose domain center
     and two off-grid probes are within tolerance too is reported as
     ``degenerate-identically-zero`` with the domain center.  On an interval
-    the point's ``xi2`` is None.
+    the point's ``xi2`` is None.  An axis so narrow that a cell center or the
+    domain center would round onto its boundary raises ``ValueError`` before
+    anything is evaluated.
     """
     cfg = cfg or LocateConfig()
     axes = field.axes
+    _check_centres(axes, cfg)
     tol = cfg.tol_factor * field.scale
     evals = 0
     grid_min = math.inf

@@ -402,6 +402,35 @@ def test_integer_power_at_the_bound_is_accepted(capsys):
     assert json.loads(out)["hyperdual"] == {"v": 1.0, "dx": 1024.0, "dy": 1.0, "dxy": 1024.0}
 
 
+def test_sweep_family_past_the_power_bound_exits_2_before_the_sweep(capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--theorem", "rmvt", "--family", "poly1025", "--count", "400", "--csv", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "invalid input: max_degree must be at most 1024, got 1025\n"
+    assert not path.exists()
+    code, out, _ = run_cli(capsys, "sweep", "--theorem", "rmvt", "--family", "poly1024", "--count", "1")
+    assert code == 0
+    assert json.loads(out)["family"] == "poly1024"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["locate", "--theorem", "pompeiu2d", "--f", "x^2*y^3+x", "--rect", "1,1.0000000000000004,1,2"],
+        ["locate", "--theorem", "rmvt", "--f", "sin(x*y)", "--rect", "0,5e-324,0,1"],
+        ["locate", "--theorem", "pompeiu1d", "--f", "x^3", "--rect", "1,1.0000000000000002"],
+    ],
+)
+def test_locate_on_an_axis_a_few_ulps_wide_exits_2_without_output(capsys, argv):
+    # its cell centers would round onto the boundary, where verify rejects a point
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: axis [") and "rounds onto its boundary" in err
+
+
 def test_varying_integer_power_past_the_bound_fails_fast(capsys):
     # y - y + 1e7 depends on y, so only its evaluation shows that it is the
     # integer 10,000,000, whose 9,999,999 products used to take seconds

@@ -379,6 +379,7 @@ def test_compiled_program_matches_hyperdual_on_random_trees():
         "1e308*10", "x^-2", "y^(-3)*x", "x^0.5", "x^1.5*y", "x^y", "2^x", "x^(x-x)", "0^x",
         "(-2)^x", "x^(y-y+3)", "1/(x-x)", "log(x*0)", "sqrt(y-y)", "x/0", "0/x", "-x*0",
         "2-x", "x-2", "2*x", "x*2", "2+x", "x+2", "2/x", "exp(x*1000)", "sin(exp(x*1000))",
+        "x/2", "x/(-0.5)", "0-x", "x-0", "x+0", "0*x", "-0*x", "x*(-0)",
     ],
 )
 def test_compiled_program_matches_hyperdual_on_edge_cases(text):

@@ -435,6 +435,40 @@ def test_verify_at_checks_the_fields_own_bounds():
         verify_at(field, 1.5, 0.5)
 
 
+@pytest.mark.parametrize(
+    "axes",
+    [((1.0, 1.0 + 2**-51),), ((0.0, 1.0), (0.0, 5e-324)), ((-1.0, -1.0 + 2**-53), (0.0, 1.0))],
+)
+def test_locate_rejects_an_axis_whose_cell_centers_round_onto_its_boundary(axes):
+    calls = []
+
+    def residual(*p):
+        calls.append(p)
+        return p[0] - p[0]
+
+    with pytest.raises(ValueError, match="too narrow to search"):
+        locate(ResidualField(axes, residual, 1.0, {}, "test"))
+    assert calls == []
+
+
+def test_locate_on_narrow_axes_reports_only_interior_points():
+    # at x = 1, cell centers of an axis a few ulps wide round onto x = 1; the
+    # end centers of the default config's finest grid, 528 cells, lie inside
+    # from about 528 ulps on
+    f = parse("x^2*y^3+x")
+    outcomes = set()
+    for ulps in [*range(1, 40), *range(500, 600, 4)]:
+        x2 = 1.0 + ulps * 2**-52
+        try:
+            report = locate(pompeiu2d_residual(f, Rectangle(1.0, x2, 1.0, 2.0)))
+        except ValueError:
+            outcomes.add("rejected")
+            continue
+        outcomes.add(report.outcome)
+        assert 1.0 < report.point.xi1 < x2 and 1.0 < report.point.xi2 < 2.0
+    assert outcomes == {"rejected", "found"}
+
+
 def test_locate_failure_kinds():
     # a pole of f on a grid point: f leaves its domain inside the square
     pole = locate(rect_mvt_residual(parse("1/(x-0.5)*y^2"), Rectangle(0, 1, 0, 1)))
