@@ -10,11 +10,21 @@ The grammar is a small calculator language over the variables x and y
     atom   := NUMBER | 'pi' | 'e' | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 ``^`` binds tightest and is right-associative, then unary minus, then
-``*``/``/``, then ``+``/``-``.  :func:`evaluate` gives plain values: a
-float for plain numbers, and an array for numpy arrays, which broadcast
-through the arithmetic operators and ``^``.  Derivatives come from
-:func:`rectmvt.hyperdual.compile_hyperdual`, which compiles a tree once into a
-program that does the hyper-dual arithmetic.
+``*``/``/``, then ``+``/``-``.
+
+:func:`parse` finds the tokens with one regular expression in one pass and
+descends over them with one plain function per rule.  Malformed text raises
+:class:`ParseError` with the offset and text of the token at fault.  A
+character that starts no token is reported first; otherwise the first fault
+the parser meets reading left to right.  Nesting past :data:`MAX_DEPTH` is
+named at the construct that goes over it, and met on the way in or once that
+construct's operands are read; a number too large for a float is met at the
+literal.
+
+:func:`evaluate` gives plain values: a float for plain numbers, and an array
+for numpy arrays, which broadcast through the arithmetic operators and ``^``.
+Derivatives come from :func:`rectmvt.hyperdual.compile_hyperdual`, which
+compiles a tree once into a program that does the hyper-dual arithmetic.
 
 Every walk over a tree, here and in :mod:`rectmvt.hyperdual` and the CLI,
 branches on ``type(node) is BinOp`` (the most common node, so it comes
@@ -117,163 +127,127 @@ def const(value: float) -> Expression:
     return Const(v)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "ident", "end", or the operator/paren character itself
-    text: str
-    offset: int
-
-
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError(i, "unexpected character", c)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
+# one pass finds every token.  Group 1 holds a number, an identifier or an
+# operator, tried in that order; any other character but whitespace matches
+# alone with group 1 empty; whitespace matches nothing, so the scan skips it
+_TOKEN_RE = re.compile(
+    r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()])|\S"
+)
 
 # most levels an expression may nest: each parenthesis, unary minus, ``^``,
 # function call and binary operator is one level over its operands, which
 # bounds the recursion of the parser and of every walk over the tree
 MAX_DEPTH = 100
 
+# nodes are immutable, so one node per name serves every tree
+_LEAVES = {name: Const(v) for name, v in _CONSTANTS.items()}
+_LEAVES.update((name, Var(v)) for name, v in _ALIASES.items())
 
-class _Parser:
-    """Recursive descent; each rule returns its node and its nesting height."""
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0  # parentheses, minus signs, exponents and calls open at pos
+class _Fail(Exception):
+    """A parse error at a token index; :func:`parse` turns it into a :class:`ParseError`."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+# Each rule takes the tokens, the index it starts at and the number of
+# parentheses, minus signs, exponents and calls open there, and returns its
+# node, its nesting height and the index after it.  A construct is at least
+# as high as it is deep, so checking the depth on the way down rejects deep
+# input before the recursion gets deep.
 
-    def level(self, tok: _Token, *heights: int) -> int:
-        """Height of the construct ``tok`` opens over operands of these heights."""
-        height = max(heights) + 1
+
+def _expr(toks: list[str], i: int, depth: int):
+    node, height, i = _term(toks, i, depth)
+    while (op := toks[i]) == "+" or op == "-":
+        right, right_height, j = _term(toks, i + 1, depth)
+        height = max(height, right_height) + 1
         if height > MAX_DEPTH:
-            raise ParseError(tok.offset, "nested too deeply", tok.text)
-        return height
+            raise _Fail(i, "nested too deeply")
+        node, i = BinOp(op, node, right), j
+    return node, height, i
 
-    def nested(self, tok: _Token, rule, *heights: int) -> tuple[Expression, int]:
-        """``rule()`` inside the construct ``tok`` opens, and the construct's height.
 
-        A construct is at least as high as it is deep, so checking the depth on
-        the way down rejects deep input before the recursion gets deep.
-        """
-        self.depth = self.level(tok, self.depth)
-        node, height = rule()
-        self.depth -= 1
-        return node, self.level(tok, height, *heights)
+def _term(toks: list[str], i: int, depth: int):
+    node, height, i = _factor(toks, i, depth)
+    while (op := toks[i]) == "*" or op == "/":
+        right, right_height, j = _factor(toks, i + 1, depth)
+        height = max(height, right_height) + 1
+        if height > MAX_DEPTH:
+            raise _Fail(i, "nested too deeply")
+        node, i = BinOp(op, node, right), j
+    return node, height, i
 
-    def expr(self) -> tuple[Expression, int]:
-        node, height = self.term()
-        while self.peek().kind in ("+", "-"):
-            tok = self.advance()
-            right, right_height = self.term()
-            node, height = BinOp(tok.kind, node, right), self.level(tok, height, right_height)
-        return node, height
 
-    def term(self) -> tuple[Expression, int]:
-        node, height = self.factor()
-        while self.peek().kind in ("*", "/"):
-            tok = self.advance()
-            right, right_height = self.factor()
-            node, height = BinOp(tok.kind, node, right), self.level(tok, height, right_height)
-        return node, height
+def _factor(toks: list[str], i: int, depth: int):
+    """``'-' factor``, or an atom and its optional right-associative ``'^' factor``."""
+    tok = toks[i]
+    if tok == "-":
+        child, height, j = _open(_factor, toks, i, i + 1, depth)
+        return Neg(child), height, j
+    if tok == "(":
+        node, height, j = _open(_expr, toks, i, i + 1, depth)
+        j = _close(toks, j)
+    elif (node := _LEAVES.get(tok)) is not None:
+        height, j = 0, i + 1
+    elif (c := tok[:1]) == "." or c.isdecimal():  # what ``\d`` matches
+        value = float(tok)
+        if not math.isfinite(value):
+            raise _Fail(i, "number too large")
+        node, height, j = Const(value), 0, i + 1
+    elif tok in FUNCTIONS:
+        if toks[i + 1] != "(":
+            raise _Fail(i + 1, "expected '(' after function name")
+        arg, height, j = _open(_expr, toks, i, i + 2, depth)
+        node, j = Call(tok, arg), _close(toks, j)
+    elif c.isalpha() or c == "_":
+        raise _Fail(i, "unknown identifier")
+    else:
+        raise _Fail(i, "empty operand")
+    if toks[j] == "^":
+        exponent, exponent_height, k = _open(_factor, toks, j, j + 1, depth)
+        if height >= MAX_DEPTH:
+            raise _Fail(j, "nested too deeply")
+        return BinOp("^", node, exponent), max(exponent_height, height + 1), k
+    return node, height, j
 
-    def factor(self) -> tuple[Expression, int]:
-        if self.peek().kind == "-":
-            tok = self.advance()
-            child, height = self.nested(tok, self.factor)
-            return Neg(child), height
-        return self.power()
 
-    def power(self) -> tuple[Expression, int]:
-        node, height = self.atom()
-        if self.peek().kind == "^":
-            tok = self.advance()
-            # right-associative: the exponent restarts at factor level
-            exponent, height = self.nested(tok, self.factor, height)
-            return BinOp("^", node, exponent), height
-        return node, height
+def _open(rule, toks: list[str], at: int, i: int, depth: int):
+    """``rule`` from ``i`` inside the construct that the token at ``at`` opens,
+    with the construct's height over its operand."""
+    if depth >= MAX_DEPTH:
+        raise _Fail(at, "nested too deeply")
+    node, height, j = rule(toks, i, depth + 1)
+    if height >= MAX_DEPTH:
+        raise _Fail(at, "nested too deeply")
+    return node, height + 1, j
 
-    def atom(self) -> tuple[Expression, int]:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text)), 0
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            if name in _CONSTANTS:
-                return Const(_CONSTANTS[name]), 0
-            if name in _ALIASES:
-                return Var(_ALIASES[name]), 0
-            if name in FUNCTIONS:
-                opener = self.peek()
-                if opener.kind != "(":
-                    raise ParseError(opener.offset, "expected '(' after function name", opener.text)
-                self.advance()
-                arg, height = self.nested(tok, self.expr)
-                closer = self.peek()
-                if closer.kind != ")":
-                    raise ParseError(closer.offset, "unbalanced parentheses", closer.text)
-                self.advance()
-                return Call(name, arg), height
-            raise ParseError(tok.offset, "unknown identifier", name)
-        if tok.kind == "(":
-            self.advance()
-            node, height = self.nested(tok, self.expr)
-            closer = self.peek()
-            if closer.kind != ")":
-                raise ParseError(closer.offset, "unbalanced parentheses", closer.text)
-            self.advance()
-            return node, height
-        raise ParseError(tok.offset, "empty operand", tok.text)
+
+def _close(toks: list[str], i: int) -> int:
+    if toks[i] != ")":
+        raise _Fail(i, "unbalanced parentheses")
+    return i + 1
 
 
 def parse(text: str) -> Expression:
     """Parse expression text into a tree, normalizing the t/s aliases to x/y.
 
-    Input nested more than :data:`MAX_DEPTH` levels deep raises :class:`ParseError`.
+    Input nested more than :data:`MAX_DEPTH` levels deep, or a number literal
+    too large for a float, raises :class:`ParseError`.
     """
     if not text or not text.strip():
         raise ParseError(0, "empty input")
-    parser = _Parser(_tokenize(text))
-    node, _ = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(tok.offset, "trailing garbage", tok.text)
+    toks = _TOKEN_RE.findall(text)
+    if "" in toks:
+        m = next(m for m in _TOKEN_RE.finditer(text) if not m.group(1))
+        raise ParseError(m.start(), "unexpected character", m.group())
+    toks.append("")  # the end of the input
+    try:
+        node, _, i = _expr(toks, 0, 0)
+        if toks[i]:
+            raise _Fail(i, "trailing garbage")
+    except _Fail as fail:
+        k, message = fail.args
+        offsets = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+        raise ParseError(offsets[k], message, toks[k]) from None
     return node
 
 

@@ -167,13 +167,15 @@ def _mathlib(v):
 def _sin(a: Components) -> Components:
     v = a[0]
     m = _mathlib(v)
-    return _chain(a, m.sin(v), m.cos(v), -m.sin(v))
+    sin = m.sin(v)
+    return _chain(a, sin, m.cos(v), -sin)
 
 
 def _cos(a: Components) -> Components:
     v = a[0]
     m = _mathlib(v)
-    return _chain(a, m.cos(v), -m.sin(v), -m.cos(v))
+    cos = m.cos(v)
+    return _chain(a, cos, -m.sin(v), -cos)
 
 
 def _exp(a: Components) -> Components:

@@ -152,7 +152,8 @@ class Rectangle:
 
     def zero_free(self) -> bool:
         """True when the closure avoids both coordinate axes."""
-        return self.x1 * self.x2 > 0 and self.y1 * self.y2 > 0
+        # signs, not products: a product of two tiny bounds underflows to 0
+        return (self.x1 > 0 or self.x2 < 0) and (self.y1 > 0 or self.y2 < 0)
 
     def contains_open(self, x: float, y: float) -> bool:
         return self.x1 < x < self.x2 and self.y1 < y < self.y2
@@ -376,7 +377,7 @@ def _check_interval(x1: float, x2: float) -> None:
         raise ValueError(f"interval bounds must be finite, got [{x1}, {x2}]")
     if not x1 < x2:
         raise ValueError(f"interval bounds must satisfy x1 < x2, got [{x1}, {x2}]")
-    if x1 * x2 <= 0:
+    if not (x1 > 0 or x2 < 0):  # x1 < x2, so this is x1*x2 > 0 without underflow
         raise DomainError(f"interval [{x1}, {x2}] must not contain 0")
 
 

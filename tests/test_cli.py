@@ -447,6 +447,35 @@ def test_parse_error_offset(capsys):
     assert "offset 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--f", "1e999"],
+        ["locate", "--theorem", "rmvt", "--f", "x*y*1e999", "--rect", "0,1,0,1"],
+        ["grad-check", "--f", "x*1e999", "--at", "1,1"],
+    ],
+)
+def test_literal_too_large_for_a_float_exits_2_without_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: number too large at offset ") and "(near '1e999')" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["locate", "--theorem", "pompeiu1d", "--f", "x^3", "--rect", "1e-170,2e-170"],
+        ["locate", "--theorem", "pompeiu1d", "--f", "x^3", "--rect", "-2e-170,-1e-170"],
+        ["locate", "--theorem", "pompeiu2d", "--f", "x*y^2", "--rect", "1e-200,2e-200,1,2"],
+    ],
+)
+def test_tiny_bounds_of_one_sign_are_zero_free(capsys, argv):
+    # the product of two such bounds underflows to 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["outcome"] == "degenerate-identically-zero"
+
+
 def test_invalid_rect_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "1,2,3"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rectmvt.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -80,6 +81,35 @@ def test_parse_errors():
     ):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse(text)
+
+
+# each construct at n levels, and the offset of the construct one past
+# MAX_DEPTH levels: the depth check names the construct that goes over
+NESTING = {
+    "paren": (lambda n: "(" * n + "x" + ")" * n, MAX_DEPTH, "("),
+    "minus": (lambda n: "-" * n + "x", MAX_DEPTH, "-"),
+    "power": (lambda n: "x" + "^x" * n, 1 + 2 * MAX_DEPTH, "^"),
+    "call": (lambda n: "sin(" * n + "x" + ")" * n, 4 * MAX_DEPTH, "sin"),
+    "binary": (lambda n: "x" + "*y" * n, 1 + 2 * MAX_DEPTH, "*"),
+}
+
+
+@pytest.mark.parametrize("kind", NESTING)
+def test_parse_depth_error_names_the_construct_past_max_depth(kind):
+    nest, offset, token = NESTING[kind]
+    parse(nest(MAX_DEPTH))
+    with pytest.raises(ParseError) as err:
+        parse(nest(MAX_DEPTH + 1))
+    assert (err.value.message, err.value.offset, err.value.token) == ("nested too deeply", offset, token)
+
+
+def test_parse_rejects_a_literal_too_large_for_a_float():
+    for text, offset in (("1e999", 0), ("x*y*1e999", 4), ("2*1e999+(", 2)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.message, err.value.offset, err.value.token) == ("number too large", offset, "1e999")
+    assert parse("1e308") == Const(1e308)
+    assert parse("1e-999") == Const(0.0)  # underflow is not an error
 
 
 def test_parse_error_offset_within_input():

@@ -78,4 +78,4 @@ def test_runtime_imports_no_test_or_bench_dependency():
     ).stdout.split()
     assert "numpy" in out and "rectmvt.cli" in out
     loaded = {name.partition(".")[0] for name in out}
-    assert not loaded & {"hyperdual_reference", "sympy", "scipy", "hypothesis", "pytest"}
+    assert not loaded & {"hyperdual_reference", "expr_reference", "sympy", "scipy", "hypothesis", "pytest"}

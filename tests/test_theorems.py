@@ -63,6 +63,11 @@ def test_rectangle_zero_free():
     assert Rectangle(-2, -1, 1, 2).zero_free()
     assert not Rectangle(-1, 2, 1, 3).zero_free()
     assert not Rectangle(1, 2, -1, 3).zero_free()
+    assert not Rectangle(0, 1, 1, 2).zero_free()
+    assert not Rectangle(1, 2, -1, 0).zero_free()
+    # bounds whose products underflow to 0
+    assert Rectangle(1e-200, 2e-200, 1, 2).zero_free()
+    assert Rectangle(1, 2, -2e-200, -1e-200).zero_free()
 
 
 def test_rectangle_bounds_must_be_finite():
@@ -381,8 +386,12 @@ def test_pompeiu1d_linear_and_constant_vanish():
 
 
 def test_pompeiu1d_rejects_interval_containing_zero():
-    with pytest.raises(DomainError):
-        pompeiu1d_residual(parse("x^2"), -1.0, 2.0)
+    for x1, x2 in ((-1.0, 2.0), (0.0, 1.0), (-1.0, 0.0), (-1.0, 1.0)):
+        with pytest.raises(DomainError, match="must not contain 0"):
+            pompeiu1d_residual(parse("x^2"), x1, x2)
+    # bounds whose product underflows to 0
+    for x1, x2 in ((1e-170, 2e-170), (-2e-170, -1e-170)):
+        assert pompeiu1d_residual(parse("x^2"), x1, x2).axes == ((x1, x2),)
 
 
 def test_one_dim_intervals_must_be_finite():
