@@ -109,7 +109,7 @@ def _cmd_locate(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the tolerance follows the locate rule, so --tau is validated the same way
-    tol_factor = _config_from_args(args).tol_factor
+    tol_factor = LocateConfig(tol_factor=args.tau).tol_factor
     field, rect = _build_field(args)
     point = _floats(args.point, len(field.axes), "--point")
     residual = verify_at(field, *point)
@@ -258,7 +258,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     verify_p.add_argument("--g", default=None)
     verify_p.add_argument("--rect", required=True)
     verify_p.add_argument("--point", required=True, help="xi1,xi2 (just xi for 1-D theorems)")
-    _add_locate_config_flags(verify_p)
+    verify_p.add_argument("--tau", type=float, default=1e-9, help="residual tolerance factor (times scale)")
     verify_p.set_defaults(handler=_cmd_verify)
 
     sweep_p = sub.add_parser("sweep", help="run a deterministic sweep of generated cases")

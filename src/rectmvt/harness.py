@@ -93,10 +93,8 @@ def family_from_name(name: str) -> FunctionFamily:
     """Family from a CLI-style name: poly4, poly2, bilinear, separable, exp-poly, rational."""
     if name.startswith("poly") and name[4:].isdigit():
         return FunctionFamily("polynomial", max_degree=int(name[4:]))
-    if name in ("bilinear", "separable", "rational"):
+    if name in ("bilinear", "separable", "exp-poly", "rational"):
         return FunctionFamily(name)
-    if name in ("exp-poly", "exppoly"):
-        return FunctionFamily("exp-poly")
     raise ValueError(f"unknown function family {name!r}")
 
 

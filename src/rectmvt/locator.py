@@ -6,8 +6,11 @@ sample cell centers (never the boundary), bracket the sample nearest zero with
 a neighbouring cell of opposite sign, close the bracket by safeguarded false
 position (within twice bisection's step count), refine the grid if necessary,
 and fall back to coordinate descent on |R|.
-Grid screening is vectorized, but every residual that ends up in a report is
-re-evaluated through the scalar path so reports are exactly reproducible.
+Grid screening is vectorized and reads each grid once for its two extremes,
+which also tell whether it is finite, and once for the sample nearest zero; a
+grid whose vectorized evaluation raises is searched row by row for its first
+failing sample.  Every residual that ends up in a report is re-evaluated
+through the scalar path so reports are exactly reproducible.
 One search serves both domains: it runs over the field's per-axis bounds, one
 axis for an interval and two for a rectangle, whose grid is indexed [iy, ix].
 """
@@ -143,36 +146,55 @@ def _cell(centres: list[np.ndarray], k: int) -> Point:
     return tuple(point)
 
 
-def _grid_values(field: ResidualField, centres: list[np.ndarray]):
-    """Evaluate the residual on the cell-center grid.
+def _evaluate(field: ResidualField, centres: list[np.ndarray]):
+    with np.errstate(all="ignore"):
+        return field.residual(*reversed(np.ix_(*reversed(centres))))
 
-    Returns ``(values, failure)`` where exactly one is not None; a failure is
-    ``(point, message, kind)`` for the first offending sample in row-major order.
+
+def _grid_values(field: ResidualField, centres: list[np.ndarray]):
+    """Residual on the cell-center grid, flattened in row-major order, as
+    ``(values, failure, evaluations)``: exactly one of the first two is not
+    None, and a failure is :func:`_first_failure`'s ``(point, message, kind)``.
     """
     try:
-        with np.errstate(all="ignore"):
-            values = field.residual(*reversed(np.ix_(*reversed(centres))))
+        values = _evaluate(field, centres)
     except EvaluationError:
-        return None, _first_scalar_failure(field, centres)
+        return None, *_first_failure(field, centres)
     shape = tuple(c.size for c in reversed(centres))
     values = np.broadcast_to(np.asarray(values, dtype=float), shape)
-    finite = np.isfinite(values)
-    if not finite.all():
-        p = _cell(centres, int((~finite).argmax()))
-        return None, (p, "residual is not finite", "evaluation")
-    return values, None
+    return values.ravel(), None, values.size
 
 
-def _first_scalar_failure(field: ResidualField, centres: list[np.ndarray]):
-    for k in range(math.prod(c.size for c in centres)):
-        p = _cell(centres, k)
-        try:
-            value = _scalar_residual(field, p)
-        except EvaluationError as exc:
-            return (p, str(exc), _failure_kind(exc))
-        if not math.isfinite(value):
-            return (p, "residual is not finite", "evaluation")
-    return (_cell(centres, 0), "vectorized evaluation failed", "evaluation")
+def _first_failure(field: ResidualField, centres: list[np.ndarray]):
+    """Search a grid whose vectorized evaluation raised for the first cell, in
+    row-major order, whose scalar residual raises or is not finite; returns
+    ``(failure, evaluations)``, counting the grid's own samples too.
+
+    A rectangle is screened one row (one y center) at a time, and only a row
+    that raises or is not finite is scanned on the scalar path.  So a sample
+    that fails on the scalar path alone (a component the residual does not
+    read overflows, or ``math`` and numpy round a function differently there)
+    is skipped with its clean row, and a later failing row is reported.
+    """
+    xs, n = centres[0], centres[0].size
+    evals = size = math.prod(c.size for c in centres)
+    for i in range(size // n):
+        if len(centres) > 1:
+            evals += n
+            try:
+                if np.isfinite(_evaluate(field, [xs, centres[1][i : i + 1]])).all():
+                    continue
+            except EvaluationError:
+                pass
+        for k in range(i * n, i * n + n):
+            p = _cell(centres, k)
+            evals += 1
+            try:
+                if not math.isfinite(_scalar_residual(field, p)):
+                    return (p, "residual is not finite", "evaluation"), evals
+            except EvaluationError as exc:
+                return (p, str(exc), _failure_kind(exc)), evals
+    return (_cell(centres, 0), "vectorized evaluation failed", "evaluation"), evals
 
 
 def _bisect(rfunc, p_neg, r_neg, p_pos, r_pos, residual_tol):
@@ -308,17 +330,22 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
         n = cfg.grid_n * (1 << level)
         steps = tuple((hi - lo) / n for lo, hi in axes)
         centres = [lo + (np.arange(n) + 0.5) * step for (lo, _), step in zip(axes, steps)]
-        values, failure = _grid_values(field, centres)
-        evals += n ** len(axes)
+        flat, failure, samples = _grid_values(field, centres)
+        evals += samples
+        if failure is None:
+            # argmin and argmax stop at the first NaN, and an infinity is an
+            # extreme, so the grid is finite exactly when both extremes are
+            k_lo, k_hi = int(flat.argmin()), int(flat.argmax())
+            if not np.isfinite(flat[[k_lo, k_hi]]).all():
+                k = int((~np.isfinite(flat)).argmax())
+                failure = (_cell(centres, k), "residual is not finite", "evaluation")
         if failure is not None:
             p, msg, kind = failure
             return failed(f"evaluation error at {_fmt(p)}: {msg}", kind)
-        grid_min = float(values.min())
-        grid_max = float(values.max())
-        flat = values.ravel()
+        grid_min, grid_max = float(flat[k_lo]), float(flat[k_hi])
 
         try:
-            if level == 0 and float(np.abs(values).max()) <= tol:
+            if level == 0 and max(-grid_min, grid_max) <= tol:
                 center = tuple(0.5 * (lo + hi) for lo, hi in axes)
                 r_center = counted(center)
                 probes = (
@@ -344,7 +371,7 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
             # bracket the best sample with its neighbour of opposite sign whose
             # |R| is largest; fall back to the extreme samples when it has none,
             # or when the scalar residuals disagree with the grid's signs
-            pairs = [(int(flat.argmin()), int(flat.argmax()))]  # (negative, positive)
+            pairs = [(k_lo, k_hi)]  # (negative, positive)
             side = np.sign(flat[k_best])
             opposite = [k for k in _neighbours(k_best, n, len(axes)) if np.sign(flat[k]) == -side]
             if side and opposite:

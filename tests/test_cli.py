@@ -576,6 +576,18 @@ def test_unknown_flag_exits_2(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--grid-n", "--refinements"])
+def test_verify_takes_only_the_tolerance_flag(capsys, flag):
+    verify = ["verify", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "0,1,0,1", "--point", "0.5,0.5"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(verify + [flag, "3"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    # --tau is validated as locate validates it
+    code, _, err = run_cli(capsys, *verify, "--tau", "0")
+    assert (code, err) == (2, "invalid input: tol_factor must be positive\n")
+
+
 def test_negative_expression_value_accepted(capsys):
     code, out, _ = run_cli(capsys, "parse", "--f", "-x^2+1")
     assert code == 0

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from rectmvt import harness
 from rectmvt.expr import evaluate, variables
 from rectmvt.harness import (
+    CaseResult,
     FunctionFamily,
     GenerationError,
     derive_seed,
@@ -13,7 +15,8 @@ from rectmvt.harness import (
     proof_path_check,
     run_sweep,
 )
-from rectmvt.theorems import Rectangle, corner_difference
+from rectmvt.locator import LocateConfig
+from rectmvt.theorems import DegenerateError, Rectangle, corner_difference
 from rectmvt.expr import parse
 import numpy as np
 
@@ -36,8 +39,9 @@ def test_family_from_name():
     assert family_from_name("bilinear").kind == "bilinear"
     assert family_from_name("exp-poly").kind == "exp-poly"
     assert family_from_name("rational").kind == "rational"
-    with pytest.raises(ValueError):
-        family_from_name("fourier")
+    for name in ("fourier", "exppoly"):
+        with pytest.raises(ValueError):
+            family_from_name(name)
 
 
 def test_generate_function_deterministic():
@@ -119,6 +123,41 @@ def test_run_sweep_deterministic():
     a = run_sweep("pompeiu2d", family, 10, 7)
     b = run_sweep("pompeiu2d", family, 10, 7)
     assert a == b
+
+
+def test_run_sweep_tallies_locate_failures():
+    # no search reaches this tolerance but a residual of exactly zero: two
+    # cases fail in locate, after their field (and so their scale) was built
+    cfg = LocateConfig(tol_factor=1e-300, max_refinements=1)
+    summary = run_sweep("rmvt", family_from_name("poly4"), 3, 42, cfg)
+    assert (summary.found, summary.degenerate, summary.failed) == (1, 0, 2)
+    failed = [c for c in summary.cases if c.outcome == "failed"]
+    assert summary.failing_seeds == tuple(c.seed for c in failed)
+    assert [c.index for c in failed] == [0, 2]
+    assert all(c.scale is not None and (c.xi1, c.xi2, c.residual) == (None,) * 3 for c in failed)
+    assert summary.max_found_ratio == summary.max_found_residual == 0.0
+
+
+def test_run_sweep_tallies_build_errors(monkeypatch):
+    reference = run_sweep("rmvt", family_from_name("poly4"), 3, 42)
+    real = harness.build_field
+    calls = []
+
+    def build_field(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise DegenerateError("corner difference of f is degenerate: 0.0")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "build_field", build_field)
+    summary = run_sweep("rmvt", family_from_name("poly4"), 3, 42)
+    seed = reference.cases[0].seed
+    assert summary.cases[0] == CaseResult(0, seed, "failed", None, None, None, None)
+    assert summary.cases[1:] == reference.cases[1:]
+    assert (summary.found, summary.failed, summary.failing_seeds) == (2, 1, (seed,))
+    # the failed case had the largest ratio when it was found; it counts no more
+    ratios = [abs(c.residual) / c.scale for c in reference.cases]
+    assert summary.max_found_ratio == max(ratios[1:]) < ratios[0]
 
 
 def test_run_sweep_rolle_and_one_dimensional_tags():

@@ -154,6 +154,89 @@ def test_locate_reports_evaluation_failure_point():
     assert "0.5" in report.diagnostics.failure
 
 
+def _table_field(cells: dict[int, float]) -> ResidualField:
+    """A residual on [0, 3] x [0, 3] that is constant on each cell of the 3 x 3
+    grid: ``cells`` maps a row-major cell index to its value, the rest read 0."""
+    table = np.zeros(9)
+    for k, value in cells.items():
+        table[k] = value
+
+    def residual(x, y):
+        k = 3 * np.floor(y).astype(int) + np.floor(x).astype(int)
+        return table[k] if isinstance(k, np.ndarray) else float(table[k])
+
+    return ResidualField(((0.0, 3.0), (0.0, 3.0)), residual, 1.0, {}, "test")
+
+
+@pytest.mark.parametrize(
+    "cells, first",
+    [
+        ({2: math.inf, 5: math.nan}, 2),  # a NaN after an infinity
+        ({1: -math.inf, 4: math.nan, 7: math.inf}, 1),  # -inf before a NaN
+        ({8: math.inf}, 8),  # a lone +inf in the last cell
+        ({0: 1.0, 3: math.nan, 6: -math.inf}, 3),
+    ],
+)
+def test_a_non_finite_grid_names_its_first_non_finite_cell(cells, first):
+    report = locate(_table_field(cells), LocateConfig(grid_n=3))
+    d = report.diagnostics
+    iy, ix = divmod(first, 3)
+    assert d.failure == f"evaluation error at ({ix + 0.5!r}, {iy + 0.5!r}): residual is not finite"
+    assert (report.outcome, d.failure_kind, d.level, d.evaluations) == ("failed", "evaluation", 0, 9)
+    assert (d.grid_min, d.grid_max) == (math.inf, -math.inf)
+
+
+def test_a_raising_grid_is_searched_row_by_row_and_every_evaluation_counted():
+    # a pole on the last row of cell centers: the vectorized grid raises, every
+    # row is screened, and the scalar scan of the last row fails at its first cell
+    c = 32.5 * (1.0 / 33)
+    report = locate(rect_mvt_residual(parse(f"x*y/(y-{c!r})"), Rectangle(0, 1, 0, 1)))
+    d = report.diagnostics
+    assert d.failure == f"evaluation error at ({0.5 / 33!r}, {c!r}): division by zero"
+    assert (d.failure_kind, d.level, d.evaluations) == ("domain", 0, 33 * 33 + 33 * 33 + 1)
+    # on an interval the scalar scan runs from the first cell, with no screen
+    line = locate(pompeiu1d_residual(parse(f"1/(x-{1 + c!r})"), 1, 2))
+    assert (line.diagnostics.failure_kind, line.diagnostics.evaluations) == ("domain", 33 + 33)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_a_grid_that_raises_only_when_vectorized_reports_its_first_cell(dims):
+    def residual(*p):
+        if isinstance(p[0], np.ndarray):
+            raise EvaluationError("vectorized only")
+        return 1.0
+
+    field = ResidualField(((0.0, 3.0),) * dims, residual, 1.0, {}, "test")
+    d = locate(field, LocateConfig(grid_n=3)).diagnostics
+    assert d.failure == f"evaluation error at {'(0.5, 0.5)' if dims == 2 else '(0.5)'}: vectorized evaluation failed"
+    # the grid, then on a rectangle three row screens, and every cell on the scalar path
+    assert (d.failure_kind, d.evaluations) == ("evaluation", 27 if dims == 2 else 6)
+
+
+def test_a_level0_grid_whose_largest_magnitude_is_minus_tol_is_degenerate():
+    tol = 1e-9  # the default tol_factor times scale 1
+    report = locate(_table_field({0: -tol, 8: 0.5 * tol}), LocateConfig(grid_n=3))
+    assert report.outcome == "degenerate-identically-zero"
+    assert (report.diagnostics.grid_min, report.diagnostics.grid_max) == (-tol, 0.5 * tol)
+    # one ulp more negative, and the search runs as usual
+    beyond = locate(_table_field({0: np.nextafter(-tol, -1.0), 8: 0.5 * tol}), LocateConfig(grid_n=3))
+    assert (beyond.outcome, beyond.point.method) == ("found", "grid-hit")
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_grid_extremes_of_a_found_report_are_the_grids(dims):
+    if dims == 1:
+        field = pompeiu1d_residual(parse("x^3 - x"), 1, 2)
+    else:
+        field = rect_mvt_residual(parse("x^2*y + sin(x*y)"), Rectangle(0, 1, 0, 1))
+    report = locate(field)
+    assert (report.outcome, report.diagnostics.level) == ("found", 0)
+    centres = [lo + (np.arange(33) + 0.5) * ((hi - lo) / 33) for lo, hi in field.axes]
+    grid = field.residual(*reversed(np.ix_(*reversed(centres))))
+    assert (report.diagnostics.grid_min, report.diagnostics.grid_max) == (grid.min(), grid.max())
+    assert grid.min() < 0.0 < grid.max()
+
+
 def test_locate_fails_when_no_zero_exists():
     # strictly positive residual: not a theorem field, locator must say failed
     field = _linear_field(0.0, 0.0, 1.0, Rectangle(0, 1, 0, 1))
