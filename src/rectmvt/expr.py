@@ -88,6 +88,13 @@ class OutOfDomainError(EvaluationError):
     :class:`EvaluationError`."""
 
 
+class SignChangeError(OutOfDomainError):
+    """A quantity that must not vanish, such as a divisor, takes both signs on
+    a grid of samples but is zero at none of them.  It is continuous wherever
+    it is defined, so it vanishes, or is itself undefined, between two
+    samples; no single sample fails."""
+
+
 @dataclass(frozen=True)
 class Const:
     value: float

@@ -9,8 +9,9 @@ and fall back to coordinate descent on |R|.
 Grid screening is vectorized and reads each grid once for its two extremes,
 which also tell whether it is finite, and once for the sample nearest zero; a
 grid whose vectorized evaluation raises is searched row by row for its first
-failing sample.  Every residual that ends up in a report is re-evaluated
-through the scalar path so reports are exactly reproducible.
+failing sample, or for a divisor that changes sign between samples.  Every
+residual that ends up in a report is re-evaluated through the scalar path so
+reports are exactly reproducible.
 One search serves both domains: it runs over the field's per-axis bounds, one
 axis for an interval and two for a rectangle, whose grid is indexed [iy, ix].
 """
@@ -24,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import EvaluationError, OutOfDomainError
+from .expr import EvaluationError, OutOfDomainError, SignChangeError
 from .theorems import DomainError, Rectangle, ResidualField
 
 Point = tuple[float, ...]
@@ -158,23 +159,28 @@ def _grid_values(field: ResidualField, centres: list[np.ndarray]):
     """
     try:
         values = _evaluate(field, centres)
-    except EvaluationError:
-        return None, *_first_failure(field, centres)
+    except EvaluationError as exc:
+        return None, *_first_failure(field, centres, exc)
     shape = tuple(c.size for c in reversed(centres))
     values = np.broadcast_to(np.asarray(values, dtype=float), shape)
     return values.ravel(), None, values.size
 
 
-def _first_failure(field: ResidualField, centres: list[np.ndarray]):
-    """Search a grid whose vectorized evaluation raised for the first cell, in
-    row-major order, whose scalar residual raises or is not finite; returns
-    ``(failure, evaluations)``, counting the grid's own samples too.
+def _first_failure(field: ResidualField, centres: list[np.ndarray], error: EvaluationError):
+    """Search a grid whose vectorized evaluation raised ``error`` for the first
+    cell, in row-major order, whose scalar residual raises or is not finite;
+    returns ``(failure, evaluations)``, counting the grid's own samples too.
 
     A rectangle is screened one row (one y center) at a time, and only a row
     that raises or is not finite is scanned on the scalar path.  So a sample
-    that fails on the scalar path alone (a component the residual does not
-    read overflows, or ``math`` and numpy round a function differently there)
-    is skipped with its clean row, and a later failing row is reported.
+    that fails on the scalar path alone (``math`` and numpy round a function
+    differently there) is skipped with its clean row, and a later failing row
+    is reported.  A divisor that takes both signs on a row, or on an
+    interval's grid, vanishes between two of its samples, but at none of them
+    (:class:`SignChangeError`): that proof is reported at once, as a domain
+    failure at the row's first cell.  One that changes sign only across rows
+    is reported at the grid's first cell when no row fails.  A divisor that
+    dips to zero between samples without changing sign on them is missed.
     """
     xs, n = centres[0], centres[0].size
     evals = size = math.prod(c.size for c in centres)
@@ -184,8 +190,12 @@ def _first_failure(field: ResidualField, centres: list[np.ndarray]):
             try:
                 if np.isfinite(_evaluate(field, [xs, centres[1][i : i + 1]])).all():
                     continue
+            except SignChangeError as exc:
+                return (_cell(centres, i * n), str(exc), "domain"), evals
             except EvaluationError:
                 pass
+        elif isinstance(error, SignChangeError):
+            break
         for k in range(i * n, i * n + n):
             p = _cell(centres, k)
             evals += 1
@@ -194,6 +204,8 @@ def _first_failure(field: ResidualField, centres: list[np.ndarray]):
                     return (p, "residual is not finite", "evaluation"), evals
             except EvaluationError as exc:
                 return (p, str(exc), _failure_kind(exc)), evals
+    if isinstance(error, SignChangeError):
+        return (_cell(centres, 0), str(error), "domain"), evals
     return (_cell(centres, 0), "vectorized evaluation failed", "evaluation"), evals
 
 

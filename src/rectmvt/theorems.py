@@ -27,14 +27,13 @@ from .expr import (
     Const,
     EvaluationError,
     Expression,
-    OutOfDomainError,
     Var,
     const,
     evaluate,
     substitute,
     variables,
 )
-from .hyperdual import Program, compile_hyperdual, eval_hyperdual
+from .hyperdual import Derivatives, Program, check_divisor, compile_hyperdual, eval_hyperdual
 
 __all__ = [
     "DegenerateError",
@@ -74,13 +73,16 @@ class Theorem:
     ``needs_g``: the theorem takes a second function g.  ``one_dim``: its
     domain is an interval rather than a rectangle.  ``zero_free``: its domain
     must avoid the axes; only case generation reads this, since the residual
-    builders check their own domains.
+    builders check their own domains.  ``reads``: the derivative components
+    of f (and of g) that its residual reads, which are all its builder
+    compiles.
     """
 
     tag: str
     needs_g: bool = False
     one_dim: bool = False
     zero_free: bool = False
+    reads: tuple[str, ...] = Derivatives._fields
 
     def check_g(self, g: Optional[Expression]) -> None:
         if self.needs_g and g is None:
@@ -92,13 +94,13 @@ class Theorem:
 THEOREMS = {
     t.tag: t
     for t in (
-        Theorem("rolle"),
-        Theorem("rmvt"),
-        Theorem("cauchy", needs_g=True),
+        Theorem("rolle", reads=("dxy",)),
+        Theorem("rmvt", reads=("dxy",)),
+        Theorem("cauchy", needs_g=True, reads=("dxy",)),
         Theorem("pompeiu2d", zero_free=True),
         Theorem("boggio2d", needs_g=True, zero_free=True),
-        Theorem("pompeiu1d", one_dim=True, zero_free=True),
-        Theorem("boggio1d", needs_g=True, one_dim=True, zero_free=True),
+        Theorem("pompeiu1d", one_dim=True, zero_free=True, reads=("v", "dx")),
+        Theorem("boggio1d", needs_g=True, one_dim=True, zero_free=True, reads=("v", "dx")),
     )
 }
 
@@ -222,7 +224,7 @@ def corner_difference(f: Expression, r: Rectangle) -> float:
 
 def _mixed_partial_magnitude(program: Program, r: Rectangle, n: int = 9) -> float:
     """Max |f_xy| over an n x n cell-center sample of f's compiled ``program``,
-    for scale estimates."""
+    which must read ``dxy``, for scale estimates."""
     xs = r.x1 + (np.arange(n) + 0.5) * (r.width / n)
     ys = r.y1 + (np.arange(n) + 0.5) * (r.height / n)
     try:
@@ -239,7 +241,7 @@ def rect_rolle_residual(f: Expression, r: Rectangle) -> ResidualField:
     Requires the corner identity f(x1,y1) + f(x2,y2) = f(x1,y2) + f(x2,y1);
     under it some interior point has a vanishing mixed partial.
     """
-    fp = compile_hyperdual(f)
+    fp = compile_hyperdual(f, THEOREMS["rolle"].reads)
     corners = _corners(f, r, low_first=True)
     hypothesis_scale = 1.0 + max(abs(c) for c in corners)
     delta = _difference(corners)
@@ -262,7 +264,7 @@ def rect_mvt_residual(f: Expression, r: Rectangle) -> ResidualField:
 
     R(x, y) = [f(x2,y2) - f(x2,y1) - f(x1,y2) + f(x1,y1)] - (x2-x1)(y2-y1) f_xy(x, y)
     """
-    fp = compile_hyperdual(f)
+    fp = compile_hyperdual(f, THEOREMS["rmvt"].reads)
     delta = corner_difference(f, r)
     area = r.area
 
@@ -280,7 +282,8 @@ def rect_cauchy_residual(f: Expression, g: Expression, r: Rectangle) -> Residual
     assumption on interior zeros of g_xy and has the same zero set wherever
     the quotient form is defined.
     """
-    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
+    reads = THEOREMS["cauchy"].reads
+    fp, gp = compile_hyperdual(f, reads), compile_hyperdual(g, reads)
     delta_f = corner_difference(f, r)
     delta_g = corner_difference(g, r)
     scale = 1.0 + abs(delta_f) + abs(delta_g)
@@ -326,7 +329,7 @@ def pompeiu2d_residual(f: Expression, r: Rectangle) -> ResidualField:
             "Pompeiu's theorem needs a zero-free rectangle "
             f"(x1*x2 > 0 and y1*y2 > 0), got {r}"
         )
-    fp = compile_hyperdual(f)
+    fp = compile_hyperdual(f, THEOREMS["pompeiu2d"].reads)
     rhs = pompeiu_rhs(f, r)
 
     def residual(x, y):
@@ -346,7 +349,8 @@ def boggio2d_residual(f: Expression, g: Expression, r: Rectangle) -> ResidualFie
             "Boggio's theorem needs a zero-free rectangle "
             f"(x1*x2 > 0 and y1*y2 > 0), got {r}"
         )
-    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
+    reads = THEOREMS["boggio2d"].reads
+    fp, gp = compile_hyperdual(f, reads), compile_hyperdual(g, reads)
     f_corners, g_corners = _corners(f, r), _corners(g, r)
     delta_f = _difference(f_corners)
     delta_g = _difference(g_corners)
@@ -393,7 +397,7 @@ def pompeiu1d_residual(f: Expression, x1: float, x2: float) -> ResidualField:
     _check_interval(x1, x2)
     if "y" in variables(f):
         raise ValueError("one-dimensional theorems take expressions in x only")
-    fp = compile_hyperdual(f)
+    fp = compile_hyperdual(f, THEOREMS["pompeiu1d"].reads)
     rhs = (x1 * _eval_1d(f, x2) - x2 * _eval_1d(f, x1)) / (x1 - x2)
 
     def residual(xi):
@@ -414,7 +418,8 @@ def boggio1d_residual(f: Expression, g: Expression, x1: float, x2: float) -> Res
     for name, e in (("f", f), ("g", g)):
         if "y" in variables(e):
             raise ValueError(f"one-dimensional theorems take expressions in x only ({name})")
-    fp, gp = compile_hyperdual(f), compile_hyperdual(g)
+    reads = THEOREMS["boggio1d"].reads
+    fp, gp = compile_hyperdual(f, reads), compile_hyperdual(g, reads)
     g1, g2 = _eval_1d(g, x1), _eval_1d(g, x2)
     if abs(g1 - g2) <= DEGENERACY_FACTOR * (1.0 + abs(g1) + abs(g2)):
         raise DegenerateError(f"g takes equal values at the endpoints: {g1!r}, {g2!r}")
@@ -423,12 +428,12 @@ def boggio1d_residual(f: Expression, g: Expression, x1: float, x2: float) -> Res
     def residual(xi):
         fv, fdx, _, _ = fp(xi, 0.0)
         gv, gdx, _, _ = gp(xi, 0.0)
-        slope_zero = gdx == 0
-        if isinstance(slope_zero, np.ndarray):
-            slope_zero = slope_zero.any()
-        if slope_zero:
-            # a zero divisor, and g' != 0 is a hypothesis of Boggio's theorem
-            raise OutOfDomainError("g' vanishes at an evaluation point")
+        # a divisor, and g' != 0 is a hypothesis of Boggio's theorem
+        check_divisor(
+            gdx,
+            "g' vanishes at an evaluation point",
+            "g' changes sign between samples, so it vanishes between them",
+        )
         return (fv - (gv / gdx) * fdx) - rhs
 
     return ResidualField(((x1, x2),), residual, 1.0 + abs(rhs), {"rhs": rhs}, "boggio1d")

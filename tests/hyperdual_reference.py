@@ -1,10 +1,12 @@
 """The hyper-dual reference: the arithmetic that ``compile_hyperdual``'s
-programs must reproduce bit for bit, one operator at a time.
+programs must reproduce bit for bit, one operator at a time, on the
+components they read and with the exceptions that function names.
 
 :class:`HyperDual` carries ``(v, dx, dy, dxy)`` through each arithmetic
 operator and each of ``sin``/``cos``/``exp``/``log``/``sqrt`` (Fike & Alonso,
-AIAA 2011-886).  :func:`evaluate` runs an expression tree over such numbers:
-plain operands take the float rules of ``rectmvt.expr`` and mixed operands
+AIAA 2011-886), computing all four components and every term of each, zero
+or not.  :func:`evaluate` runs an expression tree over such numbers: plain
+operands take the float rules of ``rectmvt.expr`` and mixed operands
 Python's reflected operators.  A helper module for the tests, not a test file.
 """
 
@@ -21,6 +23,7 @@ from rectmvt.expr import (
     Expression,
     Neg,
     OutOfDomainError,
+    SignChangeError,
     Var,
     _call_real,
     _fmt_number,
@@ -110,6 +113,9 @@ class HyperDual:
     def reciprocal(self) -> "HyperDual":
         if _any(self.v == 0):
             raise OutOfDomainError("division by zero")
+        # a grid on which the divisor takes both signs proves a zero between samples
+        if isinstance(self.v, np.ndarray) and (self.v < 0).any() and (self.v > 0).any():
+            raise SignChangeError("divisor changes sign between samples, so it vanishes between them")
         inv = 1.0 / self.v
         return self._chain(inv, -inv * inv, 2.0 * (inv * inv) * inv)
 

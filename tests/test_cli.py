@@ -86,6 +86,12 @@ def test_locate_interior_pole_exits_3(capsys):
             ("--theorem", "rmvt", "--f", "1/(x-0.5)*y^2", "--rect", "0,1,0,1"),
             "evaluation error at (0.5, 0.015151515151515152): division by zero",
         ),
+        # the rmvt residual reads only f_xy, which the log term cannot change,
+        # but the log of zero at the cell center x = 0.5 still fails
+        (
+            ("--theorem", "rmvt", "--f", "x*y+log((x-0.5)^2)", "--rect", "0,1,0,1"),
+            "evaluation error at (0.5, 0.015151515151515152): log of a non-positive value",
+        ),
         # g' = 3(x-1.5)^2 vanishes at the grid point 1.5; Boggio's theorem assumes g' != 0
         (
             ("--theorem", "boggio1d", "--f", "x^3", "--g", "(x-1.5)^3", "--rect", "1,2"),
@@ -105,6 +111,61 @@ def test_locate_domain_error_inside_exits_3_with_the_failed_document(capsys, arg
         None,
     )
     assert doc["failure"] == failure
+
+
+_SIGN = "divisor changes sign between samples, so it vanishes between them"
+_FIRST = 0.5 / 33
+_FIRST_1_2 = 1 + 0.5 / 33
+
+
+# a pole between two cell centers, which no sample hits: the divisor, or g' for
+# Boggio, takes both signs on the grid, so by continuity it vanishes between
+# two samples and f violates the theorem's hypothesis (exit 3); the failure is
+# reported at the first cell of the row that proves it, after one row screen
+# on a rectangle and none on an interval
+@pytest.mark.parametrize(
+    "argv, failure, evaluations",
+    [
+        (
+            ("--theorem", "rmvt", "--f", "x*y/(x-0.51234567)", "--rect", "0,1,0,1"),
+            f"evaluation error at ({_FIRST!r}, {_FIRST!r}): {_SIGN}",
+            33 * 33 + 33,
+        ),
+        (
+            ("--theorem", "pompeiu1d", "--f", "1/(x-1.51234567)", "--rect", "1,2"),
+            f"evaluation error at ({_FIRST_1_2!r}): {_SIGN}",
+            33,
+        ),
+        (
+            ("--theorem", "boggio1d", "--f", "x^3", "--g", "(x-1.3)^2", "--rect", "1,2"),
+            f"evaluation error at ({_FIRST_1_2!r}): g' changes sign between samples, "
+            "so it vanishes between them",
+            33,
+        ),
+        # the residual vanishes wherever f is defined, which once read as
+        # degenerate-identically-zero
+        (
+            ("--theorem", "pompeiu2d", "--f", "x*y/(x-1.7654321)", "--rect", "1,2,1,2"),
+            f"evaluation error at ({_FIRST_1_2!r}, {_FIRST_1_2!r}): {_SIGN}",
+            33 * 33 + 33,
+        ),
+    ],
+)
+def test_locate_a_pole_between_samples_exits_3(capsys, argv, failure, evaluations):
+    code, out, err = run_cli(capsys, "locate", *argv)
+    assert code == 3
+    assert err == ""
+    doc = json.loads(out)
+    assert (doc["outcome"], doc["point"], doc["failure"]) == ("failed", None, failure)
+    assert doc["evaluations"] == evaluations
+
+
+def test_locate_a_domain_failure_at_a_corner_exits_3(capsys):
+    code, _, err = run_cli(
+        capsys, "locate", "--theorem", "rmvt", "--f", "x*y+log(x-0.5)", "--rect", "0,1,0,1"
+    )
+    assert code == 3
+    assert err == "evaluation failed: log of a non-positive value\n"
 
 
 @pytest.mark.parametrize(

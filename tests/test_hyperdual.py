@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,13 +13,20 @@ from rectmvt.expr import (
     EvaluationError,
     Neg,
     OutOfDomainError,
+    SignChangeError,
     Var,
     parse,
     pretty_print,
     substitute,
 )
 from rectmvt.theorems import Rectangle, pompeiu1d_residual
-from rectmvt.hyperdual import MAX_INT_POWER, compile_hyperdual, eval_hyperdual, finite_difference_oracle
+from rectmvt.hyperdual import (
+    MAX_INT_POWER,
+    Derivatives,
+    compile_hyperdual,
+    eval_hyperdual,
+    finite_difference_oracle,
+)
 
 import hyperdual_reference as reference
 from hyperdual_reference import HyperDual, lift, seed_x, seed_y
@@ -251,9 +259,38 @@ def test_dual_division_and_power():
 
 # -- the compiled program against the HyperDual reference ----------------------
 #
-# compile_hyperdual must do HyperDual's arithmetic bit for bit: equal
-# components compared as int64 bit patterns (so signed zeros and NaN payloads
-# count), equal types and shapes, and the same exception type and message.
+# compile_hyperdual(f, reads) must do HyperDual's arithmetic bit for bit on
+# every component it reads: equal components compared as int64 bit patterns
+# (so signed zeros and NaN payloads count), and the same exception type and
+# message for every domain and exponent check.  The exceptions are the two
+# compile_hyperdual names, for terms it drops as structurally zero and for
+# components it does not compute:
+#   1. the sign of a zero may differ;
+#   2. where the reference's component is NaN (a dropped 0 * inf), the
+#      program's may be anything, and an error of a float operation the program
+#      need not run -- an overflow, a math domain error of a non-finite
+#      argument, a numpy floating-point error, a non-finite component it does
+#      not read -- need not be raised.
+# A component it does not read is None; one the reference computes as an
+# array may come back as a float that broadcasts to it, when no term of it
+# depends on x or y.
+
+_READS = [tuple(n for c, n in enumerate(Derivatives._fields) if m >> c & 1) for m in range(16)]
+_CHECK_MESSAGES = {
+    "division by zero",
+    "divisor changes sign between samples, so it vanishes between them",
+    "log of a non-positive value",
+    "sqrt needs a positive argument for its derivatives",
+    "fractional power needs a positive base",
+    "power with a varying exponent needs a positive base",
+}
+
+
+def _is_check(exc) -> bool:
+    message = str(exc)
+    if isinstance(exc, OutOfDomainError) and message in _CHECK_MESSAGES:
+        return True
+    return message.startswith("integer exponents must be at most MAX_INT_POWER")
 
 
 def _reference(f, x, y):
@@ -274,12 +311,68 @@ def _bits(c):
     return (type(c), a.shape, a.view(np.int64).tobytes())
 
 
-def _outcome(run, x, y):
+def _run(program, x, y):
     try:
-        comps = run(x, y)
+        return program(x, y)
     except (EvaluationError, FloatingPointError) as exc:
-        return ("raised", type(exc), str(exc))
-    return tuple(_bits(c) for c in comps)
+        return exc
+
+
+def _check_component(got, want, tally) -> None:
+    if isinstance(want, float):
+        assert isinstance(got, float), (got, want)
+    w = np.asarray(want, dtype=np.float64)
+    g = np.asarray(got, dtype=np.float64)
+    assert np.broadcast_shapes(g.shape, w.shape) == w.shape, (g.shape, w.shape)
+    g = np.broadcast_to(g, w.shape)
+    same = w.view(np.int64) == g.view(np.int64)
+    zero_sign = ~same & (w == 0) & (g == 0)  # exception 1
+    nan = ~same & np.isnan(w)  # exception 2
+    assert (same | zero_sign | nan).all(), (got, want)
+    tally["exact"] += int(same.sum())
+    tally["zero sign"] += int(zero_sign.sum())
+    tally["reference nan"] += int(nan.sum())
+
+
+def _check_outcome(got, want, reads, tally) -> None:
+    if isinstance(want, Exception):
+        if _is_check(want):
+            assert isinstance(got, Exception), (reads, got, want)
+            assert (type(got), str(got)) == (type(want), str(want)), reads
+            tally["same check"] += 1
+        elif isinstance(got, Exception):
+            tally["same error" if (type(got), str(got)) == (type(want), str(want)) else "other error"] += 1
+        else:  # exception 2: the program skipped the failing operation
+            tally["skipped error"] += 1
+        return
+    assert not isinstance(got, Exception), (reads, got)
+    assert len(got) == 4
+    for c, name in enumerate(Derivatives._fields):
+        if name in reads:
+            _check_component(got[c], want[c], tally)
+        else:
+            assert got[c] is None, (reads, name, got[c])
+
+
+def _assert_program_matches_reference(f, points, tally=None):
+    """Compare the programs of f for every set of components read, and the
+    default one, with the reference at each point; returns whether the
+    reference raised at each point."""
+    tally = Counter() if tally is None else tally
+    programs = [(reads, compile_hyperdual(f, reads)) for reads in _READS]
+    programs.append((Derivatives._fields, compile_hyperdual(f)))
+    outcomes = []
+    for x, y in points:
+        # a numpy floating-point error, when raised, must come from the
+        # reference's operations: raise them too on grids
+        for mode in ("ignore", "raise") if isinstance(x, np.ndarray) else ("ignore",):
+            with np.errstate(all=mode):
+                want = _run(lambda a, b: _reference(f, a, b), x, y)
+                for reads, program in programs:
+                    _check_outcome(_run(program, x, y), want, reads, tally)
+            if mode == "ignore":
+                outcomes.append(isinstance(want, Exception))
+    return outcomes
 
 
 _CONSTANT_SUBTREES = [
@@ -341,35 +434,23 @@ _YS = np.linspace(-0.5, 1.5, 33)
 _GRIDS = [(_XS[np.newaxis, :], _YS[:, np.newaxis]), (_XS, 0.0)]
 
 
-def _assert_program_matches_reference(f, points):
-    program = compile_hyperdual(f)
-    outcomes = []
-    for x, y in points:
-        with np.errstate(all="ignore"):
-            want = _outcome(lambda a, b: _reference(f, a, b), x, y)
-            got = _outcome(program, x, y)
-        assert got == want, (pretty_print(f), x, y)
-        outcomes.append(want[0] == "raised")
-        if isinstance(x, np.ndarray):
-            # a numpy floating-point error must come from the same operation
-            with np.errstate(all="raise"):
-                assert _outcome(program, x, y) == _outcome(lambda a, b: _reference(f, a, b), x, y)
-    return outcomes
-
-
 def test_compiled_program_matches_hyperdual_on_random_trees():
     rng = random.Random(4242)
     kinds: set = set()
     raised = returned = 0
+    tally = Counter()
     for _ in range(400):
         f = _random_tree(rng, 4)
         _node_kinds(f, kinds)
-        for did_raise in _assert_program_matches_reference(f, _SCALAR_POINTS + _GRIDS):
+        for did_raise in _assert_program_matches_reference(f, _SCALAR_POINTS + _GRIDS, tally):
             raised += did_raise
             returned += not did_raise
     assert kinds >= {"const", "x", "y", "neg", "+", "-", "*", "/", "^", *FUNCTIONS}
     # both the value path and the error path were exercised many times
     assert raised > 200 and returned > 200
+    # the checks were compared many times, and most components matched exactly
+    assert tally["same check"] > 1000
+    assert tally["exact"] > 20 * (tally["zero sign"] + tally["reference nan"])
 
 
 @pytest.mark.parametrize(
@@ -450,3 +531,124 @@ def test_domain_errors_are_out_of_domain_and_overflow_is_not():
     with pytest.raises(EvaluationError, match="math range error") as info:
         compile_hyperdual(parse("exp(x)"))(1000.0, 0.0)
     assert not isinstance(info.value, OutOfDomainError)
+
+
+# -- the components a program reads ---------------------------------------------
+
+
+def test_unread_components_are_none_and_structural_zeros_are_float_zero():
+    program = compile_hyperdual(parse("x^2"), ("v", "dy", "dxy"))
+    assert program(3.0, 5.0) == (9.0, None, 0.0, 0.0)
+    v, dx, dy, dxy = program(_XS[np.newaxis, :], _YS[:, np.newaxis])
+    assert (dx, dy, dxy) == (None, 0.0, 0.0) and type(dy) is float
+    assert compile_hyperdual(parse("x*y"), ("dxy",))(2.0, 3.0) == (None, None, None, 1.0)
+    assert compile_hyperdual(parse("3"), ("dx",))(2.0, 3.0) == (None, 0.0, None, None)
+    # the default reads all four, as eval_hyperdual does
+    assert compile_hyperdual(parse("x^2*y"))(2.0, 3.0) == eval_hyperdual(parse("x^2*y"), 2.0, 3.0)
+
+
+@pytest.mark.parametrize("reads", [("dz",), ("v", "d"), "dxy"])
+def test_reads_must_name_components(reads):
+    with pytest.raises((ValueError, TypeError)):
+        compile_hyperdual(parse("x*y"), reads)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("x*y + log(x-0.5)", OutOfDomainError, "log of a non-positive value"),
+        ("x*y + sqrt(x-0.5)", OutOfDomainError, "sqrt needs a positive argument"),
+        ("x*y - 1/(x-x)", OutOfDomainError, "division by zero"),
+        ("x*y + (x-0.5)^1.5", OutOfDomainError, "fractional power needs a positive base"),
+        ("x*y + (x-0.5)^x", OutOfDomainError, "power with a varying exponent"),
+        ("x*y + 2*(1/0)", OutOfDomainError, "float division by zero"),
+        ("(x-0.5)^0 * y^2 * log(x-0.5)", OutOfDomainError, "log of a non-positive value"),
+        ("exp(y)*x + x/(x-0.25)", OutOfDomainError, "division by zero"),
+    ],
+)
+def test_a_check_inside_an_unread_subtree_still_raises(text, error, message):
+    # at x = 0.25 every check above fails inside a term whose dxy and dy are
+    # structurally zero, or whose components are never read at all
+    f = parse(text)
+    grid = (np.array([0.25, 0.75])[np.newaxis, :], np.array([0.5, 1.0])[:, np.newaxis])
+    for reads in (("dxy",), ("dy",), ()):
+        program = compile_hyperdual(f, reads)
+        with pytest.raises(error, match=message):
+            program(0.25, 0.75)
+        with np.errstate(all="ignore"), pytest.raises(error, match=message):
+            program(*grid)
+
+
+def test_an_exponent_bound_inside_an_unread_subtree_still_raises():
+    # an exponent that depends on y but is an integer when evaluated takes the
+    # integer power, whose bound is checked on scalar inputs
+    for reads in (("dx",), ()):
+        with pytest.raises(EvaluationError, match="at most MAX_INT_POWER = 1024"):
+            compile_hyperdual(parse("x + 2^(y-y+2000)"), reads)(0.25, 0.75)
+
+
+def test_an_overflow_only_an_unread_component_sees_does_not_fail():
+    f = parse("x*y + exp(1000*x)")
+    with pytest.raises(EvaluationError, match="math range error"):
+        compile_hyperdual(f)(1.0, 2.0)
+    # exp(1000*x) has no dxy, so a program reading dxy never evaluates it
+    assert compile_hyperdual(f, ("dxy",))(1.0, 2.0) == (None, None, None, 1.0)
+    # a component read that overflows still fails
+    with pytest.raises(EvaluationError, match="non-finite derivative component"):
+        compile_hyperdual(parse("1e10*x*y*exp(700*x)"), ("dxy",))(1.0, 2.0)
+
+
+def test_a_divisor_that_takes_both_signs_on_a_grid_raises_sign_change():
+    program = compile_hyperdual(parse("1/(x-0.3)"), ("v", "dx"))
+    xs = np.linspace(0.0, 1.0, 8)  # 0.3 is between samples
+    with pytest.raises(SignChangeError, match="divisor changes sign between samples"):
+        program(xs, 0.0)
+    # a sample on the pole is the plain zero divisor, which the row scan finds
+    with pytest.raises(OutOfDomainError, match="division by zero") as info:
+        program(np.array([0.1, 0.3, 0.5]), 0.0)
+    assert not isinstance(info.value, SignChangeError)
+    # one sign, or any scalar, is no proof
+    assert np.isfinite(program(np.array([0.4, 0.5, 0.9]), 0.0)[0]).all()
+    assert program(0.9, 0.0)[0] == pytest.approx(1 / 0.6)
+    # a NaN sample (x * 1e308 overflows at x = 2, and inf - inf is NaN) is
+    # passed over: the other samples decide
+    nan_first = compile_hyperdual(parse("1/((x-0.3) + (x*1e308 - x*1e308))"), ("v",))
+    with np.errstate(all="ignore"):
+        v = nan_first(np.array([2.0, 0.4, 0.5]), 0.0)[0]
+        assert np.isnan(v[0]) and np.isfinite(v[1:]).all()
+        with pytest.raises(SignChangeError):
+            nan_first(np.array([2.0, 0.2, 0.5]), 0.0)
+
+
+class _Counted(np.ndarray):
+    """An array that counts the operations whose result is a full 2-D grid."""
+
+    grids = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        args = [np.asarray(a) if isinstance(a, _Counted) else a for a in inputs]
+        out = getattr(ufunc, method)(*args, **kwargs)
+        if isinstance(out, np.ndarray):
+            if out.ndim == 2 and min(out.shape) > 1:
+                _Counted.grids += 1
+            return out.view(_Counted)
+        return out
+
+
+def _grid_operations(run) -> int:
+    x = np.linspace(1.0, 2.0, 9)[np.newaxis, :].view(_Counted)
+    y = np.linspace(1.0, 2.0, 9)[:, np.newaxis].view(_Counted)
+    _Counted.grids = 0
+    run(x, y)
+    return _Counted.grids
+
+
+def test_a_monomial_mixed_partial_is_one_grid_product():
+    # 2*x^3*y^2: the x and y factors are computed on a row and a column, and
+    # only a product of the two is a full grid
+    f = parse("2*x^3*y^2")
+    assert _grid_operations(compile_hyperdual(f, ("dxy",))) == 1
+    assert _grid_operations(compile_hyperdual(f, ("v", "dx"))) == 2
+    assert _grid_operations(compile_hyperdual(f)) == 4
+    # every component, every term: 14 grid operations, 7 of them for dxy
+    assert _grid_operations(lambda x, y: reference.evaluate(f, seed_x(x), seed_y(y))) == 14

@@ -199,6 +199,30 @@ def test_a_raising_grid_is_searched_row_by_row_and_every_evaluation_counted():
     assert (line.diagnostics.failure_kind, line.diagnostics.evaluations) == ("domain", 33 + 33)
 
 
+def test_a_divisor_that_changes_sign_between_samples_is_a_domain_failure():
+    # no cell center hits the pole, but the divisor takes both signs: along
+    # each row, the first row screen proves it and is reported at its first cell
+    sign = "divisor changes sign between samples, so it vanishes between them"
+    c = 0.5 / 33
+    report = locate(rect_mvt_residual(parse("x*y/(x-0.51234567)"), Rectangle(0, 1, 0, 1)))
+    d = report.diagnostics
+    assert (report.outcome, d.failure_kind) == ("failed", "domain")
+    assert d.failure == f"evaluation error at ({c!r}, {c!r}): {sign}"
+    assert d.evaluations == 33 * 33 + 33
+    # across rows only: no row proves it, so all are screened, with no scalar
+    # scan, and the grid's own proof is reported at its first cell
+    d = locate(rect_mvt_residual(parse("x*y/(y-0.51234567)"), Rectangle(0, 1, 0, 1))).diagnostics
+    assert (d.failure_kind, d.failure) == ("domain", f"evaluation error at ({c!r}, {c!r}): {sign}")
+    assert d.evaluations == 33 * 33 + 33 * 33
+    # an interval is one row, reported at once
+    d = locate(pompeiu1d_residual(parse("1/(x-1.51234567)"), 1, 2)).diagnostics
+    assert (d.failure_kind, d.evaluations) == ("domain", 33)
+    # a divisor that dips to zero between samples without a sign change is
+    # missed: the residual is finite at every sample, and the search runs out
+    d = locate(pompeiu1d_residual(parse("1/(x-1.51234567)^2"), 1, 2)).diagnostics
+    assert d.failure_kind == "exhausted"
+
+
 @pytest.mark.parametrize("dims", [1, 2])
 def test_a_grid_that_raises_only_when_vectorized_reports_its_first_cell(dims):
     def residual(*p):

@@ -7,6 +7,7 @@ import pytest
 
 from rectmvt import cli, theorems
 from rectmvt.expr import BinOp, Const, Var, EvaluationError, OutOfDomainError, evaluate, parse
+from rectmvt.hyperdual import Derivatives
 from rectmvt.harness import (
     FunctionFamily,
     build_field,
@@ -557,9 +558,12 @@ def test_each_field_compiles_f_and_g_once(monkeypatch, tag, f_text, g_text, boun
     compiled = []
     real = theorems.compile_hyperdual
 
-    def counting(expr):
+    requested = set()
+
+    def counting(expr, reads=Derivatives._fields):
         compiled.append(expr)
-        return real(expr)
+        requested.add(tuple(reads))
+        return real(expr, reads)
 
     monkeypatch.setattr(theorems, "compile_hyperdual", counting)
     f = parse(f_text)
@@ -574,6 +578,40 @@ def test_each_field_compiles_f_and_g_once(monkeypatch, tag, f_text, g_text, boun
         assert np.isfinite(field.residual(*grid)).all()
     want = [f] if g is None else [f, g]
     assert sorted(map(id, compiled)) == sorted(map(id, want))
+    # each function is compiled for the components its residual reads
+    assert requested == {THEOREMS[tag].reads}
+
+
+@pytest.mark.parametrize("tag", tuple(THEOREMS))
+def test_residuals_from_the_components_read_equal_those_from_all_four(monkeypatch, tag):
+    # each builder compiles f (and g) for the components its theorem's row
+    # names; fields built from programs that compute all four components give
+    # the same residuals, up to the sign of a zero, on grids and at points
+    from rectmvt.harness import _build_case, _theorem
+
+    assert set(THEOREMS[tag].reads) <= set(Derivatives._fields)
+    real = theorems.compile_hyperdual
+    compared = 0
+    for family in ("poly4", "bilinear", "separable", "exp-poly", "rational"):
+        for i in range(6):
+            seed = derive_seed(71, i)
+            try:
+                read = _build_case(_theorem(tag), family_from_name(family), seed)
+            except (DegenerateError, HypothesisError):
+                continue
+            monkeypatch.setattr(theorems, "compile_hyperdual", lambda f, reads=None: real(f))
+            full = _build_case(_theorem(tag), family_from_name(family), seed)
+            monkeypatch.setattr(theorems, "compile_hyperdual", real)
+            centres = [lo + (np.arange(17) + 0.5) * ((hi - lo) / 17) for lo, hi in read.axes]
+            grid = centres if len(centres) == 1 else [centres[0][np.newaxis, :], centres[1][:, np.newaxis]]
+            with np.errstate(all="ignore"):
+                got, want = read.residual(*grid), full.residual(*grid)
+            assert np.array_equal(np.broadcast_to(got, np.shape(want)), want, equal_nan=True)
+            for k in range(5):
+                point = [float(c[(3 * k + 1) % 17]) for c in centres]
+                assert read.residual(*point) == full.residual(*point)
+            compared += 1
+    assert compared >= 20
 
 
 # -- each corner evaluated once ---------------------------------------------------
