@@ -1,5 +1,5 @@
-"""Time compiling residual programs and screening residual grids on the cases
-``run_sweep`` generates, for each theorem and family.
+"""Time compiling residual programs, calling them on scalars and screening
+residual grids on the cases ``run_sweep`` generates, for each theorem and family.
 
     python3 tests/screen_speed.py [--count 40] [--seed 42] [--repeat 3] [--baseline DIR]
 
@@ -8,10 +8,12 @@ exp-poly and rational, the first ``--count`` sweep cases of ``--seed`` are
 built as ``run_sweep`` builds them.  The script prints, per (theorem,
 family), the microseconds ``compile_hyperdual`` takes per function (f, and g
 where the theorem has one, compiled for the components its residual reads),
-and the microseconds one grid screen of the residual takes on the
-cell-center grid ``locate`` samples, n x n on a rectangle and n points on an
-interval, for n = 33 and n = 257.  Each figure is the best of ``--repeat``
-passes over all the cases.
+the microseconds one scalar residual call takes at the cell centers
+``locate`` brackets first on its level-0 grid (the sample of least |R| and the
+two extreme samples), and the microseconds one grid screen of the residual
+takes on the cell-center grid ``locate`` samples, n x n on a rectangle and n
+points on an interval, for n = 33 and n = 257.  Each figure is the best of
+``--repeat`` passes over all the cases.
 
 With ``--baseline DIR``, DIR is the ``src`` directory of another checkout:
 its ``rectmvt`` is loaded under another name in this same process, the two
@@ -35,6 +37,8 @@ sys.path[:0] = [str(ROOT / "src")]
 
 FAMILIES = ("poly4", "bilinear", "separable", "exp-poly", "rational")
 SCREEN_N = (33, 257)
+GRID_N = 33  # LocateConfig's default grid_n: the level-0 grid of locate
+SCALAR_ROUNDS = 20  # scalar calls per point in one pass, which then lasts milliseconds
 
 
 def load(src: Path, name: str):
@@ -93,11 +97,36 @@ class Tree:
                 compile_hyperdual(f, reads)
         return perf_counter() - start
 
+    def bracket_points(self, fields):
+        """``(field, point)`` for each cell center ``locate`` evaluates first on
+        the level-0 grid of each field whose grid evaluates: the sample of
+        least |R| and the most negative and most positive samples."""
+        locator = self.locator
+        points = []
+        for field in fields:
+            centres = centres_of(field, GRID_N)
+            flat, failure, _ = locator._grid_values(field, centres)
+            if failure is None:
+                cells = {int(np.abs(flat).argmin()), int(flat.argmin()), int(flat.argmax())}
+                points += [(field, locator._cell(centres, k)) for k in sorted(cells)]
+        return points
+
+    def scalar_all(self, points) -> float:
+        scalar_residual = self.locator._scalar_residual
+        start = perf_counter()
+        for _ in range(SCALAR_ROUNDS):
+            for field, p in points:
+                try:
+                    scalar_residual(field, p)
+                except Exception:  # a raising call costs its time too
+                    pass
+        return (perf_counter() - start) / SCALAR_ROUNDS
+
     def screen_all(self, fields, n: int) -> float:
         evaluate = self.locator._evaluate
         elapsed = 0.0
         for field in fields:
-            centres = [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in field.axes]
+            centres = centres_of(field, n)
             start = perf_counter()
             try:
                 evaluate(field, centres)
@@ -107,19 +136,28 @@ class Tree:
         return elapsed
 
 
+def centres_of(field, n: int) -> list:
+    return [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in field.axes]
+
+
 def measure(trees, tag: str, family: str, repeat: int):
-    """Best per-function compile and per-screen seconds of each tree."""
+    """Best per-function compile, per-call scalar and per-screen seconds of each tree."""
     cases = [tree.cases(tag, family) for tree in trees]
     functions = [[f for fs, _ in c for f in fs] for c in cases]
     fields = [[field for _, field in c if field is not None] for c in cases]
-    best = [[float("inf")] * (1 + len(SCREEN_N)) for _ in trees]
-    # all compile passes first, so that no large grid just screened slows them
+    points = [tree.bracket_points(f) for tree, f in zip(trees, fields)]
+    best = [[float("inf")] * (2 + len(SCREEN_N)) for _ in trees]
+    # all compile and scalar passes first, so that no large grid just screened slows them
     for _ in range(repeat):
         for k, tree in enumerate(trees):
             best[k][0] = min(best[k][0], tree.compile_all(tag, functions[k]) / len(functions[k]))
     for _ in range(repeat):
         for k, tree in enumerate(trees):
-            for j, n in enumerate(SCREEN_N, 1):
+            per = tree.scalar_all(points[k]) / max(len(points[k]), 1)
+            best[k][1] = min(best[k][1], per)
+    for _ in range(repeat):
+        for k, tree in enumerate(trees):
+            for j, n in enumerate(SCREEN_N, 2):
                 per = tree.screen_all(fields[k], n) / max(len(fields[k]), 1)
                 best[k][j] = min(best[k][j], per)
     return best, len(functions[-1]), len(fields[-1])
@@ -138,13 +176,14 @@ def main() -> None:
         load(args.baseline.resolve(), "baseline_rectmvt")
         trees.append(Tree("baseline_rectmvt", args.count, args.seed))
     trees.append(Tree("rectmvt", args.count, args.seed))
-    columns = ["compile_us"] + [f"screen{n}_us" for n in SCREEN_N]
+    columns = ["compile_us", "scalar_us"] + [f"screen{n}_us" for n in SCREEN_N]
     print(f"cases per line {args.count}, seed {args.seed}, best of {args.repeat}")
     if len(trees) == 2:
         print("each column: baseline / this tree = speed-up")
     print(f"{'theorem':10} {'family':10} {'functions':>9} {'fields':>6}  " + "  ".join(f"{c:>26}" for c in columns))
-    # per tree: compile seconds over all functions, and screen seconds summed
-    # over the lines (one mean screen per line, so each line weighs the same)
+    # per tree: compile seconds over all functions, and scalar and screen
+    # seconds summed over the lines (one mean call or screen per line, so each
+    # line weighs the same)
     totals = [[0.0] * len(columns) for _ in trees]
     all_functions = 0
     for tag in trees[-1].theorems.THEOREMS:

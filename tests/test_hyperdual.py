@@ -19,6 +19,7 @@ from rectmvt.expr import (
     pretty_print,
     substitute,
 )
+from rectmvt import hyperdual
 from rectmvt.theorems import Rectangle, pompeiu1d_residual
 from rectmvt.hyperdual import (
     MAX_INT_POWER,
@@ -598,6 +599,28 @@ def test_an_overflow_only_an_unread_component_sees_does_not_fail():
         compile_hyperdual(parse("1e10*x*y*exp(700*x)"), ("dxy",))(1.0, 2.0)
 
 
+def test_an_error_of_the_compiler_itself_is_not_an_evaluation_error(monkeypatch):
+    # a parts function that returns four values where three are unpacked: the
+    # ValueError is a bug of the program, not a point outside the domain
+    def broken(v, want, p):
+        return v, v, v, v
+
+    monkeypatch.setitem(hyperdual._PARTS, "sin", broken)
+    program = compile_hyperdual(parse("sin(x)"))
+    with pytest.raises(ValueError, match="too many values to unpack") as info:
+        program(0.7, 0.0)
+    assert not isinstance(info.value, EvaluationError)
+
+
+@pytest.mark.parametrize("text", ["sin(x*1e308*10)", "cos(x*1e308*10)", "x + sin(1e308*10)"])
+def test_a_math_domain_error_of_an_infinite_argument_is_an_evaluation_error(text):
+    # x*1e308*10 overflows to inf at x = 0.7, and math.sin(inf) raises
+    # ValueError; the same holds for a constant subtree, folded when compiled
+    with pytest.raises(EvaluationError, match="math domain error") as info:
+        compile_hyperdual(parse(text))(0.7, 0.0)
+    assert not isinstance(info.value, OutOfDomainError)
+
+
 def test_a_divisor_that_takes_both_signs_on_a_grid_raises_sign_change():
     program = compile_hyperdual(parse("1/(x-0.3)"), ("v", "dx"))
     xs = np.linspace(0.0, 1.0, 8)  # 0.3 is between samples
@@ -643,12 +666,23 @@ def _grid_operations(run) -> int:
     return _Counted.grids
 
 
-def test_a_monomial_mixed_partial_is_one_grid_product():
+@pytest.mark.parametrize(
+    "text, dxy, v_dx, every, reference_every",
+    [
+        pytest.param("2*x^3*y^2", 1, 2, 4, 14, id="2*x^3*y^2"),
+        # a constant addend costs one grid operation at most, on the value
+        # alone, and c - h negates each component of h that is read
+        pytest.param("3 - 2*x^3*y^2", 2, 4, 8, 18, id="3 - 2*x^3*y^2"),
+        pytest.param("2*x^3*y^2 + 1", 1, 3, 5, 18, id="2*x^3*y^2 + 1"),
+        pytest.param("1 - (x+2)*(y-3)", 0, 2, 2, 9, id="1 - (x+2)*(y-3)"),
+    ],
+)
+def test_a_monomial_mixed_partial_is_one_grid_product(text, dxy, v_dx, every, reference_every):
     # 2*x^3*y^2: the x and y factors are computed on a row and a column, and
     # only a product of the two is a full grid
-    f = parse("2*x^3*y^2")
-    assert _grid_operations(compile_hyperdual(f, ("dxy",))) == 1
-    assert _grid_operations(compile_hyperdual(f, ("v", "dx"))) == 2
-    assert _grid_operations(compile_hyperdual(f)) == 4
-    # every component, every term: 14 grid operations, 7 of them for dxy
-    assert _grid_operations(lambda x, y: reference.evaluate(f, seed_x(x), seed_y(y))) == 14
+    f = parse(text)
+    assert _grid_operations(compile_hyperdual(f, ("dxy",))) == dxy
+    assert _grid_operations(compile_hyperdual(f, ("v", "dx"))) == v_dx
+    assert _grid_operations(compile_hyperdual(f)) == every
+    # every component, every term: for 2*x^3*y^2, 14 grid operations, 7 of them for dxy
+    assert _grid_operations(lambda x, y: reference.evaluate(f, seed_x(x), seed_y(y))) == reference_every
