@@ -9,7 +9,12 @@ and fall back to coordinate descent on |R|.
 Grid screening is vectorized and reads each grid once for its two extremes,
 which also tell whether it is finite, and once for the sample nearest zero; a
 grid whose vectorized evaluation raises is searched row by row for its first
-failing sample, or for a divisor that changes sign between samples.  Every
+failing sample, or for a divisor that changes sign between samples.  A
+rectangle taller than one band of ``BAND_BYTES`` is screened in row bands,
+adjacent bands sharing a row, written into one level array; so the screen
+holds that array plus a few band-sized temporaries, which stay in cache and
+reuse heap memory rather than fault in fresh pages, and a failing banded
+screen is redone in one call so that it fails as an unbanded one.  Every
 residual that ends up in a report is re-evaluated through the scalar path so
 reports are exactly reproducible.
 One search serves both domains: it runs over the field's per-axis bounds, one
@@ -44,6 +49,10 @@ __all__ = [
 # most cell centers per axis on the finest grid; a rectangle screens the square
 # of this, so it bounds the memory of the largest screen
 MAX_GRID_N = 2048
+# bytes of one float row band of a rectangle's screen: below glibc's default
+# 128 KiB mmap threshold, so a band's temporaries are reused heap blocks rather
+# than fresh pages, and well inside L2
+BAND_BYTES = 96 * 1024
 # a bracket search stops once its segment parameter is narrower than this, and
 # the minimizer once its steps are
 BISECT_TOL = 1e-12
@@ -152,11 +161,43 @@ def _evaluate(field: ResidualField, centres: list[np.ndarray]):
         return field.residual(*reversed(np.ix_(*reversed(centres))))
 
 
+def _banded(field: ResidualField, xs: np.ndarray, ys: np.ndarray, rows: int):
+    """Residual on the ``(ys.size, xs.size)`` grid, evaluated ``rows`` y centers
+    at a time into one level array, or None when a band raises or is not finite.
+
+    Adjacent bands share a row, so every pair of adjacent rows lies in one band
+    and a divisor that changes sign between them still raises there.
+    """
+    level = np.empty((ys.size, xs.size))
+    x = xs[np.newaxis, :]
+    with np.errstate(all="ignore"):
+        for a in range(0, ys.size - 1, rows - 1):
+            band = level[a : a + rows]
+            try:
+                band[...] = field.residual(x, ys[a : a + rows, np.newaxis])
+            except EvaluationError:
+                return None
+            if not np.isfinite(band).all():
+                return None
+    return level
+
+
 def _grid_values(field: ResidualField, centres: list[np.ndarray]):
     """Residual on the cell-center grid, flattened in row-major order, as
     ``(values, failure, evaluations)``: exactly one of the first two is not
     None, and a failure is :func:`_first_failure`'s ``(point, message, kind)``.
+
+    A rectangle taller than one band of ``BAND_BYTES`` is screened band by
+    band; when that fails it is screened again in one call, so a failing grid
+    is reported exactly as one unbanded screen reports it.
     """
+    if len(centres) > 1:
+        xs, ys = centres
+        rows = max(2, BAND_BYTES // (8 * xs.size))
+        if ys.size > rows:
+            level = _banded(field, xs, ys, rows)
+            if level is not None:
+                return level.ravel(), None, level.size
     try:
         values = _evaluate(field, centres)
     except EvaluationError as exc:

@@ -135,6 +135,8 @@ class Rectangle:
             raise ValueError(f"rectangle bounds must be finite, got {self}")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError(f"rectangle bounds must satisfy x1 < x2 and y1 < y2, got {self}")
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise ValueError(f"rectangle is too wide: its width or height overflows, got {self}")
 
     @property
     def width(self) -> float:
@@ -228,7 +230,8 @@ def _mixed_partial_magnitude(program: Program, r: Rectangle, n: int = 9) -> floa
     xs = r.x1 + (np.arange(n) + 0.5) * (r.width / n)
     ys = r.y1 + (np.arange(n) + 0.5) * (r.height / n)
     try:
-        with np.errstate(all="raise"):
+        # an underflow only rounds a tiny partial toward 0, which is still finite
+        with np.errstate(all="raise", under="ignore"):
             d = program(xs[np.newaxis, :], ys[:, np.newaxis])[3]
     except FloatingPointError as exc:
         raise EvaluationError(f"mixed partial not finite on the rectangle: {exc}") from exc
@@ -381,6 +384,8 @@ def _check_interval(x1: float, x2: float) -> None:
         raise ValueError(f"interval bounds must be finite, got [{x1}, {x2}]")
     if not x1 < x2:
         raise ValueError(f"interval bounds must satisfy x1 < x2, got [{x1}, {x2}]")
+    if not math.isfinite(x2 - x1):
+        raise ValueError(f"interval [{x1}, {x2}] is too wide: its width overflows")
     if not (x1 > 0 or x2 < 0):  # x1 < x2, so this is x1*x2 > 0 without underflow
         raise DomainError(f"interval [{x1}, {x2}] must not contain 0")
 

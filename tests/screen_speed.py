@@ -10,10 +10,14 @@ family), the microseconds ``compile_hyperdual`` takes per function (f, and g
 where the theorem has one, compiled for the components its residual reads),
 the microseconds one scalar residual call takes at the cell centers
 ``locate`` brackets first on its level-0 grid (the sample of least |R| and the
-two extreme samples), and the microseconds one grid screen of the residual
-takes on the cell-center grid ``locate`` samples, n x n on a rectangle and n
-points on an interval, for n = 33 and n = 257.  Each figure is the best of
-``--repeat`` passes over all the cases.
+two extreme samples), and the microseconds one grid screen takes on the
+cell-center grid ``locate`` samples, n x n on a rectangle and n points on an
+interval, for n = 33 and n = 257.  A screen is ``locator._grid_values``, as
+``locate`` runs it: a rectangle taller than one row band is evaluated band by
+band.  Next to the n = 257 time, ``faults257`` is the number of minor page
+faults (``resource.getrusage``'s ``ru_minflt``) one such screen takes, counted
+over the pass whose time is best.  Each figure is the best of ``--repeat``
+passes over all the cases.
 
 With ``--baseline DIR``, DIR is the ``src`` directory of another checkout:
 its ``rectmvt`` is loaded under another name in this same process, the two
@@ -26,6 +30,7 @@ cost over the baseline's.
 import argparse
 import importlib
 import importlib.util
+import resource
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -122,18 +127,23 @@ class Tree:
                     pass
         return (perf_counter() - start) / SCALAR_ROUNDS
 
-    def screen_all(self, fields, n: int) -> float:
-        evaluate = self.locator._evaluate
+    def screen_all(self, fields, n: int) -> tuple[float, int]:
+        """Seconds and minor page faults of one grid screen of each field."""
+        grid_values = self.locator._grid_values
         elapsed = 0.0
+        faults = 0
         for field in fields:
             centres = centres_of(field, n)
+            before = minor_faults()
             start = perf_counter()
-            try:
-                evaluate(field, centres)
-            except Exception:  # a raising grid costs its time too
-                pass
+            grid_values(field, centres)
             elapsed += perf_counter() - start
-        return elapsed
+            faults += minor_faults() - before
+        return elapsed, faults
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def centres_of(field, n: int) -> list:
@@ -141,12 +151,13 @@ def centres_of(field, n: int) -> list:
 
 
 def measure(trees, tag: str, family: str, repeat: int):
-    """Best per-function compile, per-call scalar and per-screen seconds of each tree."""
+    """Best per-function compile, per-call scalar and per-screen seconds of
+    each tree, then the minor page faults per screen of its best largest-n pass."""
     cases = [tree.cases(tag, family) for tree in trees]
     functions = [[f for fs, _ in c for f in fs] for c in cases]
     fields = [[field for _, field in c if field is not None] for c in cases]
     points = [tree.bracket_points(f) for tree, f in zip(trees, fields)]
-    best = [[float("inf")] * (2 + len(SCREEN_N)) for _ in trees]
+    best = [[float("inf")] * (3 + len(SCREEN_N)) for _ in trees]
     # all compile and scalar passes first, so that no large grid just screened slows them
     for _ in range(repeat):
         for k, tree in enumerate(trees):
@@ -158,8 +169,12 @@ def measure(trees, tag: str, family: str, repeat: int):
     for _ in range(repeat):
         for k, tree in enumerate(trees):
             for j, n in enumerate(SCREEN_N, 2):
-                per = tree.screen_all(fields[k], n) / max(len(fields[k]), 1)
-                best[k][j] = min(best[k][j], per)
+                elapsed, faults = tree.screen_all(fields[k], n)
+                per = elapsed / max(len(fields[k]), 1)
+                if per < best[k][j]:
+                    best[k][j] = per
+                    if n == SCREEN_N[-1]:
+                        best[k][j + 1] = faults / max(len(fields[k]), 1)
     return best, len(functions[-1]), len(fields[-1])
 
 
@@ -176,7 +191,7 @@ def main() -> None:
         load(args.baseline.resolve(), "baseline_rectmvt")
         trees.append(Tree("baseline_rectmvt", args.count, args.seed))
     trees.append(Tree("rectmvt", args.count, args.seed))
-    columns = ["compile_us", "scalar_us"] + [f"screen{n}_us" for n in SCREEN_N]
+    columns = ["compile_us", "scalar_us"] + [f"screen{n}_us" for n in SCREEN_N] + [f"faults{SCREEN_N[-1]}"]
     print(f"cases per line {args.count}, seed {args.seed}, best of {args.repeat}")
     if len(trees) == 2:
         print("each column: baseline / this tree = speed-up")
@@ -191,12 +206,12 @@ def main() -> None:
             best, n_functions, n_fields = measure(trees, tag, family, args.repeat)
             all_functions += n_functions
             cells = []
-            for j in range(len(columns)):
-                us = [1e6 * b[j] for b in best]
+            for j, column in enumerate(columns):
+                us = [b[j] if column.startswith("faults") else 1e6 * b[j] for b in best]
                 for k, u in enumerate(us):
                     totals[k][j] += u * n_functions if j == 0 else u
                 if len(us) == 2:
-                    cells.append(f"{us[0]:9.1f} / {us[1]:9.1f} = {us[0] / us[1]:4.2f}")
+                    cells.append(f"{us[0]:9.1f} / {us[1]:9.1f} = {ratio(us[0], us[1]):>4}")
                 else:
                     cells.append(f"{us[0]:26.1f}")
             print(f"{tag:10} {family:10} {n_functions:9d} {n_fields:6d}  " + "  ".join(cells))
@@ -204,8 +219,13 @@ def main() -> None:
     print(f"compile, all {all_functions} functions: " + " / ".join(f"{u:.2f}" for u in compile_us) + " us")
     if len(trees) == 2:
         print(f"this tree's cost over the baseline's: compile {compile_us[1] / compile_us[0]:.3f}, " + ", ".join(
-            f"{c} summed over lines {totals[1][j] / totals[0][j]:.3f}" for j, c in enumerate(columns) if j
+            f"{c} summed over lines {ratio(totals[1][j], totals[0][j], 3)}" for j, c in enumerate(columns) if j
         ))
+
+
+def ratio(a: float, b: float, digits: int = 2) -> str:
+    """``a / b`` to ``digits`` decimals, or "-" when ``b`` is 0 (a fault count may be)."""
+    return f"{a / b:.{digits}f}" if b else "-"
 
 
 if __name__ == "__main__":

@@ -492,6 +492,49 @@ def test_locate_on_an_axis_a_few_ulps_wide_exits_2_without_output(capsys, argv):
     assert err.startswith("invalid input: axis [") and "rounds onto its boundary" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # these used to exit 2 calling the axis too narrow to search
+        ["locate", "--theorem", "rmvt", "--f", "x+y", "--rect", "-1e308,1e308,1,2"],
+        ["locate", "--theorem", "rolle", "--f", "x+y", "--rect", "-1e308,1e308,1,2"],
+        # and these exit 3 after evaluating the corners, whose difference overflows
+        ["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "-1e308,1e308,1,2"],
+        ["locate", "--theorem", "cauchy", "--f", "x*y", "--g", "x+y^2", "--rect", "1,2,-1e308,1e308"],
+        ["verify", "--theorem", "rmvt", "--f", "x*y", "--rect", "1,2,-1e308,1e308", "--point", "1.5,0"],
+        ["locate", "--theorem", "pompeiu1d", "--f", "x^3", "--rect", "-1e308,1e308"],
+    ],
+)
+def test_bounds_whose_width_overflows_exit_2_before_any_evaluation(capsys, monkeypatch, argv):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated a function")
+
+    monkeypatch.setattr("rectmvt.theorems.evaluate", no_evaluation)
+    monkeypatch.setattr("rectmvt.theorems.compile_hyperdual", no_evaluation)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ") and "too wide" in err
+
+
+def test_a_mixed_partial_that_underflows_is_finite(capsys):
+    # exp(-700*x) underflows on the rectangle's scale sample, which rounds f_xy toward 0
+    code, out, _ = run_cli(
+        capsys, "locate", "--theorem", "rolle", "--f", "(x-1.5)*(y-1.5)*exp(-700*x)", "--rect", "1,2,1,2"
+    )
+    assert code == 0
+    assert json.loads(out)["outcome"] == "degenerate-identically-zero"
+
+
+def test_a_mixed_partial_that_overflows_exits_3(capsys):
+    # f is 0 at every corner, so the corner identity holds, but exp(1000) overflows
+    # in f_xy at the rectangle's center
+    code, out, err = run_cli(
+        capsys, "locate", "--theorem", "rolle", "--f", "(y-1)*(y-2)*exp(4000*(x-1)*(2-x))", "--rect", "1,2,1,2"
+    )
+    assert (code, out) == (3, "")
+    assert err == "evaluation failed: mixed partial not finite on the rectangle: overflow encountered in exp\n"
+
+
 def test_varying_integer_power_past_the_bound_fails_fast(capsys):
     # y - y + 1e7 depends on y, so only its evaluation shows that it is the
     # integer 10,000,000, whose 9,999,999 products used to take seconds

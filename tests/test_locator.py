@@ -14,11 +14,13 @@ from rectmvt.harness import (
     generate_function,
     generate_rectangle,
 )
+from rectmvt import locator
 from rectmvt.locator import (
     BISECT_TOL,
     MAX_GRID_N,
     LocateConfig,
     _bisect,
+    _grid_values,
     locate,
     locate_line,
     verify_at,
@@ -235,6 +237,151 @@ def test_a_grid_that_raises_only_when_vectorized_reports_its_first_cell(dims):
     assert d.failure == f"evaluation error at {'(0.5, 0.5)' if dims == 2 else '(0.5)'}: vectorized evaluation failed"
     # the grid, then on a rectangle three row screens, and every cell on the scalar path
     assert (d.failure_kind, d.evaluations) == ("evaluation", 27 if dims == 2 else 6)
+
+
+# -- screening a rectangle in row bands ------------------------------------------
+
+FAMILIES = ("poly4", "bilinear", "separable", "exp-poly", "rational")
+
+
+def _rows_per_band(n: int) -> int:
+    return max(2, locator.BAND_BYTES // (8 * n))
+
+
+def _level_centres(axes, n: int) -> list[np.ndarray]:
+    """Cell centers of an n-per-axis level, computed as ``locate`` computes them."""
+    return [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in axes]
+
+
+def _whole_grid(field: ResidualField, centres) -> np.ndarray:
+    """The level as one vectorized call over the whole grid evaluates it, flattened."""
+    shape = tuple(c.size for c in reversed(centres))
+    return np.broadcast_to(np.asarray(locator._evaluate(field, centres), dtype=float), shape).ravel()
+
+
+def _recorded(field: ResidualField, calls: list) -> ResidualField:
+    """``field`` with each vectorized call's last coordinate shape appended to ``calls``."""
+
+    def residual(*p):
+        calls.append(np.shape(p[-1]))
+        return field.residual(*p)
+
+    return ResidualField(field.axes, residual, field.scale, field.decomposition, field.tag)
+
+
+def _assert_level_matches_whole_grid(field: ResidualField, n: int) -> None:
+    centres = _level_centres(field.axes, n)
+    try:
+        expected = _whole_grid(field, centres)
+    except EvaluationError:
+        expected = None
+    calls = []
+    flat, failure, evaluations = _grid_values(_recorded(field, calls), centres)
+    if expected is None:
+        assert flat is None and failure is not None
+        return
+    assert failure is None and evaluations == n ** len(centres)
+    assert flat.tobytes() == expected.tobytes()  # bit for bit, NaN included
+    rows = _rows_per_band(n)
+    if len(centres) == 1 or rows >= n:
+        assert len(calls) == 1
+    elif np.isfinite(expected).all():
+        # bands of at most ``rows`` rows, each sharing one row with the next
+        assert calls[0] == (rows, 1) and all(r <= rows and one == 1 for r, one in calls)
+        assert sum(r for r, _ in calls) - (len(calls) - 1) == n
+    else:
+        # a level that is not finite is screened once more as a whole
+        assert calls[-1] == (n, 1)
+
+
+@pytest.mark.parametrize("tag", tuple(THEOREMS))
+def test_banded_levels_equal_whole_grid_levels_bit_for_bit(tag):
+    compared = 0
+    for family in FAMILIES:
+        for i in range(2):
+            try:
+                field = _build_case(THEOREMS[tag], family_from_name(family), derive_seed(42, i))
+            except (DegenerateError, DomainError, HypothesisError, EvaluationError, GenerationError):
+                continue
+            _assert_level_matches_whole_grid(field, 257)
+            compared += 1
+    assert compared >= 5
+    if tag == "boggio2d":
+        # a refined level, twice as wide, so half as many rows per band
+        _assert_level_matches_whole_grid(field, 514)
+
+
+def _nan_above(y0: float) -> ResidualField:
+    def residual(x, y):
+        if isinstance(y, np.ndarray):
+            return np.where(y > y0, np.nan, x - 0.5)
+        return math.nan if y > y0 else x - 0.5
+
+    return ResidualField(((0.0, 1.0), (0.0, 1.0)), residual, 1.0, {}, "test")
+
+
+def test_a_level_with_a_nan_in_a_later_band_equals_the_whole_grid():
+    assert _rows_per_band(257) < 0.9 * 257
+    _assert_level_matches_whole_grid(_nan_above(0.9), 257)
+
+
+def _one_call_per_level(monkeypatch):
+    """Screen every level of a rectangle in one vectorized call, as if one band held it."""
+    monkeypatch.setattr(locator, "BAND_BYTES", 8 * MAX_GRID_N * MAX_GRID_N)
+
+
+@pytest.mark.parametrize("after", [0, 1], ids=["before-the-shared-row", "after-the-shared-row"])
+def test_a_divisor_that_changes_sign_where_bands_meet_is_a_domain_failure(monkeypatch, after):
+    # the first two bands share row rows - 1; the divisor changes sign between
+    # it and the row before or after it, at a cell edge, so no sample is a pole
+    n = 257
+    rows = _rows_per_band(n)
+    edge = rows - 1 + after
+    field = rect_mvt_residual(parse(f"x*y/(y-{edge / n!r})"), Rectangle(0, 1, 0, 1))
+    cfg = LocateConfig(grid_n=n, max_refinements=1)
+    report = locate(field, cfg)
+    d = report.diagnostics
+    first = 0.5 * (1.0 / n)
+    sign = "divisor changes sign between samples, so it vanishes between them"
+    assert (report.outcome, d.failure_kind, d.level) == ("failed", "domain", 0)
+    assert d.failure == f"evaluation error at ({first!r}, {first!r}): {sign}"
+    # no row proves it, so every row is screened after the grid
+    assert d.evaluations == 2 * n * n
+    _one_call_per_level(monkeypatch)
+    assert locate(field, cfg) == report
+
+
+@pytest.mark.parametrize(
+    "field, cfg, failure",
+    [
+        # a pole on row 200 of 257, in a later band
+        (
+            rect_mvt_residual(parse(f"x*y/(y-{200.5 * (1.0 / 257)!r})"), Rectangle(0, 1, 0, 1)),
+            LocateConfig(grid_n=257, max_refinements=1),
+            f"evaluation error at ({0.5 * (1.0 / 257)!r}, {200.5 * (1.0 / 257)!r}): division by zero",
+        ),
+        # a pole on the last row of the 2048 x 2048 grid, reached after four refinements
+        (
+            rect_mvt_residual(parse("x*y/(y-0.999755859375)"), Rectangle(0, 1, 0, 1)),
+            LocateConfig(grid_n=128),
+            f"evaluation error at ({0.5 * (1.0 / 2048)!r}, 0.999755859375): division by zero",
+        ),
+        # a residual that is not finite from row 231 of 257 on
+        (
+            _nan_above(0.9),
+            LocateConfig(grid_n=257, max_refinements=1),
+            f"evaluation error at ({0.5 * (1.0 / 257)!r}, {231.5 * (1.0 / 257)!r}): residual is not finite",
+        ),
+    ],
+    ids=["pole-in-a-later-band", "pole-on-the-last-row", "not-finite-in-a-later-band"],
+)
+def test_a_grid_that_fails_in_a_later_band_is_reported_as_one_call_reports_it(monkeypatch, field, cfg, failure):
+    report = locate(field, cfg)
+    d = report.diagnostics
+    assert (report.outcome, d.failure) == ("failed", failure)
+    assert _rows_per_band(cfg.grid_n << d.level) < cfg.grid_n << d.level
+    _one_call_per_level(monkeypatch)
+    assert locate(field, cfg) == report
 
 
 def test_a_level0_grid_whose_largest_magnitude_is_minus_tol_is_degenerate():

@@ -78,6 +78,12 @@ def test_rectangle_bounds_must_be_finite():
         Rectangle(1.0, 2.0, math.nan, 2.0)
     with pytest.raises(ValueError):
         Rectangle(-math.inf, 2.0, 1.0, 2.0)
+    # finite bounds whose difference overflows
+    with pytest.raises(ValueError, match="too wide"):
+        Rectangle(-1e308, 1e308, 1.0, 2.0)
+    with pytest.raises(ValueError, match="too wide"):
+        Rectangle(1.0, 2.0, -1.7e308, 1.7e308)
+    assert Rectangle(-8e307, 8e307, 1.0, 2.0).width == 1.6e308
 
 
 def test_rectangle_axes():
@@ -400,6 +406,9 @@ def test_one_dim_intervals_must_be_finite():
         pompeiu1d_residual(parse("x^2"), 1.0, math.inf)
     with pytest.raises(ValueError):
         boggio1d_residual(parse("x^2"), parse("x"), math.nan, 2.0)
+    # checked before the interval is found to contain 0
+    with pytest.raises(ValueError, match="too wide"):
+        pompeiu1d_residual(parse("x^2"), -1e308, 1e308)
 
 
 def test_boggio1d_reduces_to_pompeiu_for_identity_g():
