@@ -7,16 +7,14 @@ a neighbouring cell of opposite sign, close the bracket by safeguarded false
 position (within twice bisection's step count), refine the grid if necessary,
 and fall back to coordinate descent on |R|.
 Grid screening is vectorized and reads each grid once for its two extremes,
-which also tell whether it is finite, and once for the sample nearest zero; a
-grid whose vectorized evaluation raises is searched row by row for its first
-failing sample, or for a divisor that changes sign between samples.  A
-rectangle taller than one band of ``BAND_BYTES`` is screened in row bands,
-adjacent bands sharing a row, written into one level array; so the screen
-holds that array plus a few band-sized temporaries, which stay in cache and
-reuse heap memory rather than fault in fresh pages, and a failing banded
-screen is redone in one call so that it fails as an unbanded one.  Every
-residual that ends up in a report is re-evaluated through the scalar path so
-reports are exactly reproducible.
+which also tell whether it is finite, and once for the sample nearest zero.
+Every level is written into one level array in row bands of ``BAND_BYTES``,
+adjacent bands sharing a row; so the screen holds that array plus a few
+band-sized temporaries, which stay in cache and reuse heap memory rather than
+fault in fresh pages.  When a band raises, the grid is searched row by row,
+from where it failed, for its first failing sample or for a divisor that
+changes sign between samples.  Every residual that ends up in a report is
+re-evaluated through the scalar path so reports are exactly reproducible.
 One search serves both domains: it runs over the field's per-axis bounds, one
 axis for an interval and two for a rectangle, whose grid is indexed [iy, ix].
 """
@@ -156,30 +154,14 @@ def _cell(centres: list[np.ndarray], k: int) -> Point:
     return tuple(point)
 
 
-def _evaluate(field: ResidualField, centres: list[np.ndarray]):
-    with np.errstate(all="ignore"):
-        return field.residual(*reversed(np.ix_(*reversed(centres))))
-
-
-def _banded(field: ResidualField, xs: np.ndarray, ys: np.ndarray, rows: int):
-    """Residual on the ``(ys.size, xs.size)`` grid, evaluated ``rows`` y centers
-    at a time into one level array, or None when a band raises or is not finite.
-
-    Adjacent bands share a row, so every pair of adjacent rows lies in one band
-    and a divisor that changes sign between them still raises there.
-    """
-    level = np.empty((ys.size, xs.size))
-    x = xs[np.newaxis, :]
-    with np.errstate(all="ignore"):
-        for a in range(0, ys.size - 1, rows - 1):
-            band = level[a : a + rows]
-            try:
-                band[...] = field.residual(x, ys[a : a + rows, np.newaxis])
-            except EvaluationError:
-                return None
-            if not np.isfinite(band).all():
-                return None
-    return level
+def _rows(field: ResidualField, centres: list[np.ndarray], a: int, b: int):
+    """Residual on rows ``a`` to ``b - 1`` (y centers) of the cell-center grid,
+    as an array that broadcasts to ``(b - a, n)``; an interval's grid is its one
+    row.  Call it under ``np.errstate(all="ignore")``."""
+    if len(centres) == 1:
+        return field.residual(centres[0])
+    xs, ys = centres
+    return field.residual(xs[np.newaxis, :], ys[a:b, np.newaxis])
 
 
 def _grid_values(field: ResidualField, centres: list[np.ndarray]):
@@ -187,30 +169,40 @@ def _grid_values(field: ResidualField, centres: list[np.ndarray]):
     ``(values, failure, evaluations)``: exactly one of the first two is not
     None, and a failure is :func:`_first_failure`'s ``(point, message, kind)``.
 
-    A rectangle taller than one band of ``BAND_BYTES`` is screened band by
-    band; when that fails it is screened again in one call, so a failing grid
-    is reported exactly as one unbanded screen reports it.
+    The grid is written into one level array in bands of at most
+    ``max(2, BAND_BYTES // (8 * n))`` rows (an interval is one row), adjacent
+    bands sharing a row, so a divisor that changes sign between two adjacent
+    rows still raises in one band.  When a band raises, each row up to its last
+    counts once among the evaluations, and the search for the first failing
+    sample starts at the first row above the band that is not finite, or else
+    at the band's first row: a finite row of a band that did not raise would
+    not raise alone either.  So a failing level is reported as one call over
+    it reports it, but for two cases: when two different checks fail in
+    different bands and no row fails, the raising band's error is reported;
+    and a divisor whose sign change straddles an all-NaN shared row raises in
+    no band, so the level is reported as not finite.
     """
-    if len(centres) > 1:
-        xs, ys = centres
-        rows = max(2, BAND_BYTES // (8 * xs.size))
-        if ys.size > rows:
-            level = _banded(field, xs, ys, rows)
-            if level is not None:
-                return level.ravel(), None, level.size
+    n = centres[0].size
+    height = centres[1].size if len(centres) > 1 else 1
+    level = np.empty((height, n))
+    rows = max(2, BAND_BYTES // (8 * n))
     try:
-        values = _evaluate(field, centres)
+        with np.errstate(all="ignore"):
+            for a in range(0, max(height - 1, 1), rows - 1):
+                level[a : a + rows] = _rows(field, centres, a, a + rows)
     except EvaluationError as exc:
-        return None, *_first_failure(field, centres, exc)
-    shape = tuple(c.size for c in reversed(centres))
-    values = np.broadcast_to(np.asarray(values, dtype=float), shape)
-    return values.ravel(), None, values.size
+        bad = ~np.isfinite(level[:a]).all(axis=1)
+        failure, evals = _first_failure(field, centres, int(bad.argmax()) if bad.any() else a, exc)
+        return None, failure, min(a + rows, height) * n + evals
+    return level.ravel(), None, level.size
 
 
-def _first_failure(field: ResidualField, centres: list[np.ndarray], error: EvaluationError):
-    """Search a grid whose vectorized evaluation raised ``error`` for the first
-    cell, in row-major order, whose scalar residual raises or is not finite;
-    returns ``(failure, evaluations)``, counting the grid's own samples too.
+def _first_failure(
+    field: ResidualField, centres: list[np.ndarray], start: int, error: EvaluationError
+):
+    """Search a grid one of whose bands raised ``error`` for the first cell, in
+    row-major order from row ``start`` on, whose scalar residual raises or is
+    not finite; returns ``(failure, evaluations)`` of the search alone.
 
     A rectangle is screened one row (one y center) at a time, and only a row
     that raises or is not finite is scanned on the scalar path.  So a sample
@@ -219,17 +211,19 @@ def _first_failure(field: ResidualField, centres: list[np.ndarray], error: Evalu
     is reported.  A divisor that takes both signs on a row, or on an
     interval's grid, vanishes between two of its samples, but at none of them
     (:class:`SignChangeError`): that proof is reported at once, as a domain
-    failure at the row's first cell.  One that changes sign only across rows
-    is reported at the grid's first cell when no row fails.  A divisor that
-    dips to zero between samples without changing sign on them is missed.
+    failure at the row's first cell.  When no row fails, ``error`` is reported
+    at the grid's first cell.  A divisor that dips to zero between samples
+    without changing sign on them is missed.
     """
-    xs, n = centres[0], centres[0].size
-    evals = size = math.prod(c.size for c in centres)
-    for i in range(size // n):
+    n = centres[0].size
+    evals = 0
+    for i in range(start, math.prod(c.size for c in centres) // n):
         if len(centres) > 1:
             evals += n
             try:
-                if np.isfinite(_evaluate(field, [xs, centres[1][i : i + 1]])).all():
+                with np.errstate(all="ignore"):
+                    row = _rows(field, centres, i, i + 1)
+                if np.isfinite(row).all():
                     continue
             except SignChangeError as exc:
                 return (_cell(centres, i * n), str(exc), "domain"), evals
@@ -352,13 +346,15 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
     and two off-grid probes are within tolerance too is reported as
     ``degenerate-identically-zero`` with the domain center.  On an interval
     the point's ``xi2`` is None.  An axis so narrow that a cell center or the
-    domain center would round onto its boundary raises ``ValueError`` before
-    anything is evaluated.
+    domain center would round onto its boundary, or a tolerance that is not
+    finite, raises ``ValueError`` before anything is evaluated.
     """
     cfg = cfg or LocateConfig()
     axes = field.axes
     _check_centres(axes, cfg)
     tol = cfg.tol_factor * field.scale
+    if not math.isfinite(tol):
+        raise ValueError(f"tol_factor * scale is not finite: {cfg.tol_factor!r} * {field.scale!r}")
     evals = 0
     grid_min = math.inf
     grid_max = -math.inf

@@ -13,10 +13,11 @@ the microseconds one scalar residual call takes at the cell centers
 two extreme samples), and the microseconds one grid screen takes on the
 cell-center grid ``locate`` samples, n x n on a rectangle and n points on an
 interval, for n = 33 and n = 257.  A screen is ``locator._grid_values``, as
-``locate`` runs it: a rectangle taller than one row band is evaluated band by
-band.  Next to the n = 257 time, ``faults257`` is the number of minor page
-faults (``resource.getrusage``'s ``ru_minflt``) one such screen takes, counted
-over the pass whose time is best.  Each figure is the best of ``--repeat``
+``locate`` runs it: every level is evaluated band by band of rows into one
+level array, and an interval or a level no taller than one band is one band.
+Next to the n = 257 time, ``faults257`` is the number of minor page faults
+(``resource.getrusage``'s ``ru_minflt``) one such screen takes, counted over
+the pass whose time is best.  Each figure is the best of ``--repeat``
 passes over all the cases.
 
 With ``--baseline DIR``, DIR is the ``src`` directory of another checkout:

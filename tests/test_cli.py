@@ -608,6 +608,7 @@ def test_invalid_rect_exits_2(capsys):
             "verify", "--theorem", "rmvt", "--f", "1e308*sin(x)*sin(y)", "--rect", "0,3,0,3",
             "--point", "1.5,1.5", "--tau", "1000",
         ),
+        ("locate", "--theorem", "rmvt", "--f", "x^3*y", "--rect", "0,1,0,1", "--tau", "1e308"),
     ],
 )
 def test_non_finite_input_exits_2_without_output(capsys, argv):
