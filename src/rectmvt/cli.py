@@ -112,12 +112,13 @@ def _cmd_verify(args) -> int:
     tol_factor = LocateConfig(tol_factor=args.tau).tol_factor
     field, rect = _build_field(args)
     point = _floats(args.point, len(field.axes), "--point")
-    residual = verify_at(field, *point)
+    # invalid input is rejected before the residual is evaluated
     tolerance = tol_factor * field.scale
     if not math.isfinite(tolerance):
         raise ValueError(
             f"--tau times the field scale is not finite: {tol_factor!r} * {field.scale!r}"
         )
+    residual = verify_at(field, *point)
     doc = {
         "theorem": args.theorem,
         "rect": rect,

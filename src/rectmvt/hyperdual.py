@@ -721,6 +721,9 @@ def _compile(node: Expression, need: int):
                 b = _compile(right, partner if op == "*" else _BELOW[partner] | _V)
         if type(a) is not tuple and type(b) is not tuple:
             return _fold(node)
+        if type(b) is not tuple and below != need and tl is not Var:
+            # k folded to a constant, so h * k and h / k read of h only what they read
+            a = _compile(left, need)
         if op == "/":  # h / k is h * lift(k).reciprocal(); c / h is lift(c) * h.reciprocal()
             b = _reciprocal(b, partner)
         if type(a) is tuple:

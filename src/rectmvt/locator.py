@@ -6,14 +6,15 @@ sample cell centers (never the boundary), bracket the sample nearest zero with
 a neighbouring cell of opposite sign, close the bracket by safeguarded false
 position (within twice bisection's step count), refine the grid if necessary,
 and fall back to coordinate descent on |R|.
-Grid screening is vectorized and reads each grid once for its two extremes,
-which also tell whether it is finite, and once for the sample nearest zero.
-Every level is written into one level array in row bands of ``BAND_BYTES``,
-adjacent bands sharing a row; so the screen holds that array plus a few
-band-sized temporaries, which stay in cache and reuse heap memory rather than
-fault in fresh pages.  When a band raises, the grid is searched row by row,
-from where it failed, for its first failing sample or for a divisor that
-changes sign between samples.  Every residual that ends up in a report is
+Grid screening is vectorized.  Every level is written into one level array in
+row bands of ``BAND_BYTES``, adjacent bands sharing a row, and each band is
+reduced while it is still in cache to its two extremes, which also tell
+whether the level is finite, and its sample nearest zero; so no pass over the
+whole level follows, and the screen holds the level array plus a few
+band-sized temporaries, which reuse heap memory rather than fault in fresh
+pages.  When a band raises, the grid is searched row by row, from where it
+failed, for its first failing sample or for a divisor that changes sign
+between samples.  Every residual that ends up in a report is
 re-evaluated through the scalar path so reports are exactly reproducible.
 One search serves both domains: it runs over the field's per-axis bounds, one
 axis for an interval and two for a rectangle, whose grid is indexed [iy, ix].
@@ -47,10 +48,12 @@ __all__ = [
 # most cell centers per axis on the finest grid; a rectangle screens the square
 # of this, so it bounds the memory of the largest screen
 MAX_GRID_N = 2048
-# bytes of one float row band of a rectangle's screen: below glibc's default
-# 128 KiB mmap threshold, so a band's temporaries are reused heap blocks rather
-# than fresh pages, and well inside L2
-BAND_BYTES = 96 * 1024
+# bytes of one float row band of a rectangle's screen, well inside L2.  A band
+# program holds several band-sized temporaries at once; at 64 KiB they are
+# reused heap blocks, while at 96 KiB those of the costliest programs made
+# glibc trim the heap top and fault it back in: a 257 x 257 screen of a rational
+# boggio2d residual took about 1,000 minor page faults there, and none here
+BAND_BYTES = 64 * 1024
 # a bracket search stops once its segment parameter is narrower than this, and
 # the minimizer once its steps are
 BISECT_TOL = 1e-12
@@ -164,16 +167,34 @@ def _rows(field: ResidualField, centres: list[np.ndarray], a: int, b: int):
     return field.residual(xs[np.newaxis, :], ys[a:b, np.newaxis])
 
 
+def _band_picks(band: np.ndarray, start: int) -> tuple[int, int, int]:
+    """Flat indices of ``band``'s least and largest values and of its value of
+    least magnitude, as argmin and argmax pick them (the first of ties, and the
+    first NaN if any), offset by ``start``."""
+    return start + int(band.argmin()), start + int(band.argmax()), start + int(np.abs(band).argmin())
+
+
 def _grid_values(field: ResidualField, centres: list[np.ndarray]):
     """Residual on the cell-center grid, flattened in row-major order, as
-    ``(values, failure, evaluations)``: exactly one of the first two is not
-    None, and a failure is :func:`_first_failure`'s ``(point, message, kind)``.
+    ``(values, picks, failure, evaluations)``: either the first two or the
+    failure are None.  ``picks`` is ``(k_lo, k_hi, k_best)``, the flat indices
+    that ``values.argmin()``, ``values.argmax()`` and
+    ``np.abs(values).argmin()`` return, and a failure is
+    :func:`_first_failure`'s ``(point, message, kind)``.
 
     The grid is written into one level array in bands of at most
     ``max(2, BAND_BYTES // (8 * n))`` rows (an interval is one row), adjacent
     bands sharing a row, so a divisor that changes sign between two adjacent
-    rows still raises in one band.  When a band raises, each row up to its last
-    counts once among the evaluations, and the search for the first failing
+    rows still raises in one band.  Each band is reduced to its picks right
+    after it is written, while it is in cache, and the level's picks are those
+    of the bands by argmin's rules: the first band's of ties, and the first
+    NaN wins.  A band whose residual is one value (a 0-d result, as the mixed
+    partial of a bilinear f is) is followed by one band over the rest of the
+    level, since such a residual costs the same on any number of rows; its
+    checks still run on every row, and one over both coordinates (in a term no
+    component read depends on, as in ``log(x + y)^0``) then holds temporaries
+    of the rest's size.  When a band raises, each row up to its
+    last counts once among the evaluations, and the search for the first failing
     sample starts at the first row above the band that is not finite, or else
     at the band's first row: a finite row of a band that did not raise would
     not raise alone either.  So a failing level is reported as one call over
@@ -185,16 +206,32 @@ def _grid_values(field: ResidualField, centres: list[np.ndarray]):
     n = centres[0].size
     height = centres[1].size if len(centres) > 1 else 1
     level = np.empty((height, n))
+    flat = level.ravel()
     rows = max(2, BAND_BYTES // (8 * n))
+    picks = []
+    a, b = 0, min(rows, height)
     try:
         with np.errstate(all="ignore"):
-            for a in range(0, max(height - 1, 1), rows - 1):
-                level[a : a + rows] = _rows(field, centres, a, a + rows)
+            while True:
+                values = _rows(field, centres, a, b)
+                level[a:b] = values
+                # one value fills the band
+                constant = not isinstance(values, np.ndarray) or values.ndim == 0
+                picks.append((a * n,) * 3 if constant else _band_picks(flat[a * n : b * n], a * n))
+                if b == height:
+                    break
+                a, b = b - 1, height if constant else min(b - 1 + rows, height)
     except EvaluationError as exc:
         bad = ~np.isfinite(level[:a]).all(axis=1)
         failure, evals = _first_failure(field, centres, int(bad.argmax()) if bad.any() else a, exc)
-        return None, failure, min(a + rows, height) * n + evals
-    return level.ravel(), None, level.size
+        return None, None, failure, b * n + evals
+    if len(picks) == 1:
+        return flat, picks[0], None, level.size
+    # the bands' picks reduced again by the same rules: the first band's of ties
+    k = np.array(picks)
+    v = flat[k]
+    picks = int(k[v[:, 0].argmin(), 0]), int(k[v[:, 1].argmax(), 1]), int(k[np.abs(v[:, 2]).argmin(), 2])
+    return flat, picks, None, level.size
 
 
 def _first_failure(
@@ -379,12 +416,12 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
         n = cfg.grid_n * (1 << level)
         steps = tuple((hi - lo) / n for lo, hi in axes)
         centres = [lo + (np.arange(n) + 0.5) * step for (lo, _), step in zip(axes, steps)]
-        flat, failure, samples = _grid_values(field, centres)
+        flat, picks, failure, samples = _grid_values(field, centres)
         evals += samples
         if failure is None:
             # argmin and argmax stop at the first NaN, and an infinity is an
             # extreme, so the grid is finite exactly when both extremes are
-            k_lo, k_hi = int(flat.argmin()), int(flat.argmax())
+            k_lo, k_hi, k_best = picks
             if not np.isfinite(flat[[k_lo, k_hi]]).all():
                 k = int((~np.isfinite(flat)).argmax())
                 failure = (_cell(centres, k), "residual is not finite", "evaluation")
@@ -406,7 +443,6 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
                     return LocateReport("degenerate-identically-zero", point, diag())
                 # the grid missed where the residual lives: search as usual
 
-            k_best = int(np.abs(flat).argmin())
             candidate = _cell(centres, k_best)
             r_candidate = counted(candidate)
             if best is None or abs(r_candidate) < abs(best[1]):

@@ -17,13 +17,19 @@ interval, for n = 33 and n = 257.  A screen is ``locator._grid_values``, as
 level array, and an interval or a level no taller than one band is one band.
 Next to the n = 257 time, ``faults257`` is the number of minor page faults
 (``resource.getrusage``'s ``ru_minflt``) one such screen takes, counted over
-the pass whose time is best.  Each figure is the best of ``--repeat``
-passes over all the cases.
+the pass whose time is best.  ``locate257_us`` and ``locate_faults257`` are
+the same two figures for the whole ``locate`` call at ``grid_n=257,
+max_refinements=1`` (``screen-fine``'s config): the screen reduces each band
+to the level's extremes and its sample nearest zero as it goes, so only the
+whole call compares trees whose screens share that work differently.  Each
+figure is the best of ``--repeat`` passes over all the cases.
 
 With ``--baseline DIR``, DIR is the ``src`` directory of another checkout:
 its ``rectmvt`` is loaded under another name in this same process, the two
 take turns in every pass, so that a slow spell of the host falls on both,
-and each line shows the baseline's figure, this tree's and their ratio.
+and each line shows the baseline's figure, this tree's and their ratio.  The two
+trees then share one heap, so either's page faults depend on what the other
+allocated: compare fault counts of runs without ``--baseline``.
 A last line gives the mean compile time over all functions and this tree's
 cost over the baseline's.
 """
@@ -43,6 +49,7 @@ sys.path[:0] = [str(ROOT / "src")]
 
 FAMILIES = ("poly4", "bilinear", "separable", "exp-poly", "rational")
 SCREEN_N = (33, 257)
+LOCATE_N = 257  # the grid_n of the benchmark's screen-fine workload
 GRID_N = 33  # LocateConfig's default grid_n: the level-0 grid of locate
 SCALAR_ROUNDS = 20  # scalar calls per point in one pass, which then lasts milliseconds
 
@@ -111,7 +118,10 @@ class Tree:
         points = []
         for field in fields:
             centres = centres_of(field, GRID_N)
-            flat, failure, _ = locator._grid_values(field, centres)
+            # the level comes first and the failure last but one, also in the
+            # (values, failure, evaluations) of checkouts whose screen has no picks
+            screen = locator._grid_values(field, centres)
+            flat, failure = screen[0], screen[-2]
             if failure is None:
                 cells = {int(np.abs(flat).argmin()), int(flat.argmin()), int(flat.argmax())}
                 points += [(field, locator._cell(centres, k)) for k in sorted(cells)]
@@ -142,6 +152,21 @@ class Tree:
             faults += minor_faults() - before
         return elapsed, faults
 
+    def locate_all(self, fields) -> tuple[float, int]:
+        """Seconds and minor page faults of one ``locate`` of each field at
+        ``screen-fine``'s config; a failed search costs its time too."""
+        locate = self.locator.locate
+        cfg = self.locator.LocateConfig(grid_n=LOCATE_N, max_refinements=1)
+        elapsed = 0.0
+        faults = 0
+        for field in fields:
+            before = minor_faults()
+            start = perf_counter()
+            locate(field, cfg)
+            elapsed += perf_counter() - start
+            faults += minor_faults() - before
+        return elapsed, faults
+
 
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -153,12 +178,13 @@ def centres_of(field, n: int) -> list:
 
 def measure(trees, tag: str, family: str, repeat: int):
     """Best per-function compile, per-call scalar and per-screen seconds of
-    each tree, then the minor page faults per screen of its best largest-n pass."""
+    each tree, then the minor page faults per screen of its best largest-n
+    pass, then the best per-call ``locate`` seconds and that pass's faults."""
     cases = [tree.cases(tag, family) for tree in trees]
     functions = [[f for fs, _ in c for f in fs] for c in cases]
     fields = [[field for _, field in c if field is not None] for c in cases]
     points = [tree.bracket_points(f) for tree, f in zip(trees, fields)]
-    best = [[float("inf")] * (3 + len(SCREEN_N)) for _ in trees]
+    best = [[float("inf")] * (5 + len(SCREEN_N)) for _ in trees]
     # all compile and scalar passes first, so that no large grid just screened slows them
     for _ in range(repeat):
         for k, tree in enumerate(trees):
@@ -176,6 +202,10 @@ def measure(trees, tag: str, family: str, repeat: int):
                     best[k][j] = per
                     if n == SCREEN_N[-1]:
                         best[k][j + 1] = faults / max(len(fields[k]), 1)
+            elapsed, faults = tree.locate_all(fields[k])
+            per = elapsed / max(len(fields[k]), 1)
+            if per < best[k][-2]:
+                best[k][-2:] = per, faults / max(len(fields[k]), 1)
     return best, len(functions[-1]), len(fields[-1])
 
 
@@ -193,6 +223,7 @@ def main() -> None:
         trees.append(Tree("baseline_rectmvt", args.count, args.seed))
     trees.append(Tree("rectmvt", args.count, args.seed))
     columns = ["compile_us", "scalar_us"] + [f"screen{n}_us" for n in SCREEN_N] + [f"faults{SCREEN_N[-1]}"]
+    columns += [f"locate{LOCATE_N}_us", f"locate_faults{LOCATE_N}"]
     print(f"cases per line {args.count}, seed {args.seed}, best of {args.repeat}")
     if len(trees) == 2:
         print("each column: baseline / this tree = speed-up")
@@ -208,7 +239,7 @@ def main() -> None:
             all_functions += n_functions
             cells = []
             for j, column in enumerate(columns):
-                us = [b[j] if column.startswith("faults") else 1e6 * b[j] for b in best]
+                us = [b[j] if "faults" in column else 1e6 * b[j] for b in best]
                 for k, u in enumerate(us):
                     totals[k][j] += u * n_functions if j == 0 else u
                 if len(us) == 2:

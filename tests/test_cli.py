@@ -618,6 +618,23 @@ def test_non_finite_input_exits_2_without_output(capsys, argv):
     assert err.startswith("invalid input:") and "finite" in err
 
 
+def test_a_tau_whose_product_with_the_scale_overflows_exits_2_before_verify_evaluates(capsys, monkeypatch):
+    # f has a pole at the point, so an evaluation would fail (exit 3)
+    argv = ("verify", "--theorem", "rmvt", "--f", "x*y/(x-0.5)", "--rect", "0,1,0,1", "--point", "0.5,0.5")
+    assert run_cli(capsys, *argv)[0] == 3
+    code, out, err = run_cli(capsys, *argv, "--tau", "1e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: --tau times the field scale is not finite")
+
+    def evaluated(*args):
+        raise AssertionError("verify evaluated the residual")
+
+    monkeypatch.setattr(cli, "verify_at", evaluated)
+    code, _, err = run_cli(capsys, "verify", "--theorem", "rmvt", "--f", "x^3*y", "--rect", "0,1,0,1",
+                           "--point", "0.5,0.5", "--tau", "1e308")
+    assert code == 2 and "not finite" in err
+
+
 def _strict_json(text: str):
     """``json.loads`` that rejects the non-JSON tokens NaN, Infinity and -Infinity."""
 

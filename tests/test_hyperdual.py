@@ -686,3 +686,16 @@ def test_a_monomial_mixed_partial_is_one_grid_product(text, dxy, v_dx, every, re
     assert _grid_operations(compile_hyperdual(f)) == every
     # every component, every term: for 2*x^3*y^2, 14 grid operations, 7 of them for dxy
     assert _grid_operations(lambda x, y: reference.evaluate(f, seed_x(x), seed_y(y))) == reference_every
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x*y/(-0.12)", "x*y*(1.4 + 0.12)", "(2*x*y - 1.2*x)/((1.4 + -0.12) + 0.017)"],
+)
+def test_a_product_or_quotient_by_a_folded_constant_reads_what_it_is_read_for(text):
+    # k folds to a constant, as a Const does, so h * k and h / k read of h
+    # only the components they are read for: the mixed partial of x*y is a
+    # number, and takes no grid operation
+    f = parse(text)
+    assert _grid_operations(compile_hyperdual(f, ("dxy",))) == 0
+    _assert_program_matches_reference(f, _SCALAR_POINTS + _GRIDS)

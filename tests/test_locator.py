@@ -38,7 +38,9 @@ from rectmvt.theorems import (
     corner_difference,
     pompeiu1d_residual,
     pompeiu2d_residual,
+    rect_cauchy_residual,
     rect_mvt_residual,
+    rect_rolle_residual,
 )
 
 SQ6 = math.sqrt(6.0)
@@ -250,6 +252,15 @@ def _rows_per_band(n: int) -> int:
     return max(2, locator.BAND_BYTES // (8 * n))
 
 
+def _first_band_holding(row: int, n: int) -> int:
+    """First row of the first band of an n-wide level that holds ``row``: the
+    band that raises for a pole on that row."""
+    rows, a = _rows_per_band(n), 0
+    while a + rows <= row:
+        a += rows - 1
+    return a
+
+
 def _level_centres(axes, n: int) -> list[np.ndarray]:
     """Cell centers of an n-per-axis level, computed as ``locate`` computes them."""
     return [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in axes]
@@ -273,6 +284,18 @@ def _recorded(field: ResidualField, calls: list) -> ResidualField:
     return ResidualField(field.axes, residual, field.scale, field.decomposition, field.tag)
 
 
+def _whole_level_picks(flat: np.ndarray) -> tuple[int, int, int]:
+    """The picks ``locate`` took from a whole level before bands were reduced one by one."""
+    return int(flat.argmin()), int(flat.argmax()), int(np.abs(flat).argmin())
+
+
+def _constant_on_a_band(field: ResidualField, centres) -> bool:
+    """Whether the residual comes back 0-d on the first two rows of the level."""
+    xs, ys = centres
+    with np.errstate(all="ignore"):
+        return np.ndim(field.residual(xs[np.newaxis, :], ys[:2, np.newaxis])) == 0
+
+
 def _assert_level_matches_whole_grid(field: ResidualField, n: int) -> None:
     centres = _level_centres(field.axes, n)
     try:
@@ -280,15 +303,19 @@ def _assert_level_matches_whole_grid(field: ResidualField, n: int) -> None:
     except EvaluationError:
         expected = None
     calls = []
-    flat, failure, evaluations = _grid_values(_recorded(field, calls), centres)
+    flat, picks, failure, evaluations = _grid_values(_recorded(field, calls), centres)
     if expected is None:
-        assert flat is None and failure is not None
+        assert flat is None and picks is None and failure is not None
         return
     assert failure is None and evaluations == n ** len(centres)
     assert flat.tobytes() == expected.tobytes()  # bit for bit, NaN included
+    assert picks == _whole_level_picks(expected)
     rows = _rows_per_band(n)
     if len(centres) == 1 or rows >= n:
         assert len(calls) == 1
+    elif _constant_on_a_band(field, centres):
+        # one band, then the rest of the level in one call, sharing a row with it
+        assert calls == [(rows, 1), (n - rows + 1, 1)]
     else:
         # bands of at most ``rows`` rows, each sharing one row with the next,
         # whether or not the level is finite
@@ -327,6 +354,127 @@ def test_a_level_with_a_nan_in_a_later_band_equals_the_whole_grid():
     _assert_level_matches_whole_grid(_nan_above(0.9), 257)
 
 
+def _grid_table(table: np.ndarray) -> ResidualField:
+    """A residual on [0, n] x [0, n] that reads ``table[iy, ix]`` on cell (ix, iy)."""
+    n = table.shape[0]
+
+    def residual(x, y):
+        return table[np.floor(y).astype(int), np.floor(x).astype(int)]
+
+    return ResidualField(((0.0, float(n)),) * 2, residual, 1.0, {}, "test")
+
+
+def _set(table: np.ndarray, cells: dict) -> np.ndarray:
+    for (iy, ix), value in cells.items():
+        table[iy, ix] = value
+    return table
+
+
+def _carry_case(case: str, n: int) -> np.ndarray:
+    """An n x n table whose picks fall in several bands, or on rows bands share."""
+    s = _rows_per_band(n) - 1  # band k starts at row k * s; row s is the first shared row
+    ones = np.ones((n, n))
+    if case == "ties-across-bands":
+        # the least and largest values twice each, in different bands (row 4 * s
+        # is shared by bands 3 and 4); and a zero of each sign, the negative first
+        return _set(ones, {
+            (3 * s + 5, 7): -1.0, (5 * s + 2, 0): -1.0, (s + 1, 9): 2.0, (4 * s, 3): 2.0,
+            (2 * s + 3, 4): 0.5, (3 * s + 1, 0): -0.5, (6 * s, 1): -0.0, (6 * s, 2): 0.0,
+        })
+    if case == "ties-in-the-shared-row":
+        # the first of each tie is on the row bands 0 and 1 share, or just before it
+        return _set(ones, {
+            (s, 100): -1.0, (s, 200): -1.0, (s + 1, 0): -1.0,
+            (s - 1, 60): 2.0, (s, 50): 2.0, (s, 3): 0.25, (s + 1, 2): -0.25,
+        })
+    if case == "nan-in-a-later-band":
+        rng = np.random.default_rng(5)
+        return _set(rng.normal(size=(n, n)), {(1, 4): -10.0, (4 * s + 2, 9): math.nan, (6 * s, 0): math.nan})
+    if case == "infinities":
+        return _set(ones, {(3 * s, 1): -math.inf, (2 * s + 1, 2): math.inf, (5 * s, 0): -math.inf, (s, 3): 1e-300})
+    if case == "inf-then-nan":
+        return _set(ones, {(1, 1): -math.inf, (s + 3, 4): math.inf, (3 * s + 3, 5): math.nan})
+    if case == "all-nan":
+        return np.full((n, n), math.nan)
+    # few distinct values, so that every band ties with others, and a rare NaN or infinity
+    rng = np.random.default_rng(int(case.split("-")[1]))
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf, -math.inf, math.nan])
+    weights = np.array([20, 20, 1, 1, 20, 20, 0.02, 0.02, 0.01])
+    return values[rng.choice(values.size, size=(n, n), p=weights / weights.sum())]
+
+
+CARRY_CASES = (
+    "ties-across-bands", "ties-in-the-shared-row", "nan-in-a-later-band", "infinities", "inf-then-nan",
+    "all-nan", *(f"random-{seed}" for seed in range(6)),
+)
+
+
+@pytest.mark.parametrize("n", [257, 514])
+@pytest.mark.parametrize("case", CARRY_CASES)
+def test_picks_carried_across_bands_equal_the_whole_levels(case, n):
+    table = _carry_case(case, n)
+    assert 5 * _rows_per_band(n) < n  # the level is at least six bands
+    centres = _level_centres(((0.0, float(n)),) * 2, n)
+    flat, picks, failure, evaluations = _grid_values(_grid_table(table), centres)
+    assert failure is None and evaluations == n * n
+    assert flat.tobytes() == table.tobytes()
+    # argmin's and argmax's index, bit for bit: the first of ties, the first NaN
+    assert picks == _whole_level_picks(table.ravel())
+
+
+def _banded_level(field: ResidualField, centres) -> np.ndarray:
+    """The level as bands of ``_rows_per_band`` rows, one call each, evaluate it."""
+    xs, ys = centres
+    n = xs.size
+    rows = _rows_per_band(n)
+    level = np.empty((n, n))
+    for a in range(0, n - 1, rows - 1):
+        level[a : a + rows] = field.residual(xs[np.newaxis, :], ys[a : a + rows, np.newaxis])
+    return level.ravel()
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        rect_rolle_residual(parse("2*x + 3*y - 1"), Rectangle(0, 1, 0, 2)),  # f_xy a structural zero
+        rect_mvt_residual(parse("3*x*y + x - 2*y"), Rectangle(0.5, 1.5, -1, 2)),
+        rect_cauchy_residual(parse("x*y - x"), parse("-2*x*y + y"), Rectangle(1, 2, 1, 3)),
+        # every other residual of this sweep's rmvt bilinear cases is 0-d too
+        _build_case(THEOREMS["rmvt"], family_from_name("bilinear"), derive_seed(42, 1)),
+    ],
+    ids=["rolle", "rmvt", "cauchy", "rmvt-generated"],
+)
+def test_a_residual_constant_on_its_first_band_fills_the_rest_of_the_level_in_one_call(field):
+    for n in (257, 514):
+        centres = _level_centres(field.axes, n)
+        rows = _rows_per_band(n)
+        assert _constant_on_a_band(field, centres)
+        calls = []
+        flat, picks, failure, evaluations = _grid_values(_recorded(field, calls), centres)
+        assert calls == [(rows, 1), (n - rows + 1, 1)]
+        banded = _banded_level(field, centres)
+        assert (failure, evaluations) == (None, n * n)
+        assert flat.tobytes() == banded.tobytes() and np.unique(banded).size == 1
+        assert picks == _whole_level_picks(banded) == (0, 0, 0)
+
+
+def test_a_check_that_fails_after_a_constant_first_band_is_reported_as_one_call_reports_it(monkeypatch):
+    # f_xy is 1 everywhere, but log's argument vanishes on row 128 of 257,
+    # whose cell center is y = 0.5, far past the first band
+    field = rect_mvt_residual(parse("x*y + log((y - 0.5)^2)"), Rectangle(0, 1, 0, 1))
+    cfg = LocateConfig(grid_n=257, max_refinements=1)
+    report = locate(field, cfg)
+    d = report.diagnostics
+    assert (report.outcome, d.failure_kind, d.level) == ("failed", "domain", 0)
+    assert d.failure.startswith(f"evaluation error at ({0.5 / 257!r}, 0.5): ")
+    # the whole level, the row screens from the rest's first row, the one
+    # shared with the first band, to row 128, and one scalar sample
+    rows = _rows_per_band(257)
+    assert d.evaluations == 257 * 257 + (128 - (rows - 1) + 1) * 257 + 1
+    _one_call_per_level(monkeypatch)
+    assert _without_evaluations(locate(field, cfg)) == _without_evaluations(report)
+
+
 def _one_call_per_level(monkeypatch):
     """Screen every level of a rectangle in one vectorized call, as if one band held it."""
     monkeypatch.setattr(locator, "BAND_BYTES", 8 * MAX_GRID_N * MAX_GRID_N)
@@ -353,9 +501,9 @@ def test_a_divisor_that_changes_sign_where_bands_meet_is_a_domain_failure(monkey
     assert (report.outcome, d.failure_kind, d.level) == ("failed", "domain", 0)
     assert d.failure == f"evaluation error at ({first!r}, {first!r}): {sign}"
     # the rows up to the failing band's last, then, as no row proves it, a
-    # screen of every row from that band's first: 47 + 257 rows when band 0
-    # fails, 93 + 211 when band 1 does
-    assert rows == 47 and d.evaluations == 47 * n + n * n == 78_128
+    # screen of every row from that band's first: rows + n rows when band 0
+    # fails, 2 * rows - 1 + n - (rows - 1) when band 1 does
+    assert d.evaluations == rows * n + n * n
     _one_call_per_level(monkeypatch)
     assert _without_evaluations(locate(field, cfg)) == _without_evaluations(report)
 
@@ -374,22 +522,23 @@ def _nan_above_with_pole(y0: float, pole: float) -> ResidualField:
 @pytest.mark.parametrize(
     "field, cfg, failure, evaluations",
     [
-        # a pole on row 200 of 257, in the band of rows 184-230: those rows,
-        # the row screens of rows 184-200 and one scalar sample
+        # a pole on row 200 of 257, in the band from row a: the rows up to
+        # that band's last, the row screens of rows a-200 and one scalar sample
         (
             rect_mvt_residual(parse(f"x*y/(y-{200.5 * (1.0 / 257)!r})"), Rectangle(0, 1, 0, 1)),
             LocateConfig(grid_n=257, max_refinements=1),
             f"evaluation error at ({0.5 * (1.0 / 257)!r}, {200.5 * (1.0 / 257)!r}): division by zero",
-            231 * 257 + 17 * 257 + 1,
+            (_first_band_holding(200, 257) + _rows_per_band(257) + 201 - _first_band_holding(200, 257)) * 257 + 1,
         ),
         # a pole on the last row of the 2048 x 2048 grid, reached after four
-        # refinements: the levels before it, their scalar samples, the whole
-        # last level in bands, three row screens and one scalar sample
+        # refinements: the levels before it, their four scalar samples, the
+        # whole last level in bands, the row screens from the last band's
+        # first row and one scalar sample
         (
             rect_mvt_residual(parse("x*y/(y-0.999755859375)"), Rectangle(0, 1, 0, 1)),
             LocateConfig(grid_n=128),
             f"evaluation error at ({0.5 * (1.0 / 2048)!r}, 0.999755859375): division by zero",
-            5_593_093,
+            sum((128 << k) ** 2 for k in range(4)) + 4 + (2048 + 2048 - _first_band_holding(2047, 2048)) * 2048 + 1,
         ),
         # a residual that is not finite from row 231 of 257 on: no band raises
         (
@@ -405,7 +554,7 @@ def _nan_above_with_pole(y0: float, pole: float) -> ResidualField:
             _nan_above_with_pole(0.5, 200.5 * (1.0 / 257)),
             LocateConfig(grid_n=257, max_refinements=1),
             f"evaluation error at ({0.5 * (1.0 / 257)!r}, {129.5 * (1.0 / 257)!r}): residual is not finite",
-            231 * 257 + 257 + 1,
+            (_first_band_holding(200, 257) + _rows_per_band(257)) * 257 + 257 + 1,
         ),
     ],
     ids=["pole-in-a-later-band", "pole-on-the-last-row", "not-finite-in-a-later-band", "not-finite-then-a-pole"],
