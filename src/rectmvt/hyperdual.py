@@ -678,6 +678,21 @@ def _negation(A, om: int):
     return neg
 
 
+def _reads_no_variable(node: Expression) -> bool:
+    """Whether ``node`` is a constant subtree.  A variable is found soonest in
+    the base of a power and in the last term of a sum or product, so those
+    are read first."""
+    t = type(node)
+    if t is BinOp:
+        first, second = (node.left, node.right) if node.op == "^" else (node.right, node.left)
+        return _reads_no_variable(first) and _reads_no_variable(second)
+    if t is Neg:
+        return _reads_no_variable(node.child)
+    if t is Call:
+        return _reads_no_variable(node.arg)
+    return t is Const
+
+
 def _compile(node: Expression, need: int):
     # a leaf operand is compiled in place, which saves a call per leaf
     t = type(node)
@@ -704,15 +719,20 @@ def _compile(node: Expression, need: int):
             if op == "+":
                 return _binary(op, b, _lift(a), need)
             return _binary(op, _lift(a), b, need)
-        # h * k or h / k reads of h what it reads itself; h * g reads at most
-        # the components of h below those it reads
-        below = need if tr is Const else _BELOW[need]
+        # h * k or h / k reads of h what it reads itself, also when k is a
+        # constant subtree that folds to a value; h * g reads at most the
+        # components of h below those it reads
+        if tr is Const:
+            k = right.value
+        else:
+            k = _fold(right) if tr is not Var and _reads_no_variable(right) else None
+        constant = k is not None and type(k) is not tuple  # a subtree that raises stays compiled
         if tl is Const:
             a = left.value
         else:
-            a = _SEEDS[left.name] if tl is Var else _compile(left, below)
-        if tr is Const:
-            b, partner = right.value, need
+            a = _SEEDS[left.name] if tl is Var else _compile(left, need if constant else _BELOW[need])
+        if constant:
+            b, partner = k, need
         else:
             partner = _PARTNER[need << 4 | (a[1] if type(a) is tuple else _V)]
             if tr is Var:
@@ -721,9 +741,6 @@ def _compile(node: Expression, need: int):
                 b = _compile(right, partner if op == "*" else _BELOW[partner] | _V)
         if type(a) is not tuple and type(b) is not tuple:
             return _fold(node)
-        if type(b) is not tuple and below != need and tl is not Var:
-            # k folded to a constant, so h * k and h / k read of h only what they read
-            a = _compile(left, need)
         if op == "/":  # h / k is h * lift(k).reciprocal(); c / h is lift(c) * h.reciprocal()
             b = _reciprocal(b, partner)
         if type(a) is tuple:

@@ -54,6 +54,11 @@ MAX_GRID_N = 2048
 # glibc trim the heap top and fault it back in: a 257 x 257 screen of a rational
 # boggio2d residual took about 1,000 minor page faults there, and none here
 BAND_BYTES = 64 * 1024
+# fewest rows of a band, which sets the band of levels wider than 682 cells:
+# each band costs a Python call of every program closure, and screens of
+# 1024- and 2048-wide levels took 10-50% longer in 64 KiB bands (8 and 4 rows)
+# than in 12 rows
+MIN_BAND_ROWS = 12
 # a bracket search stops once its segment parameter is narrower than this, and
 # the minimizer once its steps are
 BISECT_TOL = 1e-12
@@ -183,31 +188,31 @@ def _grid_values(field: ResidualField, centres: list[np.ndarray]):
     :func:`_first_failure`'s ``(point, message, kind)``.
 
     The grid is written into one level array in bands of at most
-    ``max(2, BAND_BYTES // (8 * n))`` rows (an interval is one row), adjacent
-    bands sharing a row, so a divisor that changes sign between two adjacent
-    rows still raises in one band.  Each band is reduced to its picks right
-    after it is written, while it is in cache, and the level's picks are those
-    of the bands by argmin's rules: the first band's of ties, and the first
-    NaN wins.  A band whose residual is one value (a 0-d result, as the mixed
-    partial of a bilinear f is) is followed by one band over the rest of the
-    level, since such a residual costs the same on any number of rows; its
-    checks still run on every row, and one over both coordinates (in a term no
-    component read depends on, as in ``log(x + y)^0``) then holds temporaries
-    of the rest's size.  When a band raises, each row up to its
-    last counts once among the evaluations, and the search for the first failing
-    sample starts at the first row above the band that is not finite, or else
-    at the band's first row: a finite row of a band that did not raise would
-    not raise alone either.  So a failing level is reported as one call over
-    it reports it, but for two cases: when two different checks fail in
-    different bands and no row fails, the raising band's error is reported;
-    and a divisor whose sign change straddles an all-NaN shared row raises in
-    no band, so the level is reported as not finite.
+    ``max(MIN_BAND_ROWS, BAND_BYTES // (8 * n))`` rows (an interval is one
+    row), adjacent bands sharing a row, so a divisor that changes sign between
+    two adjacent rows still raises in one band.  Each band is reduced to its
+    picks right after it is written, while it is in cache, and the level's
+    picks are those of the bands by argmin's rules: the first band's of ties,
+    and the first NaN wins; a band whose residual is one value (a 0-d result,
+    as the mixed partial of a bilinear f is) picks its first sample without a
+    pass.  Every band has the same height whatever its residual costs, so even
+    a check over both coordinates in a term no component read depends on (as in
+    ``log(x + y)^0``) holds only band-sized temporaries.  When a band raises,
+    each row up to its last counts once among the evaluations, and the search
+    for the first failing sample starts at the first row above the band that
+    is not finite, or else at the band's first row: a finite row of a band
+    that did not raise would not raise alone either.  So a failing level is
+    reported as one call over it reports it, but for two cases: when two
+    different checks fail in different bands and no row fails, the raising
+    band's error is reported; and a divisor whose sign change straddles an
+    all-NaN shared row raises in no band, so the level is reported as not
+    finite.
     """
     n = centres[0].size
     height = centres[1].size if len(centres) > 1 else 1
     level = np.empty((height, n))
     flat = level.ravel()
-    rows = max(2, BAND_BYTES // (8 * n))
+    rows = max(MIN_BAND_ROWS, BAND_BYTES // (8 * n))
     picks = []
     a, b = 0, min(rows, height)
     try:
@@ -215,12 +220,13 @@ def _grid_values(field: ResidualField, centres: list[np.ndarray]):
             while True:
                 values = _rows(field, centres, a, b)
                 level[a:b] = values
-                # one value fills the band
-                constant = not isinstance(values, np.ndarray) or values.ndim == 0
-                picks.append((a * n,) * 3 if constant else _band_picks(flat[a * n : b * n], a * n))
+                if isinstance(values, np.ndarray) and values.ndim:
+                    picks.append(_band_picks(flat[a * n : b * n], a * n))
+                else:
+                    picks.append((a * n,) * 3)  # one value fills the band
                 if b == height:
                     break
-                a, b = b - 1, height if constant else min(b - 1 + rows, height)
+                a, b = b - 1, min(b - 1 + rows, height)
     except EvaluationError as exc:
         bad = ~np.isfinite(level[:a]).all(axis=1)
         failure, evals = _first_failure(field, centres, int(bad.argmax()) if bad.any() else a, exc)

@@ -699,3 +699,23 @@ def test_a_product_or_quotient_by_a_folded_constant_reads_what_it_is_read_for(te
     f = parse(text)
     assert _grid_operations(compile_hyperdual(f, ("dxy",))) == 0
     _assert_program_matches_reference(f, _SCALAR_POINTS + _GRIDS)
+
+
+def test_a_product_by_a_folded_constant_compiles_its_left_operand_once(monkeypatch):
+    # each factor folds to a constant, so the spine of products is compiled
+    # once for the components it is read for, not once more per factor
+    f = parse("x*y*(1.4 + 0.12)*(-(2 + 1))*(3 - 0.5)/(0.5 + 0.25)")
+    compiled = []
+    real = hyperdual._compile
+
+    def counted(node, need):
+        compiled.append(id(node))
+        return real(node, need)
+
+    monkeypatch.setattr(hyperdual, "_compile", counted)
+    for reads in (("dxy",), ("v", "dx", "dy", "dxy")):
+        compiled.clear()
+        compile_hyperdual(f, reads)
+        assert compiled and max(Counter(compiled).values()) == 1
+    monkeypatch.undo()
+    _assert_program_matches_reference(f, _SCALAR_POINTS + _GRIDS)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ FAMILIES = ("poly4", "bilinear", "separable", "exp-poly", "rational")
 
 
 def _rows_per_band(n: int) -> int:
-    return max(2, locator.BAND_BYTES // (8 * n))
+    return max(locator.MIN_BAND_ROWS, locator.BAND_BYTES // (8 * n))
 
 
 def _first_band_holding(row: int, n: int) -> int:
@@ -289,13 +290,6 @@ def _whole_level_picks(flat: np.ndarray) -> tuple[int, int, int]:
     return int(flat.argmin()), int(flat.argmax()), int(np.abs(flat).argmin())
 
 
-def _constant_on_a_band(field: ResidualField, centres) -> bool:
-    """Whether the residual comes back 0-d on the first two rows of the level."""
-    xs, ys = centres
-    with np.errstate(all="ignore"):
-        return np.ndim(field.residual(xs[np.newaxis, :], ys[:2, np.newaxis])) == 0
-
-
 def _assert_level_matches_whole_grid(field: ResidualField, n: int) -> None:
     centres = _level_centres(field.axes, n)
     try:
@@ -313,12 +307,9 @@ def _assert_level_matches_whole_grid(field: ResidualField, n: int) -> None:
     rows = _rows_per_band(n)
     if len(centres) == 1 or rows >= n:
         assert len(calls) == 1
-    elif _constant_on_a_band(field, centres):
-        # one band, then the rest of the level in one call, sharing a row with it
-        assert calls == [(rows, 1), (n - rows + 1, 1)]
     else:
         # bands of at most ``rows`` rows, each sharing one row with the next,
-        # whether or not the level is finite
+        # whether or not the level is finite or its residual is one value
         assert calls[0] == (rows, 1) and all(r <= rows and one == 1 for r, one in calls)
         assert sum(r for r, _ in calls) - (len(calls) - 1) == n
 
@@ -444,33 +435,57 @@ def _banded_level(field: ResidualField, centres) -> np.ndarray:
     ],
     ids=["rolle", "rmvt", "cauchy", "rmvt-generated"],
 )
-def test_a_residual_constant_on_its_first_band_fills_the_rest_of_the_level_in_one_call(field):
+def test_a_residual_constant_on_every_band_is_banded_and_picks_its_first_sample(monkeypatch, field):
+    # a band whose residual is one value takes no pass for its picks
+    def no_pass(band, start):
+        raise AssertionError("a constant band was reduced")
+
+    monkeypatch.setattr(locator, "_band_picks", no_pass)
     for n in (257, 514):
         centres = _level_centres(field.axes, n)
-        rows = _rows_per_band(n)
-        assert _constant_on_a_band(field, centres)
+        with np.errstate(all="ignore"):
+            assert np.ndim(field.residual(*centres)) == 0
         calls = []
         flat, picks, failure, evaluations = _grid_values(_recorded(field, calls), centres)
-        assert calls == [(rows, 1), (n - rows + 1, 1)]
+        rows = _rows_per_band(n)
+        assert calls[0] == (rows, 1) and all(r <= rows for r, _ in calls)
+        assert sum(r for r, _ in calls) - (len(calls) - 1) == n
         banded = _banded_level(field, centres)
         assert (failure, evaluations) == (None, n * n)
         assert flat.tobytes() == banded.tobytes() and np.unique(banded).size == 1
         assert picks == _whole_level_picks(banded) == (0, 0, 0)
 
 
-def test_a_check_that_fails_after_a_constant_first_band_is_reported_as_one_call_reports_it(monkeypatch):
+def test_a_constant_residual_whose_check_reads_both_coordinates_holds_band_sized_temporaries():
+    # f_xy is 1, but log's check runs on every sample of x + y: the level array
+    # and a few band-sized temporaries, not temporaries the size of the level
+    field = rect_mvt_residual(parse("x*y + log(x + y)^0"), Rectangle(1, 2, 1, 2))
+    n = 1024
+    centres = _level_centres(field.axes, n)
+    _grid_values(field, centres)  # compile and warm up outside the trace
+    tracemalloc.start()
+    try:
+        flat, picks, failure, evaluations = _grid_values(field, centres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (failure, evaluations, picks) == (None, n * n, (0, 0, 0))
+    assert peak - flat.nbytes < 16 * _rows_per_band(n) * n * flat.itemsize
+
+
+def test_a_check_that_fails_under_a_constant_residual_is_reported_as_one_call_reports_it(monkeypatch):
     # f_xy is 1 everywhere, but log's argument vanishes on row 128 of 257,
-    # whose cell center is y = 0.5, far past the first band
+    # whose cell center is y = 0.5, in a later band
     field = rect_mvt_residual(parse("x*y + log((y - 0.5)^2)"), Rectangle(0, 1, 0, 1))
     cfg = LocateConfig(grid_n=257, max_refinements=1)
     report = locate(field, cfg)
     d = report.diagnostics
     assert (report.outcome, d.failure_kind, d.level) == ("failed", "domain", 0)
     assert d.failure.startswith(f"evaluation error at ({0.5 / 257!r}, 0.5): ")
-    # the whole level, the row screens from the rest's first row, the one
-    # shared with the first band, to row 128, and one scalar sample
-    rows = _rows_per_band(257)
-    assert d.evaluations == 257 * 257 + (128 - (rows - 1) + 1) * 257 + 1
+    # the rows up to the last of the band from row a that holds row 128, the
+    # row screens of rows a-128 and one scalar sample
+    a = _first_band_holding(128, 257)
+    assert 0 < a and d.evaluations == (a + _rows_per_band(257) + 129 - a) * 257 + 1
     _one_call_per_level(monkeypatch)
     assert _without_evaluations(locate(field, cfg)) == _without_evaluations(report)
 
