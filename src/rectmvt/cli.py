@@ -222,9 +222,18 @@ def _cmd_parse(args) -> int:
 
 
 def _add_locate_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid-n", type=int, default=33, help="initial grid resolution per axis")
-    sub.add_argument("--refinements", type=int, default=4, help="maximum grid doublings")
-    sub.add_argument("--tau", type=float, default=1e-9, help="residual tolerance factor (times scale)")
+    sub.add_argument(
+        "--grid-n", type=int, default=LocateConfig.grid_n, help="initial grid resolution per axis"
+    )
+    sub.add_argument(
+        "--refinements", type=int, default=LocateConfig.max_refinements, help="maximum grid doublings"
+    )
+    sub.add_argument(
+        "--tau",
+        type=float,
+        default=LocateConfig.tol_factor,
+        help="residual tolerance factor (times scale)",
+    )
 
 
 @functools.cache
@@ -259,7 +268,12 @@ def _build_argparser() -> argparse.ArgumentParser:
     verify_p.add_argument("--g", default=None)
     verify_p.add_argument("--rect", required=True)
     verify_p.add_argument("--point", required=True, help="xi1,xi2 (just xi for 1-D theorems)")
-    verify_p.add_argument("--tau", type=float, default=1e-9, help="residual tolerance factor (times scale)")
+    verify_p.add_argument(
+        "--tau",
+        type=float,
+        default=LocateConfig.tol_factor,
+        help="residual tolerance factor (times scale)",
+    )
     verify_p.set_defaults(handler=_cmd_verify)
 
     sweep_p = sub.add_parser("sweep", help="run a deterministic sweep of generated cases")

@@ -117,14 +117,19 @@ class Derivatives(NamedTuple):
 # keeps the operand order of the reflected method Python falls back to
 # (``c * h`` runs ``h.__mul__(c)``, ``c - h`` runs ``h.__rsub__(c)``).
 #
-# ``_slots`` runs every sum, difference and product of two operands, with the
-# slot functions ``_binary_plan`` picks; ``_stepped_power`` runs ``h ^ n`` as
-# n - 1 such products; ``_chain``, ``_negation`` and ``_scaled`` run a scalar
-# function, a minus and a product with a constant.  ``_scaled`` stays apart
-# because it scales every monomial coefficient: through ``_slots``, compiling
-# took 28% and scalar programs 20% longer on a 2-core x86-64 host.  A constant
-# shift, 4% of the nodes of a sweep, is a sum or difference with a lifted
-# constant (``_lift``).
+# The product rule is stated once, in ``_PRODUCT_TERMS``: component c of
+# ``a * b`` is the sum of the terms ``a[i] * b[j]`` with ``i | j == c`` and
+# ``i & j == 0``, the second-order Leibniz rule, grouped as HyperDual adds
+# them.  The compiler's masks of a product (``_PRODUCT_NZ``, ``_PARTNER``), the
+# slot functions of every product plan, and the dense product of a varying
+# exponent (``_mul``) all come from it.  ``_slots`` runs every sum, difference
+# and product of two operands, with the slot functions ``_binary_plan`` picks;
+# ``_stepped_power`` runs ``h ^ n`` as n - 1 such products; ``_chain``,
+# ``_negation`` and ``_scaled`` run a scalar function, a minus and a product
+# with a constant.  ``_scaled`` stays apart because it scales every monomial
+# coefficient: through ``_slots``, compiling took 28% and scalar programs 20%
+# longer on a 2-core x86-64 host.  A constant shift, 4% of the nodes of a
+# sweep, is a sum or difference with a lifted constant (``_lift``).
 # A domain or exponent check is a root of the demand: it needs its operand's
 # value even when nothing reads its own components, so a subtree holding a
 # check always runs.  A subtree whose components nobody reads and that holds
@@ -138,26 +143,28 @@ _ALL = 15
 _NONE = (None, None, None, None)
 _NO_PARTS = (None, None, None)
 
-
-def _product_nz(a: int, b: int) -> int:
-    """Components of a product that are not structurally zero."""
-    nz = _V | ((a | b) & (_DX | _DY | _DXY))
-    if (a & _DX and b & _DY) or (a & _DY and b & _DX):
-        nz |= _DXY
-    return nz
-
-
-def _chain_nz(a: int) -> int:
-    """Components of ``u(a)``, for a scalar function u, that are not structurally zero."""
-    return a | _DXY if a & _DX and a & _DY else a
-
-
-# _PRODUCT_NZ[a << 4 | b] is _product_nz(a, b), looked up once per product compiled
-_PRODUCT_NZ = tuple(_product_nz(k >> 4, k & 15) for k in range(256))
-# _CHAIN_NZ[a] is _chain_nz(a)
-_CHAIN_NZ = tuple(_chain_nz(a) for a in range(16))
-# the four bits of each mask
-_BITS = tuple(tuple(m >> c & 1 for c in range(4)) for m in range(16))
+# the terms a[i] * b[j] of component c of a product, in HyperDual's groups
+_PRODUCT_TERMS = (
+    (((0, 0),),),
+    (((0, 1), (1, 0)),),
+    (((0, 2), (2, 0)),),
+    (((0, 3), (3, 0)), ((1, 2), (2, 1))),
+)
+# the same terms as (c, i, j), ungrouped
+_TERMS = tuple((c, i, j) for c, groups in enumerate(_PRODUCT_TERMS) for g in groups for i, j in g)
+# _PRODUCT_NZ[a << 4 | b]: the components of a product that are not structurally
+# zero, for its operands' nonzero masks a and b, which both hold v
+_PRODUCT_NZ = tuple(
+    sum({1 << c for c, i, j in _TERMS if k >> 4 + i & 1 and k >> j & 1}) for k in range(256)
+)
+# _PARTNER[need << 4 | na]: the components j of b whose terms a[i] * b[j] reach a
+# component of need, for a's nonzero mask na
+_PARTNER = tuple(
+    sum({1 << j for c, i, j in _TERMS if k >> 4 + c & 1 and k >> i & 1}) for k in range(256)
+)
+# _CHAIN_NZ[a]: the components of u(a), for a scalar function u, that are not
+# structurally zero
+_CHAIN_NZ = tuple(a | _DXY if a & _DX and a & _DY else a for a in range(16))
 
 
 def _lifted(c) -> Components:
@@ -272,14 +279,9 @@ _CHECKED = frozenset(("log", "sqrt", "recip", "^p"))
 
 
 def _mul(a: Components, b: Components) -> Components:
-    av, adx, ady, adxy = a
-    bv, bdx, bdy, bdxy = b
-    return (
-        av * bv,
-        av * bdx + adx * bv,
-        av * bdy + ady * bv,
-        (av * bdxy + adxy * bv) + (adx * bdy + ady * bdx),
-    )
+    """``a * b`` by the slot functions of the product plan of all four components."""
+    plan = _PLANS["*"].get(_ALL << 8 | _ALL << 4 | _ALL) or _binary_plan("*", _ALL, _ALL, _ALL)
+    return tuple(f(a, b) for f in plan[0])
 
 
 def _dense_chain(a: Components, fn: str, p=None) -> Components:
@@ -323,37 +325,23 @@ def _dense(t: Components, mask: int) -> Components:
 
 # -- the compiler: one pass, top-down ----------------------------------------
 #
-# ``_compile(node, need)`` returns the plain value of a constant-only subtree,
-# or a triple ``(closure, nz, checks)``: the closure computes the components of
+# ``_compile(node, need)`` compiles every node, leaves included: a constant-only
+# subtree comes back as its plain value, and anything else as a triple
+# ``(closure, nz, checks)``: the closure computes the components of
 # ``need & nz`` (it is None when that is empty and the subtree runs no check),
 # nz masks the components that are not structurally zero, and checks tells
-# whether evaluating the subtree runs a check that can raise.  A node asks its
-# operands for what it needs of them given ``need``; before an operand is
-# compiled its nz is not known, so it is asked for every component that one
-# of ``need`` could read (``_BELOW``), and a product asks its right operand
-# only for what pairs with the left's nonzero components.  A subtree found to
-# contribute nothing is dropped, unless it runs a check.
+# whether evaluating the subtree runs a check that can raise.  A variable is
+# its seed from ``_SEEDS``.  A node asks its operands for what it needs of them
+# given ``need``; before an operand is compiled its nz is not known, so it is
+# asked for every component that one of ``need`` could read (``_BELOW``), and
+# a product asks its right operand only for what pairs with the left's nonzero
+# components (``_PARTNER``).  A subtree found to contribute nothing is dropped,
+# unless it runs a check.
 # ``+`` and ``-`` lift a constant operand and build ``_binary``; ``*`` and
 # ``/`` (after ``_reciprocal``) build ``_binary``, or ``_scaled`` for a constant.
 
 # the components below each mask: those a component of it is built from
 _BELOW = tuple(m and (_ALL if m & _DXY else m | _V) for m in range(16))
-
-
-def _partners() -> tuple:
-    """``_PARTNER[need << 4 | na]``: the components j of b whose products
-    ``a[c ^ j] * b[j]`` reach a component c of need, for a's nonzero mask na."""
-    table = [0] * 256
-    for c in range(4):
-        for j in range(4):
-            if c & j == j:
-                for k in range(256):
-                    if k >> 4 + c & 1 and k >> (c ^ j) & 1:
-                        table[k] |= 1 << j
-    return tuple(table)
-
-
-_PARTNER = _partners()
 
 
 def _seed_x(X, Y):
@@ -407,14 +395,6 @@ _SUB = tuple((lambda a, b, c=c: a[c] - b[c]) for c in range(4))
 _LEFT = tuple((lambda a, b, c=c: a[c]) for c in range(4))
 _RIGHT = tuple((lambda a, b, c=c: b[c]) for c in range(4))
 _MINUS_RIGHT = tuple((lambda a, b, c=c: 0.0 - b[c]) for c in range(4))
-
-# the terms a[i] * b[j] of component c of a product, in HyperDual's groups
-_PRODUCT_TERMS = (
-    (((0, 0),),),
-    (((0, 1), (1, 0)),),
-    (((0, 2), (2, 0)),),
-    (((0, 3), (3, 0)), ((1, 2), (2, 1))),
-)
 
 
 def _p1(i, j):
@@ -570,7 +550,7 @@ def _power_steps(n: int, om: int, na: int):
     steps = []
     need = om
     for k in range(n, 1, -1):  # the product a^(k-1) * a
-        fs, need, _ = _binary_plan("*", need, na if k == 2 else _chain_nz(na), na)
+        fs, need, _ = _binary_plan("*", need, na if k == 2 else _CHAIN_NZ[na], na)
         steps.append(fs)
     steps = _POWER_STEPS[(n, om, na)] = tuple(reversed(steps))
     return steps
@@ -595,9 +575,9 @@ def _stepped_power(A, steps):
 def _power(node: BinOp, need: int):
     below = _BELOW[need] | _V
     left, right = node.left, node.right
-    a = _SEEDS[left.name] if type(left) is Var else _compile(left, below)
+    a = _compile(left, below)
     # a varying exponent's every component decides its branch
-    b = right.value if type(right) is Const else _compile(right, _ALL)
+    b = _compile(right, _ALL)
     if type(b) is tuple:  # c ^ h runs h.__rpow__(c), which is lift(c) ** h
         return _varying_power(a if type(a) is tuple else _lift(a), b, below)
     if type(a) is not tuple:
@@ -628,7 +608,7 @@ def _varying_power(a, b, read: int):
     def varying_power(X, Y):
         return _pow(_dense(A(X, Y), read_a), _dense(B(X, Y), nb))
 
-    return (varying_power, _chain_nz(_product_nz(nb, _chain_nz(na))), True)
+    return (varying_power, _CHAIN_NZ[_PRODUCT_NZ[nb << 4 | _CHAIN_NZ[na]]], True)
 
 
 def _reciprocal(b, need: int):
@@ -649,7 +629,7 @@ def _scaled(h, k, need: int):
     if not om:
         return (A if checks else None, nz, checks)
     k = float(k)
-    m0, m1, m2, m3 = _BITS[om]
+    m0, m1, m2, m3 = om & _V, om & _DX, om & _DY, om & _DXY
 
     def scale(X, Y):
         h = A(X, Y)
@@ -664,7 +644,7 @@ def _scaled(h, k, need: int):
 
 
 def _negation(A, om: int):
-    m0, m1, m2, m3 = _BITS[om]
+    m0, m1, m2, m3 = om & _V, om & _DX, om & _DY, om & _DXY
 
     def neg(X, Y):
         v, dx, dy, dxy = A(X, Y)
@@ -694,22 +674,14 @@ def _reads_no_variable(node: Expression) -> bool:
 
 
 def _compile(node: Expression, need: int):
-    # a leaf operand is compiled in place, which saves a call per leaf
     t = type(node)
     if t is BinOp:
         op, left, right = node.op, node.left, node.right
         if op == "^":
             return _power(node, need)
-        tl, tr = type(left), type(right)
         if op == "+" or op == "-":
-            if tl is Const:
-                a = left.value
-            else:
-                a = _SEEDS[left.name] if tl is Var else _compile(left, need)
-            if tr is Const:
-                b = right.value
-            else:
-                b = _SEEDS[right.name] if tr is Var else _compile(right, need)
+            a = _compile(left, need)
+            b = _compile(right, need)
             if type(a) is tuple:
                 return _binary(op, a, b if type(b) is tuple else _lift(b), need)
             if type(b) is not tuple:
@@ -722,23 +694,14 @@ def _compile(node: Expression, need: int):
         # h * k or h / k reads of h what it reads itself, also when k is a
         # constant subtree that folds to a value; h * g reads at most the
         # components of h below those it reads
-        if tr is Const:
-            k = right.value
-        else:
-            k = _fold(right) if tr is not Var and _reads_no_variable(right) else None
+        k = _fold(right) if _reads_no_variable(right) else None
         constant = k is not None and type(k) is not tuple  # a subtree that raises stays compiled
-        if tl is Const:
-            a = left.value
-        else:
-            a = _SEEDS[left.name] if tl is Var else _compile(left, need if constant else _BELOW[need])
+        a = _compile(left, need if constant else _BELOW[need])
         if constant:
             b, partner = k, need
         else:
             partner = _PARTNER[need << 4 | (a[1] if type(a) is tuple else _V)]
-            if tr is Var:
-                b = _SEEDS[right.name]
-            else:
-                b = _compile(right, partner if op == "*" else _BELOW[partner] | _V)
+            b = _compile(right, partner if op == "*" else _BELOW[partner] | _V)
         if type(a) is not tuple and type(b) is not tuple:
             return _fold(node)
         if op == "/":  # h / k is h * lift(k).reciprocal(); c / h is lift(c) * h.reciprocal()

@@ -710,6 +710,23 @@ def test_verify_takes_only_the_tolerance_flag(capsys, flag):
     assert (code, err) == (2, "invalid input: tol_factor must be positive\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "0,1,0,1"],
+        ["sweep", "--theorem", "rmvt", "--count", "1"],
+        ["verify", "--theorem", "rmvt", "--f", "x*y", "--rect", "0,1,0,1", "--point", "0.5,0.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_flag_defaults_are_the_locate_config_defaults(argv):
+    args = cli._build_argparser().parse_args(argv)
+    if argv[0] == "verify":
+        assert cli.LocateConfig(tol_factor=args.tau) == cli.LocateConfig()
+    else:
+        assert cli._config_from_args(args) == cli.LocateConfig()
+
+
 def test_negative_expression_value_accepted(capsys):
     code, out, _ = run_cli(capsys, "parse", "--f", "-x^2+1")
     assert code == 0

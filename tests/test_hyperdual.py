@@ -719,3 +719,69 @@ def test_a_product_by_a_folded_constant_compiles_its_left_operand_once(monkeypat
         assert compiled and max(Counter(compiled).values()) == 1
     monkeypatch.undo()
     _assert_program_matches_reference(f, _SCALAR_POINTS + _GRIDS)
+
+
+# -- the product rule -----------------------------------------------------------
+#
+# The compiler derives its product masks and its dense product from one table of
+# terms; each is checked here against the rule written out by hand.
+
+
+def test_product_nonzero_masks_are_the_leibniz_closed_form():
+    # v, each of dx, dy and dxy that either operand has, and dxy also when one
+    # operand has dx and the other dy; every compiled operand's mask holds v
+    for a in range(1, 16, 2):
+        for b in range(1, 16, 2):
+            want = 1 | (a | b) & 14
+            if a & 2 and b & 4 or a & 4 and b & 2:
+                want |= 8
+            assert hyperdual._PRODUCT_NZ[a << 4 | b] == want, (a, b)
+
+
+def test_partner_masks_pair_each_needed_component_with_the_left_operand():
+    # bit j of b is read when a component c of need has j below it (j ⊆ c) and
+    # the left operand's component c ^ j is not structurally zero
+    for need in range(16):
+        for na in range(16):
+            want = 0
+            for c in range(4):
+                for j in range(4):
+                    if need >> c & 1 and j & c == j and na >> (c ^ j) & 1:
+                        want |= 1 << j
+            assert hyperdual._PARTNER[need << 4 | na] == want, (need, na)
+
+
+def _leibniz(a, b):
+    av, adx, ady, adxy = a
+    bv, bdx, bdy, bdxy = b
+    return (
+        av * bv,
+        av * bdx + adx * bv,
+        av * bdy + ady * bv,
+        (av * bdxy + adxy * bv) + (adx * bdy + ady * bdx),
+    )
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 1e308, -1e-310, 1.0]
+
+
+def test_dense_product_is_the_written_out_leibniz_rule():
+    rng = random.Random(1717)
+
+    def pick():
+        return rng.choice(_SPECIAL) if rng.random() < 0.5 else rng.uniform(-4.0, 4.0)
+
+    def array():
+        return np.array([pick() for _ in range(48)])
+
+    with np.errstate(all="ignore"):
+        for _ in range(2000):
+            a = tuple(pick() for _ in range(4))
+            b = tuple(pick() for _ in range(4))
+            assert list(map(_bits, hyperdual._mul(a, b))) == list(map(_bits, _leibniz(a, b)))
+        for _ in range(50):
+            a = tuple(array() for _ in range(4))
+            # an operand's components may be floats that broadcast, as a lifted constant's are
+            b = tuple(array() if rng.random() < 0.5 else pick() for _ in range(4))
+            for x, y in ((a, b), (b, a)):
+                assert list(map(_bits, hyperdual._mul(x, y))) == list(map(_bits, _leibniz(x, y)))
