@@ -121,15 +121,27 @@ class Derivatives(NamedTuple):
 # ``a * b`` is the sum of the terms ``a[i] * b[j]`` with ``i | j == c`` and
 # ``i & j == 0``, the second-order Leibniz rule, grouped as HyperDual adds
 # them.  The compiler's masks of a product (``_PRODUCT_NZ``, ``_PARTNER``), the
-# slot functions of every product plan, and the dense product of a varying
-# exponent (``_mul``) all come from it.  ``_slots`` runs every sum, difference
-# and product of two operands, with the slot functions ``_binary_plan`` picks;
-# ``_stepped_power`` runs ``h ^ n`` as n - 1 such products; ``_chain``,
-# ``_negation`` and ``_scaled`` run a scalar function, a minus and a product
-# with a constant.  ``_scaled`` stays apart because it scales every monomial
-# coefficient: through ``_slots``, compiling took 28% and scalar programs 20%
-# longer on a 2-core x86-64 host.  A constant shift, 4% of the nodes of a
-# sweep, is a sum or difference with a lifted constant (``_lift``).
+# source of every product node, and so the dense product of a varying exponent
+# (``_mul``), all come from it.
+#
+# Every sum, difference, product (a product with a constant included),
+# negation and integer power is one generated closure, so it costs one Python
+# call: ``_formulas`` writes the source of each component the node fills, and
+# ``_factory`` turns it, once per plan key and operand kinds, into a factory
+# that takes the node's operands and returns the closure.  An operand is read
+# by its kind: a compiled one is called, unless it is an x or y seed, which is
+# the node's own X or Y; a folded constant is its value, passed to the
+# factory, and lifted only in that it is the one component read of it (the
+# lifted ``h ^ 0`` is a compiled operand, and called).  The generated source
+# is safe to ``exec``: it is built from fixed
+# templates and component, operand and step indices alone, and every constant
+# and closure of an expression reaches it only as an argument of its factory,
+# so no text of an expression is ever part of it (``_SOURCES`` holds each
+# source, with its factory).  ``_binary`` builds a sum, difference or product,
+# ``_scaled`` the product with a constant that scales each monomial coefficient
+# (the node ``_binary`` would build, by a shorter path, since compiling takes
+# one per coefficient), ``_negation`` a minus and ``_int_power`` a power, whose
+# products run in a loop.  ``_chain`` runs a scalar function.
 # A domain or exponent check is a root of the demand: it needs its operand's
 # value even when nothing reads its own components, so a subtree holding a
 # check always runs.  A subtree whose components nobody reads and that holds
@@ -279,9 +291,10 @@ _CHECKED = frozenset(("log", "sqrt", "recip", "^p"))
 
 
 def _mul(a: Components, b: Components) -> Components:
-    """``a * b`` by the slot functions of the product plan of all four components."""
-    plan = _PLANS["*"].get(_ALL << 8 | _ALL << 4 | _ALL) or _binary_plan("*", _ALL, _ALL, _ALL)
-    return tuple(f(a, b) for f in plan[0])
+    """``a * b`` by the generated product node of all four components, which
+    reads a and b as it reads the seeds X and Y."""
+    key = _ARG_X << 14 | _ARG_Y << 12 | _ALL << 8 | _ALL << 4 | _ALL
+    return (_FACTORIES["*"].get(key) or _factory("*", key))(None, None)(a, b)
 
 
 def _dense_chain(a: Components, fn: str, p=None) -> Components:
@@ -337,8 +350,10 @@ def _dense(t: Components, mask: int) -> Components:
 # a product asks its right operand only for what pairs with the left's nonzero
 # components (``_PARTNER``).  A subtree found to contribute nothing is dropped,
 # unless it runs a check.
-# ``+`` and ``-`` lift a constant operand and build ``_binary``; ``*`` and
-# ``/`` (after ``_reciprocal``) build ``_binary``, or ``_scaled`` for a constant.
+# ``+`` and ``-`` build ``_binary``, whose operands may be folded constants;
+# ``*`` and ``/`` (after ``_reciprocal``) build ``_binary``, or ``_scaled`` for
+# a constant factor; ``-h`` builds ``_negation``, ``h ^ n`` ``_int_power`` and a
+# scalar function ``_chain``.
 
 # the components below each mask: those a component of it is built from
 _BELOW = tuple(m and (_ALL if m & _DXY else m | _V) for m in range(16))
@@ -388,111 +403,136 @@ def _fold(node: Expression):
         return (lambda X, Y: evaluate(node, None, None), _V, True)
 
 
-# slot functions of sums and differences: component c of a + b, a - b, or of
-# the one operand whose component c is not structurally zero
-_ADD = tuple((lambda a, b, c=c: a[c] + b[c]) for c in range(4))
-_SUB = tuple((lambda a, b, c=c: a[c] - b[c]) for c in range(4))
-_LEFT = tuple((lambda a, b, c=c: a[c]) for c in range(4))
-_RIGHT = tuple((lambda a, b, c=c: b[c]) for c in range(4))
-_MINUS_RIGHT = tuple((lambda a, b, c=c: 0.0 - b[c]) for c in range(4))
+# How a node reads an operand, by kind: a general operand is called, a seed is
+# the node's own X or Y, and a folded constant is the value its factory was given.
+_GENERAL, _ARG_X, _ARG_Y, _CONSTANT = range(4)
+_KINDS = {_seed_x: _ARG_X, _seed_y: _ARG_Y}  # the kind of each operand closure not general
+_SOURCES: dict = {}  # generated source -> its factory
+# per node type: ka << 14 | kb << 12 | om << 8 | na << 4 | nb -> factory; a
+# negation has no b, and its kb is _CONSTANT
+_FACTORIES: dict = {"+": {}, "-": {}, "*": {}, "neg": {}}
 
 
-def _p1(i, j):
-    return lambda a, b: a[i] * b[j]
-
-
-def _p2(i, j, k, l):
-    return lambda a, b: a[i] * b[j] + a[k] * b[l]
-
-
-def _p21(i, j, k, l, m, n):
-    return lambda a, b: (a[i] * b[j] + a[k] * b[l]) + a[m] * b[n]
-
-
-def _p12(i, j, k, l, m, n):
-    return lambda a, b: a[i] * b[j] + (a[k] * b[l] + a[m] * b[n])
-
-
-def _p22(i, j, k, l, m, n, o, q):
-    return lambda a, b: (a[i] * b[j] + a[k] * b[l]) + (a[m] * b[n] + a[o] * b[q])
-
-
-# a slot function per shape of the kept groups: how many terms each holds
-_SUMS_OF_PRODUCTS = {(1,): _p1, (2,): _p2, (1, 1): _p2, (2, 1): _p21, (1, 2): _p12, (2, 2): _p22}
-# per operator: om << 8 | na << 4 | nb -> (slot functions, operand needs)
-_PLANS: dict = {"+": {}, "-": {}, "*": {}}
-
-
-def _binary_plan(op: str, om: int, na: int, nb: int):
-    """Slot functions of ``a op b`` for the output mask ``om``, given the
-    operands' nonzero masks, and the masks of the operand components they read;
-    it is kept in ``_PLANS``, where ``_binary`` looks it up first."""
-    fs = [None] * 4
-    need_a = need_b = 0
+def _formulas(op: str, om: int, na: int, nb: int, ref_a: str, ref_b: str):
+    """The source of each component of ``a op b``: in om, the terms of
+    HyperDual's method that have no structurally zero factor, given the
+    operands' nonzero masks; elsewhere ``None``.  Then the masks of the
+    components of a and of b that it reads.  ``ref_a.format(i)`` is the text of
+    a's component i, and ``ref_b`` b's."""
+    out = []
+    read_a = read_b = 0
     for c in range(4):
         if not om >> c & 1:
-            continue
-        if op == "*":
-            groups = [
-                [(i, j) for i, j in group if na >> i & 1 and nb >> j & 1]
-                for group in _PRODUCT_TERMS[c]
-            ]
-            groups = [g for g in groups if g]
-            for i, j in (term for g in groups for term in g):
-                need_a |= 1 << i
-                need_b |= 1 << j
-            flat = [k for g in groups for term in g for k in term]
-            fs[c] = _SUMS_OF_PRODUCTS[tuple(map(len, groups))](*flat)
-            continue
-        left, right = na >> c & 1, nb >> c & 1
-        need_a |= left << c
-        need_b |= right << c
-        if left and right:
-            fs[c] = (_ADD if op == "+" else _SUB)[c]
+            out.append("None")
+        elif op == "*":
+            sums = []
+            for group in _PRODUCT_TERMS[c]:
+                kept = [(i, j) for i, j in group if na >> i & 1 and nb >> j & 1]
+                for i, j in kept:
+                    read_a |= 1 << i
+                    read_b |= 1 << j
+                if kept:
+                    terms = [f"{ref_a.format(i)} * {ref_b.format(j)}" for i, j in kept]
+                    sums.append(" + ".join(terms))
+            out.append(sums[0] if len(sums) == 1 else " + ".join(f"({s})" for s in sums))
         else:
-            fs[c] = _LEFT[c] if left else (_RIGHT if op == "+" else _MINUS_RIGHT)[c]
-    plan = _PLANS[op][om << 8 | na << 4 | nb] = (tuple(fs), need_a, need_b)
-    return plan
+            left, right = na >> c & 1, nb >> c & 1
+            read_a |= left << c
+            read_b |= right << c
+            a, b = ref_a.format(c), ref_b.format(c)
+            if left and right:
+                out.append(f"{a} {op} {b}")
+            else:
+                out.append(a if left else b if op == "+" else f"0.0 - {b}")
+    return out, read_a, read_b
+
+
+def _load(kind: int, name: str, read: int) -> str:
+    """The statement of a node's body that reads operand ``name``, unpacking
+    the components in read as ``name0`` to ``name3``; a general operand none
+    of whose components is read is still called, for its checks."""
+    if kind == _CONSTANT or not read and kind != _GENERAL:
+        return ""
+    call = (f"{name.upper()}(X, Y)", "X", "Y")[kind]
+    if not read:
+        return call
+    return ", ".join(f"{name}{c}" if read >> c & 1 else "_" for c in range(4)) + " = " + call
+
+
+def _ref(kind: int, name: str) -> str:
+    return name.upper() if kind == _CONSTANT else name + "{}"
+
+
+def _generated(params: str, body: list):
+    """The factory ``(params) -> node`` of the node whose body is the given
+    lines, compiled once per source."""
+    lines = [f"def factory({params}):", "    def node(X, Y):"]
+    source = "\n".join(lines + [f"        {line}" for line in body if line] + ["    return node"])
+    factory = _SOURCES.get(source)
+    if factory is None:
+        namespace: dict = {}
+        exec(compile(source, "<hyperdual node>", "exec"), namespace)
+        factory = _SOURCES[source] = namespace["factory"]
+    return factory
+
+
+def _factory(op: str, key: int):
+    """Generate the factory ``(A, B) -> node`` of ``a op b``, or of ``-a``, for
+    its key in ``_FACTORIES[op]``, and keep it there."""
+    ka, kb, om, na, nb = key >> 14, key >> 12 & 3, key >> 8 & 15, key >> 4 & 15, key & 15
+    ref_a, ref_b = _ref(ka, "a"), _ref(kb, "b")
+    if op == "neg":
+        out = [f"-{ref_a.format(c)}" if om >> c & 1 else "None" for c in range(4)]
+        read_a, read_b = om, 0
+    else:
+        out, read_a, read_b = _formulas(op, om, na, nb, ref_a, ref_b)
+    body = [_load(ka, "a", read_a), _load(kb, "b", read_b), f"return ({', '.join(out)})"]
+    factory = _FACTORIES[op][key] = _generated("A, B", body)
+    return factory
 
 
 def _binary(op: str, a, b, need: int):
-    """``a op b`` for two compiled operands."""
-    A, na, ca = a
-    B, nb, cb = b
+    """``a op b`` for two operands, each compiled or a folded constant's value."""
+    if type(a) is tuple:
+        A, na, ca = a
+        ka = _KINDS.get(A, _GENERAL)
+    else:
+        ka, A, na, ca = _CONSTANT, float(a), _V, False
+    if type(b) is tuple:
+        B, nb, cb = b
+        kb = _KINDS.get(B, _GENERAL)
+    else:
+        kb, B, nb, cb = _CONSTANT, float(b), _V, False
     nz = _PRODUCT_NZ[na << 4 | nb] if op == "*" else na | nb
     om = need & nz
     checks = ca or cb
     if not om:
-        return (_in_turn(A, B) if checks else None, nz, checks)
-    plan = _PLANS[op].get(om << 8 | na << 4 | nb) or _binary_plan(op, om, na, nb)
-    (f0, f1, f2, f3), need_a, need_b = plan
-    if not need_a and not ca:
-        A = None
-    if not need_b and not cb:
-        B = None
-    if A is None:
-        if op == "+":
-            return (B, nz, checks)  # b's components are the sum's
-        A = _nothing
-    elif B is None:
-        return (A, nz, checks)  # a sum or difference whose b contributes nothing
-    return (_slots(A, B, f0, f1, f2, f3), nz, checks)
+        if not checks:
+            return (None, nz, checks)
+        A, B = (None if ka == _CONSTANT else A), (None if kb == _CONSTANT else B)
+        return (_in_turn(A, B), nz, checks)
+    # a sum or difference reads of each operand only its own components; a
+    # product reads both operands
+    if op != "*":
+        if not om & na and not ca:
+            if op == "+":
+                return (B, nz, checks)  # b's components are the sum's
+            ka = _CONSTANT  # a contributes nothing: 0.0 - b
+        elif not om & nb and not cb:
+            return (A, nz, checks)  # a sum or difference whose b contributes nothing
+    key = ka << 14 | kb << 12 | om << 8 | na << 4 | nb
+    return ((_FACTORIES[op].get(key) or _factory(op, key))(A, B), nz, checks)
 
 
-def _slots(A, B, f0, f1, f2, f3):
-    """The closure filling each slot c whose slot function fc is not None."""
-
-    def binary(X, Y):
-        a = A(X, Y)
-        b = B(X, Y)
-        return (
-            f0(a, b) if f0 else None,
-            f1(a, b) if f1 else None,
-            f2(a, b) if f2 else None,
-            f3(a, b) if f3 else None,
-        )
-
-    return binary
+def _scaled(a, k, need: int):
+    """``h * k`` for a constant k: the node ``_binary("*", h, k, need)`` builds,
+    found in fewer steps, since every monomial coefficient builds one."""
+    A, na, ca = a
+    om = need & na
+    if not om:
+        return (A if ca else None, na, ca)
+    key = _KINDS.get(A, _GENERAL) << 14 | _CONSTANT << 12 | om << 8 | na << 4 | _V
+    return ((_FACTORIES["*"].get(key) or _factory("*", key))(A, float(k)), na, ca)
 
 
 def _chain(kind: str, a, need: int, p=None):
@@ -539,37 +579,42 @@ def _int_power(a, n: int, need: int):
     om = need & nz
     if not om:
         return (A if ca else None, nz, ca)
-    steps = _POWER_STEPS.get((n, om, na)) or _power_steps(n, om, na)
-    return (_stepped_power(A, steps), nz, ca)
+    kind = _KINDS.get(A, _GENERAL)
+    factory, counts = _POWERS.get((n, om, na, kind)) or _power_factory(n, om, na, kind)
+    return (factory(A, counts), nz, ca)
 
 
-_POWER_STEPS: dict = {}  # (n, output mask, base mask) -> slot functions per product
+_POWERS: dict = {}  # (n, output mask, base mask, base kind) -> (factory, counts)
 
 
-def _power_steps(n: int, om: int, na: int):
-    steps = []
-    need = om
-    for k in range(n, 1, -1):  # the product a^(k-1) * a
-        fs, need, _ = _binary_plan("*", need, na if k == 2 else _CHAIN_NZ[na], na)
-        steps.append(fs)
-    steps = _POWER_STEPS[(n, om, na)] = tuple(reversed(steps))
-    return steps
-
-
-def _stepped_power(A, steps):
-    def power(X, Y):
-        a = A(X, Y)
-        out = a
-        for f0, f1, f2, f3 in steps:
-            out = (
-                f0(out, a) if f0 else None,
-                f1(out, a) if f1 else None,
-                f2(out, a) if f2 else None,
-                f3(out, a) if f3 else None,
-            )
-        return out
-
-    return power
+def _power_factory(n: int, om: int, na: int, kind: int):
+    """The factory ``(A, counts) -> node`` of ``h ^ n`` and its counts.  The
+    product ``h^(k-1) * h`` is the running ``o`` times the base ``a``; from the
+    last product back, each asks o for what the next reads of it, so once two
+    products in turn are alike, all of them down to the second are, and a run
+    of more than one product is a loop over ``range(counts[r])``."""
+    runs = []  # [source of the product's components, products], last first
+    need, k = om, n
+    while k >= 2:
+        out, below, _ = _formulas("*", need, na if k == 2 else _CHAIN_NZ[na], na, "o{}", "a{}")
+        step = k - 2 if below == need and k > 2 else 1
+        if runs and runs[-1][0] == out:
+            runs[-1][1] += step
+        else:
+            runs.append([out, step])
+        need, k = below, k - step
+    body = [_load(kind, "a", _ALL), "o0, o1, o2, o3 = a0, a1, a2, a3"]
+    counts = []
+    for out, step in reversed(runs):
+        product = f"o0, o1, o2, o3 = {', '.join(out)}"
+        if step == 1:
+            body.append(product)
+        else:
+            body += [f"for _ in range(counts[{len(counts)}]):", f"    {product}"]
+            counts.append(step)
+    body.append("return (o0, o1, o2, o3)")
+    entry = _POWERS[(n, om, na, kind)] = (_generated("A, counts", body), tuple(counts))
+    return entry
 
 
 def _power(node: BinOp, need: int):
@@ -622,40 +667,9 @@ def _reciprocal(b, need: int):
     return 1.0 / float(b)
 
 
-def _scaled(h, k, need: int):
-    """``h * k`` for a constant k, as ``h.__mul__(lift(k))`` computes it."""
-    A, nz, checks = h
-    om = need & nz
-    if not om:
-        return (A if checks else None, nz, checks)
-    k = float(k)
-    m0, m1, m2, m3 = om & _V, om & _DX, om & _DY, om & _DXY
-
-    def scale(X, Y):
-        h = A(X, Y)
-        return (
-            h[0] * k if m0 else None,
-            h[1] * k if m1 else None,
-            h[2] * k if m2 else None,
-            h[3] * k if m3 else None,
-        )
-
-    return (scale, nz, checks)
-
-
 def _negation(A, om: int):
-    m0, m1, m2, m3 = om & _V, om & _DX, om & _DY, om & _DXY
-
-    def neg(X, Y):
-        v, dx, dy, dxy = A(X, Y)
-        return (
-            -v if m0 else None,
-            -dx if m1 else None,
-            -dy if m2 else None,
-            -dxy if m3 else None,
-        )
-
-    return neg
+    key = _KINDS.get(A, _GENERAL) << 14 | _CONSTANT << 12 | om << 8
+    return (_FACTORIES["neg"].get(key) or _factory("neg", key))(A, None)
 
 
 def _reads_no_variable(node: Expression) -> bool:
@@ -683,14 +697,12 @@ def _compile(node: Expression, need: int):
             a = _compile(left, need)
             b = _compile(right, need)
             if type(a) is tuple:
-                return _binary(op, a, b if type(b) is tuple else _lift(b), need)
+                return _binary(op, a, b, need)
             if type(b) is not tuple:
                 return _fold(node)
             # c + h runs h.__radd__(c), which is h + lift(c); c - h runs
             # h.__rsub__(c), which is lift(c) - h
-            if op == "+":
-                return _binary(op, b, _lift(a), need)
-            return _binary(op, _lift(a), b, need)
+            return _binary(op, b, a, need) if op == "+" else _binary(op, a, b, need)
         # h * k or h / k reads of h what it reads itself, also when k is a
         # constant subtree that folds to a value; h * g reads at most the
         # components of h below those it reads

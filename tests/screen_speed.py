@@ -10,9 +10,11 @@ family), the microseconds ``compile_hyperdual`` takes per function (f, and g
 where the theorem has one, compiled for the components its residual reads),
 the microseconds one scalar residual call takes at the cell centers
 ``locate`` brackets first on its level-0 grid (the sample of least |R| and the
-two extreme samples), and the microseconds one grid screen takes on the
-cell-center grid ``locate`` samples, n x n on a rectangle and n points on an
-interval, for n = 33 and n = 257.  A screen is ``locator._grid_values``, as
+two extreme samples), ``scalar_calls``, the number of Python-level function
+calls (``sys.setprofile``'s "call" events) one such scalar residual call
+makes, which repeats exactly from run to run, and the microseconds one grid
+screen takes on the cell-center grid ``locate`` samples, n x n on a rectangle
+and n points on an interval, for n = 33 and n = 257.  A screen is ``locator._grid_values``, as
 ``locate`` runs it: every level is evaluated band by band of rows into one
 level array, and an interval or a level no taller than one band is one band.
 Next to the n = 257 time, ``faults257`` is the number of minor page faults
@@ -26,9 +28,11 @@ figure is the best of ``--repeat`` passes over all the cases.
 
 With ``--baseline DIR``, DIR is the ``src`` directory of another checkout:
 its ``rectmvt`` is loaded under another name in this same process, the two
-take turns in every pass, so that a slow spell of the host falls on both,
-and each line shows the baseline's figure, this tree's and their ratio.  The two
-trees then share one heap, so either's page faults depend on what the other
+take turns in every pass, so that a slow spell of the host falls on both, and
+which of them goes first alternates from pass to pass, so that neither always
+runs on what the other just left in the heap and caches.  Each line shows the
+baseline's figure, this tree's and their ratio.  The two trees then share one
+heap, so either's page faults depend on what the other
 allocated: compare fault counts of runs without ``--baseline``.
 A last line gives the mean compile time over all functions and this tree's
 cost over the baseline's.
@@ -138,6 +142,26 @@ class Tree:
                     pass
         return (perf_counter() - start) / SCALAR_ROUNDS
 
+    def scalar_calls(self, points) -> int:
+        """Python-level calls made by one scalar residual call at each point."""
+        scalar_residual = self.locator._scalar_residual
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            for field, p in points:
+                try:
+                    scalar_residual(field, p)
+                except Exception:  # a raising call counts its calls too
+                    pass
+        finally:
+            sys.setprofile(None)
+        return calls
+
     def screen_all(self, fields, n: int) -> tuple[float, int]:
         """Seconds and minor page faults of one grid screen of each field."""
         grid_values = self.locator._grid_values
@@ -176,26 +200,36 @@ def centres_of(field, n: int) -> list:
     return [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in field.axes]
 
 
+def turns(trees, p: int):
+    """``(k, tree)`` for each tree, in the order of pass p: the first tree
+    goes first in even passes and last in odd ones."""
+    order = list(enumerate(trees))
+    return order if p % 2 == 0 else order[::-1]
+
+
 def measure(trees, tag: str, family: str, repeat: int):
-    """Best per-function compile, per-call scalar and per-screen seconds of
-    each tree, then the minor page faults per screen of its best largest-n
-    pass, then the best per-call ``locate`` seconds and that pass's faults."""
+    """Best per-function compile and per-call scalar seconds of each tree, its
+    Python calls per scalar call, its best per-screen seconds, then the minor
+    page faults per screen of its best largest-n pass, then the best per-call
+    ``locate`` seconds and that pass's faults."""
     cases = [tree.cases(tag, family) for tree in trees]
     functions = [[f for fs, _ in c for f in fs] for c in cases]
     fields = [[field for _, field in c if field is not None] for c in cases]
     points = [tree.bracket_points(f) for tree, f in zip(trees, fields)]
-    best = [[float("inf")] * (5 + len(SCREEN_N)) for _ in trees]
+    best = [[float("inf")] * (6 + len(SCREEN_N)) for _ in trees]
     # all compile and scalar passes first, so that no large grid just screened slows them
-    for _ in range(repeat):
-        for k, tree in enumerate(trees):
+    for p in range(repeat):
+        for k, tree in turns(trees, p):
             best[k][0] = min(best[k][0], tree.compile_all(tag, functions[k]) / len(functions[k]))
-    for _ in range(repeat):
-        for k, tree in enumerate(trees):
+    for p in range(repeat):
+        for k, tree in turns(trees, p):
             per = tree.scalar_all(points[k]) / max(len(points[k]), 1)
             best[k][1] = min(best[k][1], per)
-    for _ in range(repeat):
-        for k, tree in enumerate(trees):
-            for j, n in enumerate(SCREEN_N, 2):
+    for k, tree in enumerate(trees):
+        best[k][2] = tree.scalar_calls(points[k]) / max(len(points[k]), 1)
+    for p in range(repeat):
+        for k, tree in turns(trees, p):
+            for j, n in enumerate(SCREEN_N, 3):
                 elapsed, faults = tree.screen_all(fields[k], n)
                 per = elapsed / max(len(fields[k]), 1)
                 if per < best[k][j]:
@@ -222,7 +256,8 @@ def main() -> None:
         load(args.baseline.resolve(), "baseline_rectmvt")
         trees.append(Tree("baseline_rectmvt", args.count, args.seed))
     trees.append(Tree("rectmvt", args.count, args.seed))
-    columns = ["compile_us", "scalar_us"] + [f"screen{n}_us" for n in SCREEN_N] + [f"faults{SCREEN_N[-1]}"]
+    columns = ["compile_us", "scalar_us", "scalar_calls"] + [f"screen{n}_us" for n in SCREEN_N]
+    columns += [f"faults{SCREEN_N[-1]}"]
     columns += [f"locate{LOCATE_N}_us", f"locate_faults{LOCATE_N}"]
     print(f"cases per line {args.count}, seed {args.seed}, best of {args.repeat}")
     if len(trees) == 2:
@@ -239,7 +274,7 @@ def main() -> None:
             all_functions += n_functions
             cells = []
             for j, column in enumerate(columns):
-                us = [b[j] if "faults" in column else 1e6 * b[j] for b in best]
+                us = [1e6 * b[j] if column.endswith("_us") else b[j] for b in best]
                 for k, u in enumerate(us):
                     totals[k][j] += u * n_functions if j == 0 else u
                 if len(us) == 2:

@@ -1,5 +1,9 @@
+import io
 import math
 import random
+import re
+import sys
+import tokenize
 from collections import Counter
 
 import numpy as np
@@ -719,6 +723,79 @@ def test_a_product_by_a_folded_constant_compiles_its_left_operand_once(monkeypat
         assert compiled and max(Counter(compiled).values()) == 1
     monkeypatch.undo()
     _assert_program_matches_reference(f, _SCALAR_POINTS + _GRIDS)
+
+
+# -- generated nodes -----------------------------------------------------------
+#
+# Every sum, difference, product, negation and integer power is a closure whose
+# body the compiler writes as source text and executes once per plan.
+
+# the names a generated factory and its node may use: its parameters, the
+# components it unpacks (a0..a3, b0..b3, and o0..o3 of a power) and fixed words
+_NODE_NAMES = {"def", "factory", "node", "return", "for", "in", "range", "None", "_"}
+_NODE_NAMES |= {"A", "B", "X", "Y", "counts"}
+_NODE_OPERATORS = {"(", ")", "[", "]", ",", "=", ":", "+", "-", "*"}
+_LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e-300*x + 0.1*y - pi*x*y",
+        "(x + 0.1)^3*1e-300 - pi",
+        "pi - x^2*y/0.1",
+        "-(0.1*x*y) + pi*(y - 1e-300)^5",
+        "x*y*(1e-300 + pi) - 0.1/x",
+        "0.1 - y^7*x + x^(pi*0 + 3)",
+    ],
+)
+def test_generated_source_holds_no_constant_of_an_expression(text):
+    f = parse(text)
+    for reads in [("v",), ("dxy",), ("v", "dx"), ("v", "dy", "dxy"), Derivatives._fields]:
+        compile_hyperdual(f, reads)(0.7, 1.3)
+    assert hyperdual._SOURCES
+    # only fixed tokens and indices: a constant reaches a node as an argument of
+    # its factory, never as text
+    for source in hyperdual._SOURCES:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            kind, string = token.type, token.string
+            if kind == tokenize.NAME:
+                assert string in _NODE_NAMES or re.fullmatch(r"[abo][0-3]", string), source
+            elif kind == tokenize.NUMBER:
+                assert re.fullmatch(r"[0-9]|0\.0", string), source
+            elif kind == tokenize.OP:
+                assert string in _NODE_OPERATORS, source
+            else:
+                assert kind in _LAYOUT, source
+    _assert_program_matches_reference(f, _SCALAR_POINTS + _GRIDS)
+
+
+def _python_calls(program, x, y) -> int:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        program(x, y)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_each_arithmetic_node_of_a_scalar_program_is_one_python_call():
+    f = parse("3*x^2*y + x - 2")
+    every, dxy = compile_hyperdual(f), compile_hyperdual(f, ("dxy",))
+    assert every(0.5, 2.0) == (0.0, 7.0, 0.75, 3.0)
+    # the program, then x^2, 3*x^2, (3*x^2)*y, + x and - 2, each reading its
+    # seed or constant inline
+    assert _python_calls(every, 0.5, 2.0) == 6
+    # + x and - 2 add nothing to dxy, so the program runs the products alone
+    assert _python_calls(dxy, 0.5, 2.0) == 4
+    # a sum of products, and the power's 6 products in one call
+    assert _python_calls(compile_hyperdual(parse("x*y + (x-y)^7")), 0.5, 2.0) == 5
 
 
 # -- the product rule -----------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from rectmvt import cli, theorems
+from rectmvt import cli, harness, theorems
 from rectmvt.expr import BinOp, Const, Var, EvaluationError, OutOfDomainError, evaluate, parse
 from rectmvt.hyperdual import Derivatives
 from rectmvt.harness import (
@@ -411,14 +411,58 @@ def test_one_dim_intervals_must_be_finite():
         pompeiu1d_residual(parse("x^2"), -1e308, 1e308)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.view(np.int64).tobytes() == b.view(np.int64).tobytes()
+
+
 def test_boggio1d_reduces_to_pompeiu_for_identity_g():
-    pomp = pompeiu1d_residual(parse("x^2"), 1.0, 2.0)
-    bogg = boggio1d_residual(parse("x^2"), parse("x"), 1.0, 2.0)
-    rng = random.Random(83)
-    for _ in range(20):
-        xi = rng.uniform(1.01, 1.99)
-        a, b = pomp.residual(xi), bogg.residual(xi)
-        assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
+    # g = x: g/g' is xi / 1.0 = xi and the constant side takes g's endpoint
+    # values x1 and x2, so each operation is Pompeiu's, and so is each bit
+    functions = [(parse("x^2"), 1.0, 2.0)]
+    for i in range(100):
+        rng = random.Random(derive_seed(83, i))
+        x1 = rng.choice((1.0, -1.0)) * rng.uniform(0.2, 2.0)
+        x1, x2 = sorted((x1, x1 + math.copysign(rng.uniform(0.1, 1.5), x1)))
+        functions.append((harness._poly1d(rng, 3, (-3.0, 3.0)), x1, x2))
+    compared = 0
+    for f, x1, x2 in functions:
+        pomp = pompeiu1d_residual(f, x1, x2)
+        bogg = boggio1d_residual(f, parse("x"), x1, x2)
+        xis = x1 + (np.arange(20) + 0.5) * ((x2 - x1) / 20)
+        for xi in [float(v) for v in xis] + [xis]:
+            assert _same_bits(pomp.residual(xi), bogg.residual(xi)), (f, x1, x2, xi)
+            compared += 1
+    assert compared == 101 * 21
+
+
+def _negated(a, b) -> bool:
+    """Whether a is -b exactly: equal values, NaN where b is NaN.  A zero may
+    differ in sign, since x - x is +0.0 whichever way it is taken."""
+    return np.array_equal(np.asarray(a), -np.asarray(b), equal_nan=True)
+
+
+def test_swapping_f_and_g_negates_the_boggio2d_residual_exactly():
+    # (u - v) - (p - q) is -((v - u) - (q - p)) in IEEE arithmetic, so the
+    # residual of (g, f) is the negated residual of (f, g), to the last bit
+    pairs = 0
+    for family in ("poly4", "separable", "exp-poly", "rational", "bilinear"):
+        for i in range(8):
+            rect = generate_rectangle(derive_seed(84, i), zero_free=True)
+            f = generate_function(family_from_name(family), derive_seed(85, i), rect)
+            g = generate_function(family_from_name(family), derive_seed(86, i), rect)
+            try:
+                fg = boggio2d_residual(f, g, rect)
+            except DegenerateError:
+                continue
+            gf = boggio2d_residual(g, f, rect)
+            for x, y in _interior_points(fg.axes, 20, derive_seed(87, i)):
+                assert _negated(gf.residual(x, y), fg.residual(x, y)), (f, g, x, y)
+            xs, ys = (lo + (np.arange(33) + 0.5) * ((hi - lo) / 33) for lo, hi in fg.axes)
+            grid = (xs[np.newaxis, :], ys[:, np.newaxis])
+            assert _negated(gf.residual(*grid), fg.residual(*grid)), (f, g)
+            pairs += 1
+    assert pairs >= 30
 
 
 def test_boggio1d_equal_functions_vanish_numerically():
