@@ -70,8 +70,9 @@ def derive_seed(master: int, index: int) -> int:
 @dataclass(frozen=True)
 class FunctionFamily:
     """A named distribution over expressions: polynomials, separable products,
-    exponentials of low-degree polynomials, or rationals with a denominator
-    bounded away from zero on the target rectangle."""
+    exponentials of low-degree polynomials, or rationals whose denominator is
+    at least 0.1 in magnitude at the 17 x 17 sample points of the target
+    rectangle (see :func:`generate_function`)."""
 
     kind: str
     max_degree: int = 4
@@ -162,8 +163,10 @@ def generate_function(
 ) -> Expression:
     """Deterministic expression draw; identical (family, seed) gives identical trees.
 
-    The rational family needs the target ``rectangle`` so its denominator can
-    be rejection-sampled to stay at least 0.1 in magnitude there.
+    The rational family needs the target ``rectangle``: its denominator is
+    redrawn until it is at least 0.1 in magnitude at each point of a 17 x 17
+    grid spanning the rectangle, edges included.  Between those points it is
+    not checked, so it can, rarely, vanish inside the rectangle.
     """
     rng = random.Random(seed)
     if family.kind == "polynomial":

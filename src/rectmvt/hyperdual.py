@@ -9,7 +9,10 @@ AIAA 2011-886).
 :func:`compile_hyperdual` walks an expression tree once and returns a program
 of nested closures, ``(x, y) -> (v, dx, dy, dxy)``; every residual field runs
 such a program.  :func:`eval_hyperdual` and :func:`finite_difference_oracle`
-return a :class:`Derivatives` named tuple.
+return a :class:`Derivatives` named tuple.  Every operator and scalar function
+of the tree is one closure, generated from fixed templates; the product rule
+and the chain rule that write its formulas are each stated once, as a table
+of terms.
 
 A program computes only the components its caller reads: ``reads`` names
 them (all four by default), and a component not read comes back as None.
@@ -122,11 +125,19 @@ class Derivatives(NamedTuple):
 # ``i & j == 0``, the second-order Leibniz rule, grouped as HyperDual adds
 # them.  The compiler's masks of a product (``_PRODUCT_NZ``, ``_PARTNER``), the
 # source of every product node, and so the dense product of a varying exponent
-# (``_mul``), all come from it.
+# (``_mul``), all come from it.  The chain rule is stated once, in
+# ``_CHAIN_TERMS``: component c of ``u(a)``, for a scalar function u, is the
+# sum of the terms ``u^(k)(a[0])`` times the product of the ``a[j]`` for j in
+# js, where js splits c's bits into k parts: the second-order Faa di Bruno
+# formula, in HyperDual's order.  The compiler's masks of a scalar
+# function (``_CHAIN_NZ``), the parts ``u^(k)`` each node wants, the source of
+# every chain node, and so the dense chain of a varying exponent
+# (``_dense_chain``), all come from it.
 #
 # Every sum, difference, product (a product with a constant included),
-# negation and integer power is one generated closure, so it costs one Python
-# call: ``_formulas`` writes the source of each component the node fills, and
+# negation, integer power and scalar function is one generated closure, so it
+# costs one Python call, and a scalar function's one more, of its ``_PARTS``
+# entry: ``_formulas`` writes the source of each component the node fills, and
 # ``_factory`` turns it, once per plan key and operand kinds, into a factory
 # that takes the node's operands and returns the closure.  An operand is read
 # by its kind: a compiled one is called, unless it is an x or y seed, which is
@@ -134,14 +145,13 @@ class Derivatives(NamedTuple):
 # factory, and lifted only in that it is the one component read of it (the
 # lifted ``h ^ 0`` is a compiled operand, and called).  The generated source
 # is safe to ``exec``: it is built from fixed
-# templates and component, operand and step indices alone, and every constant
-# and closure of an expression reaches it only as an argument of its factory,
-# so no text of an expression is ever part of it (``_SOURCES`` holds each
-# source, with its factory).  ``_binary`` builds a sum, difference or product,
-# ``_scaled`` the product with a constant that scales each monomial coefficient
-# (the node ``_binary`` would build, by a shorter path, since compiling takes
-# one per coefficient), ``_negation`` a minus and ``_int_power`` a power, whose
-# products run in a loop.  ``_chain`` runs a scalar function.
+# templates and component, operand, part and step indices alone, and every
+# constant, exponent, parts function and closure of an expression reaches it
+# only as an argument of its factory, so no text of an expression is ever part
+# of it (``_SOURCES`` holds each source, with its factory).  ``_binary`` builds
+# a sum, difference or product, ``_negation`` a minus, ``_int_power`` a power,
+# whose products run in a loop, and ``_chain`` a scalar function, whose node
+# calls the function's parts once, for the parts it wants.
 # A domain or exponent check is a root of the demand: it needs its operand's
 # value even when nothing reads its own components, so a subtree holding a
 # check always runs.  A subtree whose components nobody reads and that holds
@@ -174,9 +184,20 @@ _PRODUCT_NZ = tuple(
 _PARTNER = tuple(
     sum({1 << j for c, i, j in _TERMS if k >> 4 + c & 1 and k >> i & 1}) for k in range(256)
 )
-# _CHAIN_NZ[a]: the components of u(a), for a scalar function u, that are not
-# structurally zero
-_CHAIN_NZ = tuple(a | _DXY if a & _DX and a & _DY else a for a in range(16))
+# the terms of component c of u(a), for a scalar function u, as (k, js): the
+# part u^(k)(a[0]) times the product of a's components js, as HyperDual adds them
+_CHAIN_TERMS = (
+    ((0, ()),),
+    ((1, (1,)),),
+    ((1, (2,)),),
+    ((1, (3,)), (2, (1, 2))),
+)
+# _CHAIN_NZ[a]: the components of u(a) that are not structurally zero, for a's
+# nonzero mask a; a part u^(k) is not, whatever a is
+_CHAIN_NZ = tuple(
+    sum(1 << c for c in range(4) if any(all(a >> j & 1 for j in js) for _, js in _CHAIN_TERMS[c]))
+    for a in range(16)
+)
 
 
 def _lifted(c) -> Components:
@@ -288,19 +309,19 @@ _CHECKED = frozenset(("log", "sqrt", "recip", "^p"))
 
 
 # -- dense arithmetic: all four components, for a varying exponent ----------
+#
+# Each runs the generated node of all four components, which reads its operand
+# a (and b) as a node reads the seed X (and Y).
 
 
 def _mul(a: Components, b: Components) -> Components:
-    """``a * b`` by the generated product node of all four components, which
-    reads a and b as it reads the seeds X and Y."""
     key = _ARG_X << 14 | _ARG_Y << 12 | _ALL << 8 | _ALL << 4 | _ALL
     return (_FACTORIES["*"].get(key) or _factory("*", key))(None, None)(a, b)
 
 
 def _dense_chain(a: Components, fn: str, p=None) -> Components:
-    _, dx, dy, dxy = a
-    value, d1, d2 = _PARTS[fn](a[0], 7, p)
-    return (value, d1 * dx, d1 * dy, d1 * dxy + d2 * (dx * dy))
+    key = _ARG_X << 14 | _ALL << 8 | _ALL << 4
+    return (_FACTORIES["chain"].get(key) or _factory("chain", key))(None, _PARTS[fn], p)(a, None)
 
 
 def _int_pow(a: Components, n: int) -> Components:
@@ -308,10 +329,8 @@ def _int_pow(a: Components, n: int) -> Components:
         return _lifted(1.0)
     if n < 0:
         return _int_pow(_dense_chain(a, "recip"), -n)
-    out = a
-    for _ in range(n - 1):
-        out = _mul(out, a)
-    return out
+    factory, counts = _POWERS.get((n, _ALL, _ALL, _ARG_X)) or _power_factory(n, _ALL, _ALL, _ARG_X)
+    return factory(None, counts)(a, None)
 
 
 def _pow(a: Components, b: Components) -> Components:
@@ -350,10 +369,9 @@ def _dense(t: Components, mask: int) -> Components:
 # a product asks its right operand only for what pairs with the left's nonzero
 # components (``_PARTNER``).  A subtree found to contribute nothing is dropped,
 # unless it runs a check.
-# ``+`` and ``-`` build ``_binary``, whose operands may be folded constants;
-# ``*`` and ``/`` (after ``_reciprocal``) build ``_binary``, or ``_scaled`` for
-# a constant factor; ``-h`` builds ``_negation``, ``h ^ n`` ``_int_power`` and a
-# scalar function ``_chain``.
+# ``+``, ``-``, ``*`` and ``/`` (after ``_reciprocal``) build ``_binary``,
+# whose operands may be folded constants; ``-h`` builds ``_negation``,
+# ``h ^ n`` ``_int_power`` and a scalar function ``_chain``.
 
 # the components below each mask: those a component of it is built from
 _BELOW = tuple(m and (_ALL if m & _DXY else m | _V) for m in range(16))
@@ -409,21 +427,34 @@ _GENERAL, _ARG_X, _ARG_Y, _CONSTANT = range(4)
 _KINDS = {_seed_x: _ARG_X, _seed_y: _ARG_Y}  # the kind of each operand closure not general
 _SOURCES: dict = {}  # generated source -> its factory
 # per node type: ka << 14 | kb << 12 | om << 8 | na << 4 | nb -> factory; a
-# negation has no b, and its kb is _CONSTANT
-_FACTORIES: dict = {"+": {}, "-": {}, "*": {}, "neg": {}}
+# negation has no b, and its kb is _CONSTANT; the b of u(a) is the parts of u,
+# and its kb and nb are 0
+_FACTORIES: dict = {"+": {}, "-": {}, "*": {}, "neg": {}, "chain": {}}
 
 
 def _formulas(op: str, om: int, na: int, nb: int, ref_a: str, ref_b: str):
-    """The source of each component of ``a op b``: in om, the terms of
-    HyperDual's method that have no structurally zero factor, given the
-    operands' nonzero masks; elsewhere ``None``.  Then the masks of the
-    components of a and of b that it reads.  ``ref_a.format(i)`` is the text of
-    a's component i, and ``ref_b`` b's."""
+    """The source of each component of ``a op b``, or of ``u(a)`` for op
+    "chain": in om, the terms of HyperDual's method that have no structurally
+    zero factor, given the operands' nonzero masks; elsewhere ``None``.  Then
+    the masks of the components of a and of b that it reads.
+    ``ref_a.format(i)`` is the text of a's component i, and ``ref_b`` b's; the
+    b of u(a) is its parts ``(u, u', u'')`` at a's value, which it reads."""
     out = []
     read_a = read_b = 0
     for c in range(4):
         if not om >> c & 1:
             out.append("None")
+        elif op == "chain":
+            terms = []
+            for k, js in _CHAIN_TERMS[c]:
+                if all(na >> j & 1 for j in js):
+                    read_b |= 1 << k
+                    factors = [ref_a.format(j) for j in js]
+                    read_a |= sum(1 << j for j in js)
+                    if len(factors) > 1:
+                        factors = [f"({' * '.join(factors)})"]
+                    terms.append(" * ".join([ref_b.format(k)] + factors))
+            out.append(" + ".join(terms))
         elif op == "*":
             sums = []
             for group in _PRODUCT_TERMS[c]:
@@ -486,8 +517,12 @@ def _factory(op: str, key: int):
         read_a, read_b = om, 0
     else:
         out, read_a, read_b = _formulas(op, om, na, nb, ref_a, ref_b)
-    body = [_load(ka, "a", read_a), _load(kb, "b", read_b), f"return ({', '.join(out)})"]
-    factory = _FACTORIES[op][key] = _generated("A, B", body)
+    if op == "chain":  # B is u's parts function, called once on a's value, and p its exponent
+        parts = ", ".join(f"b{k}" if read_b >> k & 1 else "_" for k in range(3))
+        loads, params = [_load(ka, "a", read_a | _V), f"{parts} = B(a0, {read_b}, p)"], "A, B, p"
+    else:
+        loads, params = [_load(ka, "a", read_a), _load(kb, "b", read_b)], "A, B"
+    factory = _FACTORIES[op][key] = _generated(params, loads + [f"return ({', '.join(out)})"])
     return factory
 
 
@@ -524,52 +559,17 @@ def _binary(op: str, a, b, need: int):
     return ((_FACTORIES[op].get(key) or _factory(op, key))(A, B), nz, checks)
 
 
-def _scaled(a, k, need: int):
-    """``h * k`` for a constant k: the node ``_binary("*", h, k, need)`` builds,
-    found in fewer steps, since every monomial coefficient builds one."""
-    A, na, ca = a
-    om = need & na
-    if not om:
-        return (A if ca else None, na, ca)
-    key = _KINDS.get(A, _GENERAL) << 14 | _CONSTANT << 12 | om << 8 | na << 4 | _V
-    return ((_FACTORIES["*"].get(key) or _factory("*", key))(A, float(k)), na, ca)
-
-
-def _chain(kind: str, a, need: int, p=None):
-    """``u(a)`` for a compiled operand asked for ``_BELOW[need] | _V``: it
-    computes ``d1 * dx`` when k1, ``d1 * dy`` when k2, and of dxy's terms
-    ``d1 * dxy`` when bit 1 of k3 and ``d2 * (dx * dy)`` when bit 2."""
+def _chain(fn: str, a, need: int, p=None):
+    """``u(a)`` for a compiled operand asked for ``_BELOW[need] | _V``."""
     A, na, ca = a
     nz = _CHAIN_NZ[na]
     om = need & nz
-    checked = kind in _CHECKED
-    k1, k2 = om & _DX, om & _DY
-    k3 = 0
-    if om & _DXY:
-        k3 = (1 if na & _DXY else 0) | (2 if na & _DX and na & _DY else 0)
-    # the parts of u wanted: bit 1 u(v), 2 u'(v), 4 u''(v)
-    want = (1 if om & _V else 0) | (2 if k1 or k2 or k3 & 1 else 0) | (4 if k3 & 2 else 0)
-    if not (want or checked):
+    checked = fn in _CHECKED
+    if not (om or checked):
         return (A if ca else None, nz, ca)  # nothing to compute here, but a runs its checks
-    parts = _PARTS[kind]
-
-    def chain(X, Y):
-        a = A(X, Y)
-        value, d1, d2 = parts(a[0], want, p)
-        return (
-            value,
-            d1 * a[1] if k1 else None,
-            d1 * a[2] if k2 else None,
-            None
-            if not k3
-            else d1 * a[3] + d2 * (a[1] * a[2])
-            if k3 == 3
-            else d1 * a[3]
-            if k3 == 1
-            else d2 * (a[1] * a[2]),
-        )
-
-    return (chain, nz, True if checked else ca)
+    key = _KINDS.get(A, _GENERAL) << 14 | om << 8 | na << 4
+    factory = _FACTORIES["chain"].get(key) or _factory("chain", key)
+    return (factory(A, _PARTS[fn], p), nz, checked or ca)
 
 
 def _int_power(a, n: int, need: int):
@@ -718,9 +718,8 @@ def _compile(node: Expression, need: int):
             return _fold(node)
         if op == "/":  # h / k is h * lift(k).reciprocal(); c / h is lift(c) * h.reciprocal()
             b = _reciprocal(b, partner)
-        if type(a) is tuple:
-            return _binary("*", a, b, need) if type(b) is tuple else _scaled(a, b, need)
-        return _scaled(b, a, need)  # c * h runs h.__rmul__(c), which is h * c
+        # c * h runs h.__rmul__(c), which is h * c
+        return _binary("*", a, b, need) if type(a) is tuple else _binary("*", b, a, need)
     if t is Const:
         return node.value
     if t is Var:

@@ -3,7 +3,7 @@ meant to keep every output the same can be checked to do so.
 
     python3 tests/output_digest.py [--count 20] [--baseline DIR]
 
-The entries fall in three groups, with one digest each:
+The entries fall in four groups, with one digest each:
 
 - ``sweep``: ``repr`` of every ``run_sweep`` summary over the seven theorems,
   the families poly4, bilinear, separable, exp-poly and rational, and the seeds
@@ -13,7 +13,14 @@ The entries fall in three groups, with one digest each:
   command of README.md (extracted as ``tests/test_readme.py`` extracts them,
   and run in a temporary directory, since ``sweep --csv`` writes there), and on
   each command of the CI workflow's numpy-only smoke step that is expected to
-  fail (``... || code=$?``).
+  fail (``... || code=$?``);
+- ``programs``: for every one of the 16 sets of components read, the int64
+  bits of each component that ``compile_hyperdual``'s program returns, or the
+  type and message of the error it raises (also when compiled), at a few
+  scalar points and on two small grids.  The expressions are every string
+  that parses among the README's code and the string constants of the tests,
+  f and g of the first ``--count`` sweep cases of each family and seed, and
+  edge cases of every scalar function and of varying exponents.
 
 With ``--baseline DIR``, DIR is the ``src`` directory of another checkout: its
 ``rectmvt`` is loaded under another name in this same process, as
@@ -23,6 +30,7 @@ both trees, and the script exits with status 1.
 """
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -34,6 +42,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src")]
 
@@ -42,6 +52,22 @@ from test_readme import COMMANDS as README_COMMANDS  # noqa: E402
 
 SEEDS = (42, 7)
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+# what the README and the tests leave out: each scalar function at the edge of
+# its domain, a fractional and a negative power, and varying exponents
+EDGE_CASES = (
+    "sin(x)*cos(y) - sin(1e300*x*y)", "cos(x*y)^3 + exp(sin(y))", "exp(700*x*y)",
+    "exp(-x*x - y*y)/(x + 2)", "log(x)*log(y)", "log(x*y - 0.5)", "log(-x) + y",
+    "sqrt(x*y)", "sqrt(x) + sqrt(-y)", "sqrt(sin(x)^2 + 1)*y", "1/x + 1/y", "1/(x*y)",
+    "x/(y - 0.25) - y/(x + 1)", "x^0.5*y^-1.5", "(x*y)^(1/3)", "x^-3*y", "(x + y)^-2",
+    "x^y", "y^x*x", "(x + 2)^(y - 1)", "2^(x*y)", "0.5^x - 0^y", "x^(y - y + 3)",
+    "(x*y)^(x - x + 0.5)", "x^(y - y + 1025)", "x^1025", "exp(x)^sin(y)", "log(x)^y",
+)
+POINTS = ((0.7, 1.3), (-0.4, 0.9), (0.0, 1.1), (1.5, -0.0), (2.0, 0.5), (5e-324, 3.0))
+# a 5 x 5 grid across both axes' zeros, and a row of 7 with y = 0
+GRIDS = (
+    (np.linspace(-1.0, 1.0, 5)[np.newaxis, :], np.linspace(-0.5, 1.5, 5)[:, np.newaxis]),
+    (np.linspace(-1.5, 1.5, 7), 0.0),
+)
 
 
 def failing_smoke_commands() -> list[list[str]]:
@@ -83,11 +109,74 @@ def cli_entries(name: str) -> list[tuple[str, str]]:
     return entries
 
 
+def corpus_texts() -> list[str]:
+    """The strings that parse among the arguments of README.md's commands and
+    the constants of its Python blocks and of the tests."""
+    expr = importlib.import_module("rectmvt.expr")
+    readme = (ROOT / "README.md").read_text()
+    sources = re.findall(r"```python\n(.*?)```", readme, re.S)
+    sources += [path.read_text() for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    strings = {arg for argv in README_COMMANDS for arg in argv}
+    for source in sources:
+        strings |= {n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant)}
+    texts = []
+    for text in sorted(s for s in strings if isinstance(s, str)):
+        try:
+            expr.parse(text)
+        except expr.ParseError:  # most strings are not expressions
+            continue
+        texts.append(text)
+    return texts
+
+
+def outcome(program, x, y):
+    """The int64 bits of each component of ``program(x, y)``, or its error."""
+    try:
+        out = program(x, y)
+    except Exception as exc:  # any error is an outcome to compare, by type and message
+        return (type(exc).__name__, str(exc))
+    return tuple(
+        None if c is None else np.asarray(c, dtype=np.float64).view(np.int64).tolist()
+        for c in out
+    )
+
+
+def program_entries(name: str, count: int) -> list[tuple[str, str]]:
+    expr = importlib.import_module(f"{name}.expr")
+    harness = importlib.import_module(f"{name}.harness")
+    compile_hyperdual = importlib.import_module(f"{name}.hyperdual").compile_hyperdual
+    functions = [(text, expr.parse(text)) for text in corpus_texts() + list(EDGE_CASES)]
+    for family in FAMILIES:
+        kind = harness.family_from_name(family)
+        for seed in SEEDS:
+            for index in range(count):
+                case = harness.derive_seed(seed, index)
+                rect = harness.generate_rectangle(harness.derive_seed(case, 0))
+                for k, fg in ((1, "f"), (2, "g")):
+                    f = harness.generate_function(kind, harness.derive_seed(case, k), rect)
+                    functions.append((f"{family} seed {seed} case {index} {fg}", f))
+    fields = ("v", "dx", "dy", "dxy")
+    entries = []
+    with np.errstate(all="ignore"):
+        for label, f in functions:
+            for mask in range(16):
+                reads = tuple(n for c, n in enumerate(fields) if mask >> c & 1)
+                try:
+                    program = compile_hyperdual(f, reads)
+                except Exception as exc:
+                    text = repr(("compile", type(exc).__name__, str(exc)))
+                else:
+                    text = repr([outcome(program, x, y) for x, y in POINTS + GRIDS])
+                entries.append((f"{label} reads {reads}", text))
+    return entries
+
+
 def groups(name: str, count: int) -> dict:
     return {
         "sweep": sweep_entries(name, count),
         "sweep257": sweep_entries(name, count, grid_n=257, max_refinements=1),
         "cli": cli_entries(name),
+        "programs": program_entries(name, count),
     }
 
 
@@ -124,7 +213,7 @@ def main() -> int:
     ours = groups("rectmvt", args.count)
     if args.baseline is None:
         for group, entries in ours.items():
-            print(f"{group:9} {len(entries):4d} entries  {digest(entries)}")
+            print(f"{group:9} {len(entries):5d} entries  {digest(entries)}")
         return 0
     load(args.baseline.resolve(), "baseline_rectmvt")
     theirs = groups("baseline_rectmvt", args.count)
@@ -133,7 +222,7 @@ def main() -> int:
         diff = first_difference(theirs[group], entries)
         verdict = "same" if diff is None else "DIFFERENT"
         print(
-            f"{group:9} {len(entries):4d} entries  "
+            f"{group:9} {len(entries):5d} entries  "
             f"baseline {digest(theirs[group])}  this {digest(entries)}  {verdict}"
         )
         if diff is not None:

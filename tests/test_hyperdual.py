@@ -727,13 +727,15 @@ def test_a_product_by_a_folded_constant_compiles_its_left_operand_once(monkeypat
 
 # -- generated nodes -----------------------------------------------------------
 #
-# Every sum, difference, product, negation and integer power is a closure whose
-# body the compiler writes as source text and executes once per plan.
+# Every sum, difference, product, negation, integer power and scalar function is
+# a closure whose body the compiler writes as source text and executes once per
+# plan.
 
-# the names a generated factory and its node may use: its parameters, the
-# components it unpacks (a0..a3, b0..b3, and o0..o3 of a power) and fixed words
+# the names a generated factory and its node may use: its parameters (p is the
+# exponent of a chain node's parts), the components it unpacks (a0..a3, b0..b3,
+# and o0..o3 of a power) and fixed words
 _NODE_NAMES = {"def", "factory", "node", "return", "for", "in", "range", "None", "_"}
-_NODE_NAMES |= {"A", "B", "X", "Y", "counts"}
+_NODE_NAMES |= {"A", "B", "X", "Y", "counts", "p"}
 _NODE_OPERATORS = {"(", ")", "[", "]", ",", "=", ":", "+", "-", "*"}
 _LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -747,6 +749,10 @@ _LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, toke
         "-(0.1*x*y) + pi*(y - 1e-300)^5",
         "x*y*(1e-300 + pi) - 0.1/x",
         "0.1 - y^7*x + x^(pi*0 + 3)",
+        "sin(0.1*x) + cos(pi*y) - exp(1e-300*x*y)",
+        "log(x + 0.1)*sqrt(y*pi) + x^0.1",
+        "1/(x - 1e-300) + (0.1*y)^-2.5 - pi/sqrt(x*y)",
+        "exp(y)^(1/3)*x^(pi*0 - 3) + (x + 0.1)^(y*pi)",
     ],
 )
 def test_generated_source_holds_no_constant_of_an_expression(text):
@@ -796,6 +802,12 @@ def test_each_arithmetic_node_of_a_scalar_program_is_one_python_call():
     assert _python_calls(dxy, 0.5, 2.0) == 4
     # a sum of products, and the power's 6 products in one call
     assert _python_calls(compile_hyperdual(parse("x*y + (x-y)^7")), 0.5, 2.0) == 5
+    # a scalar function is one node too, reading its seed inline, and it calls
+    # its parts, which call _mathlib: the program, exp(x), its parts and _mathlib
+    assert _python_calls(compile_hyperdual(parse("exp(x)")), 0.5, 2.0) == 4
+    assert _python_calls(compile_hyperdual(parse("sin(x)*y")), 0.5, 2.0) == 5
+    # the parts of log and of sqrt check the domain, in one more call each (_any)
+    assert _python_calls(compile_hyperdual(parse("log(x)*sqrt(y)")), 0.5, 2.0) == 10
 
 
 # -- the product rule -----------------------------------------------------------
@@ -862,3 +874,68 @@ def test_dense_product_is_the_written_out_leibniz_rule():
             b = tuple(array() if rng.random() < 0.5 else pick() for _ in range(4))
             for x, y in ((a, b), (b, a)):
                 assert list(map(_bits, hyperdual._mul(x, y))) == list(map(_bits, _leibniz(x, y)))
+
+
+# -- the chain rule -------------------------------------------------------------
+#
+# The compiler derives its masks of a scalar function, the parts each of its
+# nodes wants and its dense chain from one table of terms; each is checked here
+# against the rule written out by hand.
+
+
+def test_chain_nonzero_masks_are_the_second_order_chain_rule_closed_form():
+    # v, whatever the operand has (a part u^(k) of its value is not zero), each of
+    # dx, dy and dxy that the operand has, and dxy also when it has dx and dy
+    for a in range(16):
+        want = 1 | a & 14
+        if a & 2 and a & 4:
+            want |= 8
+        assert hyperdual._CHAIN_NZ[a] == want, a
+
+
+def _chain_rule(a, fn, p):
+    v, dx, dy, dxy = a
+    u, d1, d2 = hyperdual._PARTS[fn](v, 7, p)
+    return (u, d1 * dx, d1 * dy, d1 * dxy + d2 * (dx * dy))
+
+
+def _chain_outcome(chain, a, fn, p):
+    try:
+        return list(map(_bits, chain(a, fn, p)))
+    except (ArithmeticError, EvaluationError) as exc:  # a domain check, or math's overflow
+        return (type(exc), str(exc))
+
+
+_CHAIN_CASES = [(fn, None) for fn in hyperdual._PARTS if fn != "^p"]
+_CHAIN_CASES += [("^p", p) for p in (0.5, -1.5, 1.0 / 3.0, 2.5, -0.25)]
+
+
+@pytest.mark.parametrize("fn, p", _CHAIN_CASES)
+def test_dense_chain_is_the_written_out_chain_rule(fn, p):
+    rng = random.Random(2020)
+
+    def pick():
+        return rng.choice(_SPECIAL) if rng.random() < 0.5 else rng.uniform(-4.0, 4.0)
+
+    def array():
+        values = np.array([pick() for _ in range(48)])
+        # half of the arrays stay inside every function's domain
+        return np.where(values <= 0.0, 0.5, values) if rng.random() < 0.5 else values
+
+    outcomes = Counter()
+    with np.errstate(all="ignore"):
+        for _ in range(2000):
+            a = tuple(pick() for _ in range(4))
+            got = _chain_outcome(hyperdual._dense_chain, a, fn, p)
+            assert got == _chain_outcome(_chain_rule, a, fn, p), (a, got)
+            outcomes[type(got)] += 1
+        for _ in range(60):
+            # a derivative component may be a float that broadcasts, as a lifted constant's is
+            a = tuple(array() if c == 0 or rng.random() < 0.5 else pick() for c in range(4))
+            got = _chain_outcome(hyperdual._dense_chain, a, fn, p)
+            assert got == _chain_outcome(_chain_rule, a, fn, p), (a, got)
+            outcomes[type(got), "array"] += 1
+    # both the components and the errors are compared: a domain check's, and
+    # math's of sin(inf), cos(inf) and an exp that overflows
+    assert outcomes[list] > 500 and outcomes[tuple] > 50
+    assert outcomes[list, "array"] > 20
