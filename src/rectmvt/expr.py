@@ -26,12 +26,12 @@ for numpy arrays, which broadcast through the arithmetic operators and ``^``.
 Derivatives come from :func:`rectmvt.hyperdual.compile_hyperdual`, which
 compiles a tree once into a program that does the hyper-dual arithmetic.
 
-Every walk over a tree, here and in :mod:`rectmvt.hyperdual` and the CLI,
-branches on ``type(node) is BinOp`` (the most common node, so it comes
-first), then ``Const``, ``Var``, ``Neg`` and ``Call``, and raises
-``TypeError`` for anything else.  No node class has subclasses, so this
-accepts what a ``match`` on class patterns accepts, at about a third of the
-cost per node.
+Every walk over a tree, here, in :mod:`rectmvt.hyperdual`, in
+:mod:`rectmvt.theorems` and in the CLI, branches on ``type(node) is BinOp``
+(the most common node, so it comes first), then ``Const``, ``Var``, ``Neg``
+and ``Call``, and raises ``TypeError`` for anything else.  No node class
+has subclasses, so this accepts what a ``match`` on class patterns accepts,
+at about a third of the cost per node.
 """
 
 from __future__ import annotations

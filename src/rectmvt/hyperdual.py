@@ -311,17 +311,39 @@ _CHECKED = frozenset(("log", "sqrt", "recip", "^p"))
 # -- dense arithmetic: all four components, for a varying exponent ----------
 #
 # Each runs the generated node of all four components, which reads its operand
-# a (and b) as a node reads the seed X (and Y).
+# a (and b) as a node reads the seed X (and Y).  A node is built once per key
+# and kept in ``_DENSE``: "*" for the product, a scalar function's name for its
+# chain, and n for the power ``h ^ n``, n >= 2.  A fractional power's node
+# binds its exponent, which is only known when evaluated, so it is built then.
+
+_DENSE: dict = {}
+
+
+def _dense_node(key):
+    if key == "*":
+        k = _ARG_X << 14 | _ARG_Y << 12 | _ALL << 8 | _ALL << 4 | _ALL
+        node = (_FACTORIES["*"].get(k) or _factory("*", k))(None, None)
+    elif type(key) is int:
+        factory, counts = _POWERS.get((key, _ALL, _ALL, _ARG_X)) or _power_factory(key, _ALL, _ALL, _ARG_X)
+        node = factory(None, counts)
+    else:
+        node = _chain_node(key)
+    _DENSE[key] = node
+    return node
+
+
+def _chain_node(fn: str, p=None):
+    key = _ARG_X << 14 | _ALL << 8 | _ALL << 4
+    return (_FACTORIES["chain"].get(key) or _factory("chain", key))(None, _PARTS[fn], p)
 
 
 def _mul(a: Components, b: Components) -> Components:
-    key = _ARG_X << 14 | _ARG_Y << 12 | _ALL << 8 | _ALL << 4 | _ALL
-    return (_FACTORIES["*"].get(key) or _factory("*", key))(None, None)(a, b)
+    return (_DENSE.get("*") or _dense_node("*"))(a, b)
 
 
 def _dense_chain(a: Components, fn: str, p=None) -> Components:
-    key = _ARG_X << 14 | _ALL << 8 | _ALL << 4
-    return (_FACTORIES["chain"].get(key) or _factory("chain", key))(None, _PARTS[fn], p)(a, None)
+    node = _chain_node(fn, p) if fn == "^p" else _DENSE.get(fn) or _dense_node(fn)
+    return node(a, None)
 
 
 def _int_pow(a: Components, n: int) -> Components:
@@ -329,8 +351,9 @@ def _int_pow(a: Components, n: int) -> Components:
         return _lifted(1.0)
     if n < 0:
         return _int_pow(_dense_chain(a, "recip"), -n)
-    factory, counts = _POWERS.get((n, _ALL, _ALL, _ARG_X)) or _power_factory(n, _ALL, _ALL, _ARG_X)
-    return factory(None, counts)(a, None)
+    if n == 1:
+        return a
+    return (_DENSE.get(n) or _dense_node(n))(a, None)
 
 
 def _pow(a: Components, b: Components) -> Components:
@@ -352,7 +375,13 @@ def _pow(a: Components, b: Components) -> Components:
 
 
 def _dense(t: Components, mask: int) -> Components:
-    return tuple(t[c] if mask >> c & 1 else 0.0 for c in range(4))
+    v, dx, dy, dxy = t
+    return (
+        v if mask & _V else 0.0,
+        dx if mask & _DX else 0.0,
+        dy if mask & _DY else 0.0,
+        dxy if mask & _DXY else 0.0,
+    )
 
 
 # -- the compiler: one pass, top-down ----------------------------------------
@@ -528,6 +557,15 @@ def _factory(op: str, key: int):
 
 def _binary(op: str, a, b, need: int):
     """``a op b`` for two operands, each compiled or a folded constant's value."""
+    if type(b) is not tuple and op == "*":
+        # h * c, as every monomial's coefficient is: c lifted has only v, so
+        # the product's nonzero components are h's
+        A, na, ca = a
+        om = need & na
+        if not om:
+            return (A if ca else None, na, ca)
+        key = _KINDS.get(A, _GENERAL) << 14 | _CONSTANT << 12 | om << 8 | na << 4 | _V
+        return ((_FACTORIES["*"].get(key) or _factory("*", key))(A, float(b)), na, ca)
     if type(a) is tuple:
         A, na, ca = a
         ka = _KINDS.get(A, _GENERAL)

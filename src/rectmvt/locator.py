@@ -158,7 +158,7 @@ def _cell(centres: list[np.ndarray], k: int) -> Point:
     point = []
     for c in centres:
         k, i = divmod(k, c.size)
-        point.append(float(c[i]))
+        point.append(c.item(i))
     return tuple(point)
 
 
@@ -421,20 +421,22 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
     for level in range(cfg.max_refinements + 1):
         n = cfg.grid_n * (1 << level)
         steps = tuple((hi - lo) / n for lo, hi in axes)
-        centres = [lo + (np.arange(n) + 0.5) * step for (lo, _), step in zip(axes, steps)]
+        half = np.arange(0.5, n)  # i + 0.5 for each cell i, exactly
+        centres = [lo + half * step for (lo, _), step in zip(axes, steps)]
         flat, picks, failure, samples = _grid_values(field, centres)
         evals += samples
         if failure is None:
             # argmin and argmax stop at the first NaN, and an infinity is an
             # extreme, so the grid is finite exactly when both extremes are
             k_lo, k_hi, k_best = picks
-            if not np.isfinite(flat[[k_lo, k_hi]]).all():
+            v_lo, v_hi = flat.item(k_lo), flat.item(k_hi)
+            if not (math.isfinite(v_lo) and math.isfinite(v_hi)):
                 k = int((~np.isfinite(flat)).argmax())
                 failure = (_cell(centres, k), "residual is not finite", "evaluation")
         if failure is not None:
             p, msg, kind = failure
             return failed(f"evaluation error at {_fmt(p)}: {msg}", kind)
-        grid_min, grid_max = float(flat[k_lo]), float(flat[k_hi])
+        grid_min, grid_max = v_lo, v_hi
 
         try:
             if level == 0 and max(-grid_min, grid_max) <= tol:
@@ -463,11 +465,15 @@ def locate(field: ResidualField, cfg: LocateConfig | None = None) -> LocateRepor
             # |R| is largest; fall back to the extreme samples when it has none,
             # or when the scalar residuals disagree with the grid's signs
             pairs = [(k_lo, k_hi)]  # (negative, positive)
-            side = np.sign(flat[k_best])
-            opposite = [k for k in _neighbours(k_best, n, len(axes)) if np.sign(flat[k]) == -side]
-            if side and opposite:
-                k_other = max(opposite, key=lambda k: abs(flat[k]))
-                pairs.insert(0, (k_best, k_other) if side < 0 else (k_other, k_best))
+            v_best = flat.item(k_best)
+            opposite = {}  # |R| of each neighbour of opposite sign; a zero has no sign
+            for k in _neighbours(k_best, n, len(axes)):
+                v = flat.item(k)
+                if v < 0.0 < v_best or v_best < 0.0 < v:
+                    opposite[k] = abs(v)
+            if opposite:
+                k_other = max(opposite, key=opposite.__getitem__)  # the first of ties
+                pairs.insert(0, (k_best, k_other) if v_best < 0.0 else (k_other, k_best))
             scalars = {k_best: r_candidate}
             for k_neg, k_pos in pairs:
                 for k in (k_neg, k_pos):

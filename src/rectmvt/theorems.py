@@ -10,8 +10,12 @@ and huge functions.
 
 A builder compiles its functions before it evaluates them, so an input that
 compiling rejects fails before any evaluation error can.  It then evaluates
-each function at each corner once and builds the corner difference and the
-Pompeiu numerator from those four values.
+each function at its four corners in one walk of its tree, which does each
+float operation of ``evaluate`` once per corner, and builds the corner
+difference and the Pompeiu numerator from those four values.  When the walk
+raises or a corner value is not finite, the function is evaluated at each
+corner in turn instead, so that the first failing corner in the order its
+formula reads them decides the error, as it would one evaluation at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +28,15 @@ import numpy as np
 
 from .expr import (
     BinOp,
+    Call,
     Const,
     EvaluationError,
     Expression,
+    Neg,
     Var,
     const,
+    _call_real,
+    _pow_real,
     evaluate,
     substitute,
     variables,
@@ -193,14 +201,70 @@ class ResidualField:
 Corners = tuple[float, float, float, float]  # f(x1,y1), f(x1,y2), f(x2,y1), f(x2,y2)
 
 
-def _corners(f: Expression, r: Rectangle, low_first: bool = False) -> Corners:
-    """f at the four corners of ``r``, each evaluated once.
+def _power(a, b):
+    """``a ^ b`` as :func:`evaluate` computes it for two plain numbers."""
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return _pow_real(a, b)
+    return a ** b  # numpy scalars
 
-    They are evaluated from (x2,y2) back to (x1,y1), the order the corner
+
+def _at_corners(node: Expression, X: tuple, Y: tuple) -> tuple:
+    """``node`` at four points at once: ``X`` holds their x coordinates and
+    ``Y`` their y coordinates.  Each node does ``evaluate``'s float operation
+    once per point, so each value is the one ``evaluate`` returns there, but
+    no value is checked to be finite."""
+    t = type(node)
+    if t is BinOp:
+        a0, a1, a2, a3 = _at_corners(node.left, X, Y)
+        b0, b1, b2, b3 = _at_corners(node.right, X, Y)
+        op = node.op
+        if op == "+":
+            return (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+        if op == "-":
+            return (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
+        if op == "*":
+            return (a0 * b0, a1 * b1, a2 * b2, a3 * b3)
+        if op == "/":
+            return (a0 / b0, a1 / b1, a2 / b2, a3 / b3)
+        # a parsed tree on a rectangle of floats has floats at every node;
+        # other numbers take ``evaluate``'s own dispatch, per corner
+        if (
+            type(a0) is type(a1) is type(a2) is type(a3) is float
+            and type(b0) is type(b1) is type(b2) is type(b3) is float
+        ):
+            return (_pow_real(a0, b0), _pow_real(a1, b1), _pow_real(a2, b2), _pow_real(a3, b3))
+        return tuple(map(_power, (a0, a1, a2, a3), (b0, b1, b2, b3)))
+    if t is Const:
+        v = node.value
+        return (v, v, v, v)
+    if t is Var:
+        return X if node.name == "x" else Y
+    if t is Neg:
+        a0, a1, a2, a3 = _at_corners(node.child, X, Y)
+        return (-a0, -a1, -a2, -a3)
+    if t is Call:
+        fn = node.fn
+        a0, a1, a2, a3 = _at_corners(node.arg, X, Y)
+        return (_call_real(fn, a0), _call_real(fn, a1), _call_real(fn, a2), _call_real(fn, a3))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _corners(f: Expression, r: Rectangle, low_first: bool = False) -> Corners:
+    """f at the four corners of ``r``, from one walk of its tree.
+
+    When the walk raises or a corner value is not finite, f is evaluated at
+    each corner in turn, from (x2,y2) back to (x1,y1), the order the corner
     difference reads them, or from (x1,y1) on with ``low_first``, the order
-    the Pompeiu numerator reads them.  When f fails at more than one corner,
-    the order decides which error is raised.
+    the Pompeiu numerator reads them.  So when f fails at more than one
+    corner, that order decides which error is raised.
     """
+    isfinite = math.isfinite
+    try:
+        c = _at_corners(f, (r.x1, r.x1, r.x2, r.x2), (r.y1, r.y2, r.y1, r.y2))
+        if isfinite(c[0]) and isfinite(c[1]) and isfinite(c[2]) and isfinite(c[3]):
+            return c
+    except (ArithmeticError, ValueError, EvaluationError):
+        pass  # evaluated in turn, the corners raise evaluate's error
     if low_first:
         f11 = evaluate(f, r.x1, r.y1)
         f12 = evaluate(f, r.x1, r.y2)

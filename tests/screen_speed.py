@@ -8,6 +8,8 @@ exp-poly and rational, the first ``--count`` sweep cases of ``--seed`` are
 built as ``run_sweep`` builds them.  The script prints, per (theorem,
 family), the microseconds ``compile_hyperdual`` takes per function (f, and g
 where the theorem has one, compiled for the components its residual reads),
+``build_us``, the microseconds ``harness.build_field`` takes per case (a case
+it rejects as degenerate or as violating a hypothesis costs its time too),
 the microseconds one scalar residual call takes at the cell centers
 ``locate`` brackets first on its level-0 grid (the sample of least |R| and the
 two extreme samples), ``scalar_calls``, the number of Python-level function
@@ -19,7 +21,10 @@ and n points on an interval, for n = 33 and n = 257.  A screen is ``locator._gri
 level array, and an interval or a level no taller than one band is one band.
 Next to the n = 257 time, ``faults257`` is the number of minor page faults
 (``resource.getrusage``'s ``ru_minflt``) one such screen takes, counted over
-the pass whose time is best.  ``locate257_us`` and ``locate_faults257`` are
+the pass whose time is best.  ``locate33_us`` is the microseconds of a whole
+``locate`` call at the default ``LocateConfig`` (``sweep-mixed``'s config),
+whose grids are small, so that its own bookkeeping and its scalar residuals
+weigh most.  ``locate257_us`` and ``locate_faults257`` are
 the same two figures for the whole ``locate`` call at ``grid_n=257,
 max_refinements=1`` (``screen-fine``'s config): the screen reduces each band
 to the level's extremes and its sample nearest zero as it goes, so only the
@@ -94,13 +99,26 @@ class Tree:
         finally:
             h.build_field = real
         out = []
-        for tag_, f, g, bounds in calls:
+        for args in calls:
             try:
-                field = real(tag_, f, g, bounds)
+                field = real(*args)
             except Exception:  # a degenerate or violated case: its functions still compile
                 field = None
-            out.append(((f,) if g is None else (f, g), field))
+            f, g = args[1:3]
+            out.append(((f,) if g is None else (f, g), field, args))
         return out
+
+    def build_all(self, calls) -> float:
+        """Seconds of ``build_field`` over the recorded calls; a call that
+        raises costs its time too."""
+        build_field = self.harness.build_field
+        start = perf_counter()
+        for args in calls:
+            try:
+                build_field(*args)
+            except Exception:
+                pass
+        return perf_counter() - start
 
     def compile_all(self, tag: str, functions) -> float:
         reads = getattr(self.theorems.THEOREMS[tag], "reads", None)
@@ -176,11 +194,12 @@ class Tree:
             faults += minor_faults() - before
         return elapsed, faults
 
-    def locate_all(self, fields) -> tuple[float, int]:
+    def locate_all(self, fields, cfg=None) -> tuple[float, int]:
         """Seconds and minor page faults of one ``locate`` of each field at
-        ``screen-fine``'s config; a failed search costs its time too."""
+        ``cfg``, by default ``screen-fine``'s config; a failed search costs its
+        time too."""
         locate = self.locator.locate
-        cfg = self.locator.LocateConfig(grid_n=LOCATE_N, max_refinements=1)
+        cfg = cfg or self.locator.LocateConfig(grid_n=LOCATE_N, max_refinements=1)
         elapsed = 0.0
         faults = 0
         for field in fields:
@@ -207,40 +226,59 @@ def turns(trees, p: int):
     return order if p % 2 == 0 else order[::-1]
 
 
+# the figures of each line, in the order they are printed
+COLUMNS = (
+    "compile_us", "build_us", "scalar_us", "scalar_calls", *(f"screen{n}_us" for n in SCREEN_N),
+    f"faults{SCREEN_N[-1]}", f"locate{GRID_N}_us", f"locate{LOCATE_N}_us", f"locate_faults{LOCATE_N}",
+)
+
+
 def measure(trees, tag: str, family: str, repeat: int):
-    """Best per-function compile and per-call scalar seconds of each tree, its
-    Python calls per scalar call, its best per-screen seconds, then the minor
-    page faults per screen of its best largest-n pass, then the best per-call
-    ``locate`` seconds and that pass's faults."""
+    """Per tree, a dict of the best per-function compile, per-case build and
+    per-call scalar seconds, its Python calls per scalar call, its best
+    per-screen seconds and the minor page faults per screen of its best
+    largest-n pass, and the best per-call ``locate`` seconds at both configs,
+    with the faults of the best pass at ``screen-fine``'s."""
     cases = [tree.cases(tag, family) for tree in trees]
-    functions = [[f for fs, _ in c for f in fs] for c in cases]
-    fields = [[field for _, field in c if field is not None] for c in cases]
+    functions = [[f for fs, _, _ in c for f in fs] for c in cases]
+    builds = [[args for _, _, args in c] for c in cases]
+    fields = [[field for _, field, _ in c if field is not None] for c in cases]
     points = [tree.bracket_points(f) for tree, f in zip(trees, fields)]
-    best = [[float("inf")] * (6 + len(SCREEN_N)) for _ in trees]
-    # all compile and scalar passes first, so that no large grid just screened slows them
+    best = [dict.fromkeys(COLUMNS, float("inf")) for _ in trees]
+
+    def per(total: float, items: list) -> float:
+        return total / max(len(items), 1)
+
+    # all compile, build and scalar passes first, so that no large grid just
+    # screened slows them
     for p in range(repeat):
         for k, tree in turns(trees, p):
-            best[k][0] = min(best[k][0], tree.compile_all(tag, functions[k]) / len(functions[k]))
+            compile_s = per(tree.compile_all(tag, functions[k]), functions[k])
+            best[k]["compile_us"] = min(best[k]["compile_us"], compile_s)
     for p in range(repeat):
         for k, tree in turns(trees, p):
-            per = tree.scalar_all(points[k]) / max(len(points[k]), 1)
-            best[k][1] = min(best[k][1], per)
+            best[k]["build_us"] = min(best[k]["build_us"], per(tree.build_all(builds[k]), builds[k]))
+    for p in range(repeat):
+        for k, tree in turns(trees, p):
+            best[k]["scalar_us"] = min(best[k]["scalar_us"], per(tree.scalar_all(points[k]), points[k]))
     for k, tree in enumerate(trees):
-        best[k][2] = tree.scalar_calls(points[k]) / max(len(points[k]), 1)
+        best[k]["scalar_calls"] = per(tree.scalar_calls(points[k]), points[k])
     for p in range(repeat):
         for k, tree in turns(trees, p):
-            for j, n in enumerate(SCREEN_N, 3):
+            b = best[k]
+            for n in SCREEN_N:
                 elapsed, faults = tree.screen_all(fields[k], n)
-                per = elapsed / max(len(fields[k]), 1)
-                if per < best[k][j]:
-                    best[k][j] = per
+                if per(elapsed, fields[k]) < b[f"screen{n}_us"]:
+                    b[f"screen{n}_us"] = per(elapsed, fields[k])
                     if n == SCREEN_N[-1]:
-                        best[k][j + 1] = faults / max(len(fields[k]), 1)
+                        b[f"faults{n}"] = per(faults, fields[k])
+            elapsed, _ = tree.locate_all(fields[k], tree.locator.LocateConfig())
+            b[f"locate{GRID_N}_us"] = min(b[f"locate{GRID_N}_us"], per(elapsed, fields[k]))
             elapsed, faults = tree.locate_all(fields[k])
-            per = elapsed / max(len(fields[k]), 1)
-            if per < best[k][-2]:
-                best[k][-2:] = per, faults / max(len(fields[k]), 1)
-    return best, len(functions[-1]), len(fields[-1])
+            if per(elapsed, fields[k]) < b[f"locate{LOCATE_N}_us"]:
+                b[f"locate{LOCATE_N}_us"] = per(elapsed, fields[k])
+                b[f"locate_faults{LOCATE_N}"] = per(faults, fields[k])
+    return [[b[c] for c in COLUMNS] for b in best], len(functions[-1]), len(fields[-1])
 
 
 def main() -> None:
@@ -256,9 +294,7 @@ def main() -> None:
         load(args.baseline.resolve(), "baseline_rectmvt")
         trees.append(Tree("baseline_rectmvt", args.count, args.seed))
     trees.append(Tree("rectmvt", args.count, args.seed))
-    columns = ["compile_us", "scalar_us", "scalar_calls"] + [f"screen{n}_us" for n in SCREEN_N]
-    columns += [f"faults{SCREEN_N[-1]}"]
-    columns += [f"locate{LOCATE_N}_us", f"locate_faults{LOCATE_N}"]
+    columns = COLUMNS
     print(f"cases per line {args.count}, seed {args.seed}, best of {args.repeat}")
     if len(trees) == 2:
         print("each column: baseline / this tree = speed-up")

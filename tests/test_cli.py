@@ -510,6 +510,7 @@ def test_bounds_whose_width_overflows_exit_2_before_any_evaluation(capsys, monke
         raise AssertionError("evaluated a function")
 
     monkeypatch.setattr("rectmvt.theorems.evaluate", no_evaluation)
+    monkeypatch.setattr("rectmvt.theorems._at_corners", no_evaluation)
     monkeypatch.setattr("rectmvt.theorems.compile_hyperdual", no_evaluation)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

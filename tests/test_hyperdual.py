@@ -810,6 +810,18 @@ def test_each_arithmetic_node_of_a_scalar_program_is_one_python_call():
     assert _python_calls(compile_hyperdual(parse("log(x)*sqrt(y)")), 0.5, 2.0) == 10
 
 
+def test_a_varying_exponent_runs_dense_nodes_built_once():
+    program = compile_hyperdual(parse("x^y"))
+    program(0.7, 2.0)
+    nodes = dict(hyperdual._DENSE)
+    assert {"*", "log", "exp"} <= nodes.keys()
+    # the program; the power, each seed and its _dense; _pow and its _any; then
+    # x^y = exp(y * log(x)): each of log, * and exp one call of its function and
+    # one of its node, and log's parts (with _any and _mathlib) and exp's (with _mathlib)
+    assert _python_calls(program, 0.5, 2.0) == 19
+    assert all(hyperdual._DENSE[key] is node for key, node in nodes.items())
+
+
 # -- the product rule -----------------------------------------------------------
 #
 # The compiler derives its product masks and its dense product from one table of

@@ -704,6 +704,67 @@ def test_a_neighbour_whose_scalar_sign_disagrees_falls_back_to_the_global_bracke
     assert abs(report.point.xi1 - 0.49) <= 1e-9
 
 
+@pytest.mark.parametrize("dims", [1, 2])
+def test_of_neighbours_of_opposite_sign_and_equal_magnitude_the_first_is_bracketed(dims):
+    # R = 0.1 - 2.1 * |p - c|^2 on a 3-cell (3 x 3) grid whose center cell c
+    # holds the best sample, 0.1; every neighbour of it reads -2.0
+    def residual(*p):
+        return 0.1 - 2.1 * sum((q - 1.5) ** 2 for q in p)
+
+    field = ResidualField(((0.0, 3.0),) * dims, residual, 1.0, {}, "test")
+    best = 4 if dims == 2 else 1
+    neighbours = locator._neighbours(best, 3, dims)
+    assert neighbours == ([3, 5, 1, 7] if dims == 2 else [0, 2])
+    report = locate(field, LocateConfig(grid_n=3))
+    assert (report.outcome, report.point.method) == ("found", "sign-change-bisection")
+    # the first in _neighbours' order: along x, below
+    assert report.diagnostics.sign_cells == (neighbours[0], best)
+    assert 0.5 < report.point.xi1 < 1.5
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_best_sample_that_is_zero_has_no_side(sign):
+    # the grid reads +-0.0 at x = 1.5, but the scalar path, which confirms it,
+    # reads 0.25 there; a zero has no neighbour of opposite sign, so the
+    # bracket joins the extreme samples
+    def residual(x):
+        if not isinstance(x, np.ndarray) and x == 1.5:
+            return 0.25
+        return sign * (x - 1.5)
+
+    field = ResidualField(((0.0, 3.0),), residual, 1.0, {}, "test")
+    assert math.copysign(1.0, residual(np.array([1.5]))[0]) == sign
+    report = locate(field, LocateConfig(grid_n=3))
+    assert (report.outcome, report.point.method) == ("found", "sign-change-bisection")
+    assert report.diagnostics.sign_cells == ((0, 2) if sign > 0 else (2, 0))
+    assert abs(report.point.xi1 - 1.5) <= 1e-9
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_a_level_whose_extreme_is_infinite_keeps_the_last_finite_levels_extremes(value):
+    # level 0 (x = 0.5, 1.5, 2.5) reads 1 + x, with no sign change; level 1
+    # reads an infinity at x = 0.75, its least or largest sample
+    def residual(x):
+        if isinstance(x, np.ndarray):
+            return np.where(x == 0.75, value, 1.0 + x)
+        return value if x == 0.75 else 1.0 + x
+
+    field = ResidualField(((0.0, 3.0),), residual, 1.0, {}, "test")
+    report = locate(field, LocateConfig(grid_n=3, max_refinements=1))
+    d = report.diagnostics
+    assert report.outcome == "failed"
+    assert (d.failure, d.failure_kind) == ("evaluation error at (0.75): residual is not finite", "evaluation")
+    # the level-0 screen and its one scalar check, then the level-1 screen
+    assert (d.level, d.evaluations) == (1, 3 + 1 + 6)
+    assert (d.grid_min, d.grid_max) == (1.5, 3.5)
+
+
+def test_cell_center_offsets_are_exact_halves():
+    # locate places cell i's center at lo + (i + 0.5) * step, with every i + 0.5 exact
+    for n in range(3, MAX_GRID_N + 1):
+        assert np.arange(0.5, n).tobytes() == (np.arange(n) + 0.5).tobytes()
+
+
 def _adversarial_residuals():
     for m in (1 / 3, 0.5 + 1e-7, 0.999, 1e-3, 0.7071):
         yield lambda t, m=m: (t - m) ** 9  # a flat zero

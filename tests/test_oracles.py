@@ -14,7 +14,14 @@ from rectmvt.expr import BinOp, Call, Const, Neg, Var, substitute
 from rectmvt.harness import derive_seed, family_from_name, generate_function, generate_rectangle
 from rectmvt.hyperdual import compile_hyperdual
 from rectmvt.locator import LocateConfig, locate, verify_at
-from rectmvt.theorems import Rectangle, pompeiu2d_residual, rect_mvt_residual
+from rectmvt.theorems import (
+    DegenerateError,
+    Rectangle,
+    boggio2d_residual,
+    pompeiu2d_residual,
+    rect_cauchy_residual,
+    rect_mvt_residual,
+)
 
 TAU = LocateConfig().tol_factor
 
@@ -44,6 +51,59 @@ def test_scaling_f_by_two_keeps_rmvt_points():
         p = report.point
         assert abs(verify_at(field, p.xi1, p.xi2)) <= TAU * field.scale
     assert found >= 90
+
+
+def _pair_cases(count: int, family: str, zero_free: bool):
+    """Seeded (f, g) pairs on rectangles, as a sweep of a theorem with g draws them."""
+    fam = family_from_name(family)
+    for i in range(count):
+        seed = derive_seed(1414, i)
+        rect = generate_rectangle(derive_seed(seed, 0), zero_free=zero_free)
+        f = generate_function(fam, derive_seed(seed, 1), rect)
+        yield f, generate_function(fam, derive_seed(seed, 2), rect), rect
+
+
+def _twice(g):
+    return BinOp("*", Const(2.0), g)
+
+
+@pytest.mark.parametrize("family", ["poly4", "separable", "exp-poly"])
+def test_scaling_g_by_two_keeps_cauchy_points(family):
+    # 2*g doubles delta_g and g_xy exactly, so the Cauchy residual is exactly
+    # twice g's; its scale, 1 + |delta_f| + 2|delta_g|, is less than twice g's,
+    # so a point within tolerance of it is within tolerance of g's field
+    found = 0
+    for f, g, rect in _pair_cases(40, family, zero_free=False):
+        try:
+            field = rect_cauchy_residual(f, g, rect)
+            report = locate(rect_cauchy_residual(f, _twice(g), rect))
+        except DegenerateError:
+            continue
+        if report.outcome != "found":
+            continue
+        found += 1
+        p = report.point
+        assert abs(verify_at(field, p.xi1, p.xi2)) <= TAU * field.scale
+    assert found >= 30
+
+
+@pytest.mark.parametrize("family", ["poly4", "separable", "exp-poly", "rational"])
+def test_scaling_g_by_two_leaves_boggio2d_reports_unchanged(family):
+    # 2*g doubles P[g], delta_g and g's corner numerator exactly, and the
+    # residual divides each by delta_g: the residual and its scale are g's,
+    # bit for bit, and so is the whole report
+    compared = 0
+    for f, g, rect in _pair_cases(40, family, zero_free=True):
+        try:
+            field = boggio2d_residual(f, g, rect)
+            twice = boggio2d_residual(f, _twice(g), rect)
+        except DegenerateError:
+            continue
+        assert twice.scale == field.scale
+        assert twice.decomposition == {**field.decomposition, "delta_g": 2.0 * field.decomposition["delta_g"]}
+        assert locate(twice) == locate(field), (f, g, rect)
+        compared += 1
+    assert compared >= 30
 
 
 def test_swapping_x_and_y_transposes_rmvt_points():

@@ -670,26 +670,88 @@ def test_residuals_from_the_components_read_equal_those_from_all_four(monkeypatc
 # -- each corner evaluated once ---------------------------------------------------
 
 
-# evaluate calls per field: each function at its four corners (two endpoints on
-# an interval), once
-_CORNER_EVALUATIONS = {
-    "rolle": 4, "rmvt": 4, "cauchy": 8, "pompeiu2d": 4, "boggio2d": 8, "pompeiu1d": 2, "boggio1d": 4,
+# per field: walks of each 2-D function's tree, which evaluate it at its four
+# corners at once, and evaluate calls of each 1-D function at its two endpoints
+_CORNER_WALKS = {
+    "rolle": 1, "rmvt": 1, "cauchy": 2, "pompeiu2d": 1, "boggio2d": 2, "pompeiu1d": 0, "boggio1d": 0,
 }
+_ENDPOINT_EVALUATIONS = {
+    "rolle": 0, "rmvt": 0, "cauchy": 0, "pompeiu2d": 0, "boggio2d": 0, "pompeiu1d": 2, "boggio1d": 4,
+}
+
+
+def _count_corner_work(monkeypatch, functions):
+    """Lists that record each walk of a tree in ``functions`` from its root,
+    as ``(id, points)``, and each ``evaluate`` call, as ``(id, x, y)``."""
+    walks, points = [], []
+    real_walk, real_evaluate = theorems._at_corners, theorems.evaluate
+
+    def walking(node, X, Y):
+        if any(node is f for f in functions):
+            walks.append((id(node), tuple(zip(X, Y))))
+        return real_walk(node, X, Y)
+
+    def counting(expr, x, y):
+        points.append((id(expr), x, y))
+        return real_evaluate(expr, x, y)
+
+    monkeypatch.setattr(theorems, "_at_corners", walking)
+    monkeypatch.setattr(theorems, "evaluate", counting)
+    return walks, points
 
 
 @pytest.mark.parametrize("tag, f_text, g_text, bounds", _COMPILE_ONCE_CASES)
 def test_each_field_evaluates_each_corner_once(monkeypatch, tag, f_text, g_text, bounds):
-    points = []
-    real = theorems.evaluate
-
-    def counting(expr, x, y):
-        points.append((id(expr), x, y))
-        return real(expr, x, y)
-
-    monkeypatch.setattr(theorems, "evaluate", counting)
-    build_field(tag, parse(f_text), None if g_text is None else parse(g_text), bounds)
-    assert len(points) == _CORNER_EVALUATIONS[tag]
+    f, g = parse(f_text), None if g_text is None else parse(g_text)
+    walks, points = _count_corner_work(monkeypatch, [e for e in (f, g) if e is not None])
+    build_field(tag, f, g, bounds)
+    # a walk that succeeds is all a 2-D function's corners cost
+    assert len(walks) == _CORNER_WALKS[tag]
+    assert len({i for i, _ in walks}) == len(walks)
+    if walks:
+        x1, x2, y1, y2 = bounds
+        corners = ((x1, y1), (x1, y2), (x2, y1), (x2, y2))
+        assert all(walked == corners for _, walked in walks)
+    assert len(points) == _ENDPOINT_EVALUATIONS[tag]
     assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("tag", ["rmvt", "pompeiu2d"])
+def test_a_corner_that_overflows_without_raising_is_evaluated_in_turn(monkeypatch, tag):
+    # x*y*1e308 overflows to inf at every corner but (1, 1), and no operation
+    # raises: the walk ends, its values are checked, and the corners are
+    # evaluated one at a time, whose first non-finite result raises
+    f = parse("x*y*1e308")
+    r = Rectangle(1.0, 2.0, 1.0, 2.0)
+    with pytest.raises(EvaluationError) as want:
+        evaluate(f, r.x2, r.y1)
+    walks, points = _count_corner_work(monkeypatch, [f])
+    with pytest.raises(EvaluationError) as info:
+        build_field(tag, f, None, (r.x1, r.x2, r.y1, r.y2))
+    assert type(info.value) is type(want.value) and str(info.value) == str(want.value)
+    assert len(walks) == 1 and points
+
+
+@pytest.mark.parametrize(
+    "tag, first, message",
+    [
+        # the corner difference reads (2, 2) first, where 1/(y - 2) divides by zero
+        ("rmvt", (2.0, 2.0), "float division by zero"),
+        # the Pompeiu numerator reads (1, 1) first, where the log fails
+        ("pompeiu2d", (1.0, 1.0), "log of a non-positive value"),
+    ],
+)
+def test_a_walk_that_raises_mid_tree_gives_the_error_of_evaluate(monkeypatch, tag, first, message):
+    # the walk raises at log(x - 1.5), for the corners with x = 1, before it
+    # reaches 1/(y - 2); evaluated in turn, the first failing corner decides
+    f = parse("x*y + log(x - 1.5) + 1/(y - 2)")
+    with pytest.raises(OutOfDomainError) as want:
+        evaluate(f, *first)
+    walks, points = _count_corner_work(monkeypatch, [f])
+    with pytest.raises(OutOfDomainError) as info:
+        build_field(tag, f, None, (1.0, 2.0, 1.0, 2.0))
+    assert type(info.value) is type(want.value) and str(info.value) == str(want.value) == message
+    assert len(walks) == 1 and points[-1][1:] == first
 
 
 def _bits(values) -> list[int]:
