@@ -55,8 +55,8 @@ __all__ = [
     "evaluate",
     "parse",
     "pretty_print",
+    "reads_variable",
     "substitute",
-    "variables",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -280,19 +280,23 @@ def pretty_print(expr: Expression) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def variables(expr: Expression) -> frozenset[str]:
-    """Set of variable names the expression actually uses."""
+def reads_variable(expr: Expression, names=("x", "y")) -> bool:
+    """Whether the expression reads a variable named in ``names``; a constant
+    subtree reads none.  The walk stops at the first such variable, which is
+    found soonest in the base of a power and in the last term of a sum or
+    product, so those are read first."""
     t = type(expr)
     if t is BinOp:
-        return variables(expr.left) | variables(expr.right)
+        first, second = (expr.left, expr.right) if expr.op == "^" else (expr.right, expr.left)
+        return reads_variable(first, names) or reads_variable(second, names)
     if t is Const:
-        return frozenset()
+        return False
     if t is Var:
-        return frozenset((expr.name,))
+        return expr.name in names
     if t is Neg:
-        return variables(expr.child)
+        return reads_variable(expr.child, names)
     if t is Call:
-        return variables(expr.arg)
+        return reads_variable(expr.arg, names)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -327,6 +331,14 @@ def _pow_real(base: float, exponent: float) -> float:
     raise OutOfDomainError("fractional power of a negative base")
 
 
+def _pow(a, b):
+    """``a ^ b`` as :func:`evaluate` computes it: plain numbers through
+    :func:`_pow_real`, anything else (numpy arrays and scalars) through ``**``."""
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return _pow_real(a, b)
+    return a ** b
+
+
 def _call_real(fn: str, v: float):
     if fn == "sin":
         return math.sin(v)
@@ -359,9 +371,7 @@ def _eval(node: Expression, x, y):
             return a * b
         if op == "/":
             return a / b
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            return _pow_real(a, b)
-        return a ** b  # numpy arrays
+        return _pow(a, b)
     if t is Const:
         return node.value
     if t is Var:

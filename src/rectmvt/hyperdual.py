@@ -50,6 +50,7 @@ is evaluated.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -70,6 +71,7 @@ from .expr import (
     _fmt_number,
     evaluate,
     evaluation_error,
+    reads_variable,
 )
 
 __all__ = [
@@ -138,13 +140,16 @@ class Derivatives(NamedTuple):
 # negation, integer power and scalar function is one generated closure, so it
 # costs one Python call, and a scalar function's one more, of its ``_PARTS``
 # entry: ``_formulas`` writes the source of each component the node fills, and
-# ``_factory`` turns it, once per plan key and operand kinds, into a factory
-# that takes the node's operands and returns the closure.  An operand is read
-# by its kind: a compiled one is called, unless it is an x or y seed, which is
-# the node's own X or Y; a folded constant is its value, passed to the
-# factory, and lifted only in that it is the one component read of it (the
-# lifted ``h ^ 0`` is a compiled operand, and called).  The generated source
-# is safe to ``exec``: it is built from fixed
+# ``_factory`` turns it into a factory that takes the node's operands and
+# returns the closure.  ``_factory`` and ``_power_factory`` are cached functions
+# of plain arguments (the operation, the operands' kinds and nonzero masks, the
+# components filled), so each factory is generated once per arguments; those
+# range over finite sets (an exponent n up to MAX_INT_POWER), so the caches
+# stay bounded.  An operand is read by its kind: a compiled one is called,
+# unless it is an x or y seed, which is the node's own X or Y; a folded
+# constant is its value, passed to the factory, and lifted only in that it is
+# the one component read of it (the lifted ``h ^ 0`` is a compiled operand, and
+# called).  The generated source is safe to ``exec``: it is built from fixed
 # templates and component, operand, part and step indices alone, and every
 # constant, exponent, parts function and closure of an expression reaches it
 # only as an argument of its factory, so no text of an expression is ever part
@@ -311,38 +316,24 @@ _CHECKED = frozenset(("log", "sqrt", "recip", "^p"))
 # -- dense arithmetic: all four components, for a varying exponent ----------
 #
 # Each runs the generated node of all four components, which reads its operand
-# a (and b) as a node reads the seed X (and Y).  A node is built once per key
-# and kept in ``_DENSE``: "*" for the product, a scalar function's name for its
-# chain, and n for the power ``h ^ n``, n >= 2.  A fractional power's node
-# binds its exponent, which is only known when evaluated, so it is built then.
-
-_DENSE: dict = {}
+# a (and b) as a node reads the seed X (and Y).  ``_dense_node`` builds a node
+# once per factory and arguments: the product, a scalar function's chain and
+# the power ``h ^ n``, n >= 2.  A fractional power's node binds its exponent,
+# which is only known when evaluated, so it is built then.
 
 
-def _dense_node(key):
-    if key == "*":
-        k = _ARG_X << 14 | _ARG_Y << 12 | _ALL << 8 | _ALL << 4 | _ALL
-        node = (_FACTORIES["*"].get(k) or _factory("*", k))(None, None)
-    elif type(key) is int:
-        factory, counts = _POWERS.get((key, _ALL, _ALL, _ARG_X)) or _power_factory(key, _ALL, _ALL, _ARG_X)
-        node = factory(None, counts)
-    else:
-        node = _chain_node(key)
-    _DENSE[key] = node
-    return node
-
-
-def _chain_node(fn: str, p=None):
-    key = _ARG_X << 14 | _ALL << 8 | _ALL << 4
-    return (_FACTORIES["chain"].get(key) or _factory("chain", key))(None, _PARTS[fn], p)
+@functools.cache
+def _dense_node(factory, *args):
+    return factory(*args)
 
 
 def _mul(a: Components, b: Components) -> Components:
-    return (_DENSE.get("*") or _dense_node("*"))(a, b)
+    return _dense_node(_factory("*", _ARG_X, _ARG_Y, _ALL, _ALL, _ALL), None, None)(a, b)
 
 
 def _dense_chain(a: Components, fn: str, p=None) -> Components:
-    node = _chain_node(fn, p) if fn == "^p" else _DENSE.get(fn) or _dense_node(fn)
+    factory = _factory("chain", _ARG_X, 0, _ALL, _ALL, 0)
+    node = factory(None, _PARTS[fn], p) if fn == "^p" else _dense_node(factory, None, _PARTS[fn], None)
     return node(a, None)
 
 
@@ -353,7 +344,8 @@ def _int_pow(a: Components, n: int) -> Components:
         return _int_pow(_dense_chain(a, "recip"), -n)
     if n == 1:
         return a
-    return (_DENSE.get(n) or _dense_node(n))(a, None)
+    factory, counts = _power_factory(n, _ALL, _ALL, _ARG_X)
+    return _dense_node(factory, None, counts)(a, None)
 
 
 def _pow(a: Components, b: Components) -> Components:
@@ -455,10 +447,6 @@ def _fold(node: Expression):
 _GENERAL, _ARG_X, _ARG_Y, _CONSTANT = range(4)
 _KINDS = {_seed_x: _ARG_X, _seed_y: _ARG_Y}  # the kind of each operand closure not general
 _SOURCES: dict = {}  # generated source -> its factory
-# per node type: ka << 14 | kb << 12 | om << 8 | na << 4 | nb -> factory; a
-# negation has no b, and its kb is _CONSTANT; the b of u(a) is the parts of u,
-# and its kb and nb are 0
-_FACTORIES: dict = {"+": {}, "-": {}, "*": {}, "neg": {}, "chain": {}}
 
 
 def _formulas(op: str, om: int, na: int, nb: int, ref_a: str, ref_b: str):
@@ -536,10 +524,14 @@ def _generated(params: str, body: list):
     return factory
 
 
-def _factory(op: str, key: int):
-    """Generate the factory ``(A, B) -> node`` of ``a op b``, or of ``-a``, for
-    its key in ``_FACTORIES[op]``, and keep it there."""
-    ka, kb, om, na, nb = key >> 14, key >> 12 & 3, key >> 8 & 15, key >> 4 & 15, key & 15
+@functools.cache
+def _factory(op: str, ka: int, kb: int, om: int, na: int, nb: int):
+    """The factory ``(A, B) -> node`` of ``a op b``, or of ``-a`` for op "neg",
+    that fills the components of om, for the operands' kinds ka and kb and
+    nonzero masks na and nb; generated once per arguments.  A negation has no
+    b: its kb is _CONSTANT and its na and nb are 0.  The b of ``u(a)``, for op
+    "chain", is the parts of u: its kb and nb are 0, and its factory is
+    ``(A, B, p) -> node``."""
     ref_a, ref_b = _ref(ka, "a"), _ref(kb, "b")
     if op == "neg":
         out = [f"-{ref_a.format(c)}" if om >> c & 1 else "None" for c in range(4)]
@@ -551,21 +543,21 @@ def _factory(op: str, key: int):
         loads, params = [_load(ka, "a", read_a | _V), f"{parts} = B(a0, {read_b}, p)"], "A, B, p"
     else:
         loads, params = [_load(ka, "a", read_a), _load(kb, "b", read_b)], "A, B"
-    factory = _FACTORIES[op][key] = _generated(params, loads + [f"return ({', '.join(out)})"])
-    return factory
+    return _generated(params, loads + [f"return ({', '.join(out)})"])
 
 
 def _binary(op: str, a, b, need: int):
     """``a op b`` for two operands, each compiled or a folded constant's value."""
     if type(b) is not tuple and op == "*":
-        # h * c, as every monomial's coefficient is: c lifted has only v, so
-        # the product's nonzero components are h's
+        # h * c, as every monomial's coefficient is, builds the general path's
+        # node without classifying both operands, about 4% of compiling a
+        # sweep's functions: c lifted has only v, so the product's nonzero
+        # components are h's
         A, na, ca = a
         om = need & na
         if not om:
             return (A if ca else None, na, ca)
-        key = _KINDS.get(A, _GENERAL) << 14 | _CONSTANT << 12 | om << 8 | na << 4 | _V
-        return ((_FACTORIES["*"].get(key) or _factory("*", key))(A, float(b)), na, ca)
+        return (_factory("*", _KINDS.get(A, _GENERAL), _CONSTANT, om, na, _V)(A, float(b)), na, ca)
     if type(a) is tuple:
         A, na, ca = a
         ka = _KINDS.get(A, _GENERAL)
@@ -593,8 +585,7 @@ def _binary(op: str, a, b, need: int):
             ka = _CONSTANT  # a contributes nothing: 0.0 - b
         elif not om & nb and not cb:
             return (A, nz, checks)  # a sum or difference whose b contributes nothing
-    key = ka << 14 | kb << 12 | om << 8 | na << 4 | nb
-    return ((_FACTORIES[op].get(key) or _factory(op, key))(A, B), nz, checks)
+    return (_factory(op, ka, kb, om, na, nb)(A, B), nz, checks)
 
 
 def _chain(fn: str, a, need: int, p=None):
@@ -605,8 +596,7 @@ def _chain(fn: str, a, need: int, p=None):
     checked = fn in _CHECKED
     if not (om or checked):
         return (A if ca else None, nz, ca)  # nothing to compute here, but a runs its checks
-    key = _KINDS.get(A, _GENERAL) << 14 | om << 8 | na << 4
-    factory = _FACTORIES["chain"].get(key) or _factory("chain", key)
+    factory = _factory("chain", _KINDS.get(A, _GENERAL), 0, om, na, 0)
     return (factory(A, _PARTS[fn], p), nz, checked or ca)
 
 
@@ -617,20 +607,19 @@ def _int_power(a, n: int, need: int):
     om = need & nz
     if not om:
         return (A if ca else None, nz, ca)
-    kind = _KINDS.get(A, _GENERAL)
-    factory, counts = _POWERS.get((n, om, na, kind)) or _power_factory(n, om, na, kind)
+    factory, counts = _power_factory(n, om, na, _KINDS.get(A, _GENERAL))
     return (factory(A, counts), nz, ca)
 
 
-_POWERS: dict = {}  # (n, output mask, base mask, base kind) -> (factory, counts)
-
-
+@functools.cache
 def _power_factory(n: int, om: int, na: int, kind: int):
-    """The factory ``(A, counts) -> node`` of ``h ^ n`` and its counts.  The
-    product ``h^(k-1) * h`` is the running ``o`` times the base ``a``; from the
-    last product back, each asks o for what the next reads of it, so once two
-    products in turn are alike, all of them down to the second are, and a run
-    of more than one product is a loop over ``range(counts[r])``."""
+    """The factory ``(A, counts) -> node`` of ``h ^ n`` that fills the
+    components of om, for the base's nonzero mask na and kind, and its counts;
+    generated once per arguments.  The product ``h^(k-1) * h`` is the running
+    ``o`` times the base ``a``; from the last product back, each asks o for
+    what the next reads of it, so once two products in turn are alike, all of
+    them down to the second are, and a run of more than one product is a loop
+    over ``range(counts[r])``."""
     runs = []  # [source of the product's components, products], last first
     need, k = om, n
     while k >= 2:
@@ -651,8 +640,7 @@ def _power_factory(n: int, om: int, na: int, kind: int):
             body += [f"for _ in range(counts[{len(counts)}]):", f"    {product}"]
             counts.append(step)
     body.append("return (o0, o1, o2, o3)")
-    entry = _POWERS[(n, om, na, kind)] = (_generated("A, counts", body), tuple(counts))
-    return entry
+    return _generated("A, counts", body), tuple(counts)
 
 
 def _power(node: BinOp, need: int):
@@ -706,23 +694,7 @@ def _reciprocal(b, need: int):
 
 
 def _negation(A, om: int):
-    key = _KINDS.get(A, _GENERAL) << 14 | _CONSTANT << 12 | om << 8
-    return (_FACTORIES["neg"].get(key) or _factory("neg", key))(A, None)
-
-
-def _reads_no_variable(node: Expression) -> bool:
-    """Whether ``node`` is a constant subtree.  A variable is found soonest in
-    the base of a power and in the last term of a sum or product, so those
-    are read first."""
-    t = type(node)
-    if t is BinOp:
-        first, second = (node.left, node.right) if node.op == "^" else (node.right, node.left)
-        return _reads_no_variable(first) and _reads_no_variable(second)
-    if t is Neg:
-        return _reads_no_variable(node.child)
-    if t is Call:
-        return _reads_no_variable(node.arg)
-    return t is Const
+    return _factory("neg", _KINDS.get(A, _GENERAL), _CONSTANT, om, 0, 0)(A, None)
 
 
 def _compile(node: Expression, need: int):
@@ -744,7 +716,7 @@ def _compile(node: Expression, need: int):
         # h * k or h / k reads of h what it reads itself, also when k is a
         # constant subtree that folds to a value; h * g reads at most the
         # components of h below those it reads
-        k = _fold(right) if _reads_no_variable(right) else None
+        k = None if reads_variable(right) else _fold(right)
         constant = k is not None and type(k) is not tuple  # a subtree that raises stays compiled
         a = _compile(left, need if constant else _BELOW[need])
         if constant:
@@ -880,16 +852,24 @@ def finite_difference_oracle(f: Expression, x0: float, y0: float) -> Derivatives
     First partials use the two-point central stencil with step
     ``max(1, |coordinate|) * eps**(1/3)``; the mixed partial uses the four-point
     cross stencil on the same steps.  Kept deliberately independent of the
-    hyper-dual path so the two can check each other.
+    hyper-dual path so the two can check each other.  An error at a stencil
+    point, which may lie outside f's domain though ``(x0, y0)`` does not, is
+    raised again with its type and a message that names the point.
     """
     x0, y0 = float(x0), float(y0)
     hx = max(1.0, abs(x0)) * _CBRT_EPS
     hy = max(1.0, abs(y0)) * _CBRT_EPS
 
     def e(a: float, b: float) -> float:
-        return evaluate(f, a, b)
+        try:
+            return evaluate(f, a, b)
+        except EvaluationError as exc:
+            raise type(exc)(
+                f"{exc} at the finite-difference stencil point ({a!r}, {b!r}), "
+                f"a step of max(1, |coordinate|) * eps**(1/3) from ({x0!r}, {y0!r})"
+            ) from exc
 
-    v = e(x0, y0)
+    v = evaluate(f, x0, y0)
     dx = (e(x0 + hx, y0) - e(x0 - hx, y0)) / (2.0 * hx)
     dy = (e(x0, y0 + hy) - e(x0, y0 - hy)) / (2.0 * hy)
     dxy = (

@@ -36,10 +36,11 @@ from .expr import (
     Var,
     const,
     _call_real,
+    _pow,
     _pow_real,
     evaluate,
+    reads_variable,
     substitute,
-    variables,
 )
 from .hyperdual import Derivatives, Program, check_divisor, compile_hyperdual, eval_hyperdual
 
@@ -201,13 +202,6 @@ class ResidualField:
 Corners = tuple[float, float, float, float]  # f(x1,y1), f(x1,y2), f(x2,y1), f(x2,y2)
 
 
-def _power(a, b):
-    """``a ^ b`` as :func:`evaluate` computes it for two plain numbers."""
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return _pow_real(a, b)
-    return a ** b  # numpy scalars
-
-
 def _at_corners(node: Expression, X: tuple, Y: tuple) -> tuple:
     """``node`` at four points at once: ``X`` holds their x coordinates and
     ``Y`` their y coordinates.  Each node does ``evaluate``'s float operation
@@ -233,7 +227,7 @@ def _at_corners(node: Expression, X: tuple, Y: tuple) -> tuple:
             and type(b0) is type(b1) is type(b2) is type(b3) is float
         ):
             return (_pow_real(a0, b0), _pow_real(a1, b1), _pow_real(a2, b2), _pow_real(a3, b3))
-        return tuple(map(_power, (a0, a1, a2, a3), (b0, b1, b2, b3)))
+        return tuple(map(_pow, (a0, a1, a2, a3), (b0, b1, b2, b3)))
     if t is Const:
         v = node.value
         return (v, v, v, v)
@@ -464,7 +458,7 @@ def pompeiu1d_residual(f: Expression, x1: float, x2: float) -> ResidualField:
     R(xi) = [f(xi) - xi f'(xi)] - [x1 f(x2) - x2 f(x1)] / (x1 - x2)
     """
     _check_interval(x1, x2)
-    if "y" in variables(f):
+    if reads_variable(f, ("y",)):
         raise ValueError("one-dimensional theorems take expressions in x only")
     fp = compile_hyperdual(f, THEOREMS["pompeiu1d"].reads)
     rhs = (x1 * _eval_1d(f, x2) - x2 * _eval_1d(f, x1)) / (x1 - x2)
@@ -485,7 +479,7 @@ def boggio1d_residual(f: Expression, g: Expression, x1: float, x2: float) -> Res
     """
     _check_interval(x1, x2)
     for name, e in (("f", f), ("g", g)):
-        if "y" in variables(e):
+        if reads_variable(e, ("y",)):
             raise ValueError(f"one-dimensional theorems take expressions in x only ({name})")
     reads = THEOREMS["boggio1d"].reads
     fp, gp = compile_hyperdual(f, reads), compile_hyperdual(g, reads)

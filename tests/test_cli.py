@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,8 @@ import pytest
 import rectmvt
 from rectmvt import cli
 from rectmvt.cli import main
-from rectmvt.expr import MAX_DEPTH
+from rectmvt.expr import MAX_DEPTH, OutOfDomainError, parse
+from rectmvt.hyperdual import eval_hyperdual, finite_difference_oracle
 
 SQ6 = math.sqrt(6.0)
 
@@ -391,6 +393,25 @@ def test_gradcheck_bilinear_exact(capsys):
 def test_gradcheck_pole_exits_3(capsys):
     code, _, err = run_cli(capsys, "grad-check", "--f", "1/x", "--at", "0,1")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "f, x, message",
+    [("sqrt(x)", 1e-300, "sqrt of a negative value"), ("log(x)", 1e-10, "log of a non-positive value")],
+)
+def test_gradcheck_names_a_stencil_point_outside_the_domain(capsys, f, x, message):
+    # f and its derivatives are defined at (x, 1), but the oracle's stencil
+    # steps max(1, |x|) * eps**(1/3) to the left of x, below 0
+    point = f"({x - sys.float_info.epsilon ** (1 / 3)!r}, 1.0)"
+    code, out, err = run_cli(capsys, "grad-check", "--f", f, "--at", f"{x!r},1")
+    assert code == 3 and not out
+    assert err == (
+        f"evaluation failed: {message} at the finite-difference stencil point {point}, "
+        f"a step of max(1, |coordinate|) * eps**(1/3) from ({x!r}, 1.0)\n"
+    )
+    with pytest.raises(OutOfDomainError, match=rf"^{message} at .*{re.escape(point)}"):
+        finite_difference_oracle(parse(f), x, 1.0)
+    assert eval_hyperdual(parse(f), x, 1.0).dx > 0.0
 
 
 def test_parse_tree_output(capsys):

@@ -17,7 +17,7 @@ from rectmvt.expr import (
     parse,
     pretty_print,
     substitute,
-    variables,
+    reads_variable,
 )
 
 
@@ -182,7 +182,10 @@ def test_const_helper_wraps_negatives():
 
 def test_variables_and_substitute():
     tree = parse("x^2 + sin(y)")
-    assert variables(tree) == frozenset({"x", "y"})
-    assert variables(parse("3")) == frozenset()
+    assert reads_variable(tree) and reads_variable(tree, ("x",)) and reads_variable(tree, ("y",))
+    assert not reads_variable(parse("3")) and not reads_variable(parse("-(2^pi)*exp(1)/4"))
+    assert not reads_variable(parse("x^2 - sin(x)"), ("y",))
+    with pytest.raises(TypeError, match="not an expression node"):
+        reads_variable(BinOp("*", Const(1.0), "y"))
     swapped = substitute(tree, {"x": Var("y"), "y": Var("x")})
     assert swapped == parse("y^2 + sin(x)")

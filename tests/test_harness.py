@@ -3,7 +3,7 @@ import math
 import pytest
 
 from rectmvt import harness
-from rectmvt.expr import evaluate, variables
+from rectmvt.expr import evaluate, reads_variable
 from rectmvt.harness import (
     CaseResult,
     FunctionFamily,
@@ -53,7 +53,7 @@ def test_generate_function_deterministic():
 def test_generate_degree_zero_constant():
     family = FunctionFamily("polynomial", max_degree=0, coeff_range=(1.0, 1.0))
     tree = generate_function(family, 7)
-    assert variables(tree) == frozenset()
+    assert not reads_variable(tree)
     assert evaluate(tree, 0.3, -2.0) == evaluate(tree, 5.0, 5.0)
 
 

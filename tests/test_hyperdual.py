@@ -813,13 +813,14 @@ def test_each_arithmetic_node_of_a_scalar_program_is_one_python_call():
 def test_a_varying_exponent_runs_dense_nodes_built_once():
     program = compile_hyperdual(parse("x^y"))
     program(0.7, 2.0)
-    nodes = dict(hyperdual._DENSE)
-    assert {"*", "log", "exp"} <= nodes.keys()
+    built = hyperdual._dense_node.cache_info()
     # the program; the power, each seed and its _dense; _pow and its _any; then
     # x^y = exp(y * log(x)): each of log, * and exp one call of its function and
     # one of its node, and log's parts (with _any and _mathlib) and exp's (with _mathlib)
     assert _python_calls(program, 0.5, 2.0) == 19
-    assert all(hyperdual._DENSE[key] is node for key, node in nodes.items())
+    # the second call built no node: it found log's, the product's and exp's
+    now = hyperdual._dense_node.cache_info()
+    assert (now.misses, now.hits) == (built.misses, built.hits + 3)
 
 
 # -- the product rule -----------------------------------------------------------

@@ -10,14 +10,16 @@ import random
 
 import pytest
 
-from rectmvt.expr import BinOp, Call, Const, Neg, Var, substitute
+from rectmvt.expr import BinOp, Call, Const, Neg, Var, const, substitute
 from rectmvt.harness import derive_seed, family_from_name, generate_function, generate_rectangle
 from rectmvt.hyperdual import compile_hyperdual
 from rectmvt.locator import LocateConfig, locate, verify_at
 from rectmvt.theorems import (
     DegenerateError,
     Rectangle,
+    boggio1d_residual,
     boggio2d_residual,
+    pompeiu1d_residual,
     pompeiu2d_residual,
     rect_cauchy_residual,
     rect_mvt_residual,
@@ -222,3 +224,127 @@ def test_located_points_satisfy_the_identity_in_exact_arithmetic(
         assert abs(at_point) <= 2 * TAU * scale.evalf(30), (f, rect, p)
         checked += 1
     assert checked >= 12
+
+
+def _cauchy_identity(sp, F, G, x, y, r):
+    """The rectangular Cauchy MVT, cross-multiplied: with delta_h the corner
+    difference h(x2,y2) - h(x2,y1) - h(x1,y2) + h(x1,y1),
+    delta_f * g_xy(xi) = delta_g * f_xy(xi)."""
+    x1, x2, y1, y2 = map(sp.Rational, (r.x1, r.x2, r.y1, r.y2))
+    at = lambda H, a, b: H.subs({x: a, y: b})
+    delta_f, delta_g = (at(H, x2, y2) - at(H, x2, y1) - at(H, x1, y2) + at(H, x1, y1) for H in (F, G))
+    return delta_f * sp.diff(G, x, y) - delta_g * sp.diff(F, x, y), 1 + abs(delta_f) + abs(delta_g)
+
+
+def _boggio2d_identity(sp, F, G, x, y, r):
+    """Boggio's theorem on a rectangle avoiding the axes, Pompeiu's divided by
+    the corner differences: with a, b, c, d the bounds, delta_h the corner
+    difference, N_h = [b*d*h(a,c) - b*c*h(a,d) - a*d*h(b,c) + a*c*h(b,d)] /
+    ((b-a)*(d-c)) the corner numerator and P[h] = h - xi1*h_x - xi2*h_y +
+    xi1*xi2*h_xy the operator at xi, P[g]/delta_g - P[f]/delta_f =
+    N_g/delta_g - N_f/delta_f."""
+    a, b, c, d = map(sp.Rational, (r.x1, r.x2, r.y1, r.y2))
+
+    def sides(H):
+        at = lambda u, v: H.subs({x: u, y: v})
+        delta = at(b, d) - at(b, c) - at(a, d) + at(a, c)
+        numerator = (b * d * at(a, c) - b * c * at(a, d) - a * d * at(b, c) + a * c * at(b, d)) / (
+            (b - a) * (d - c)
+        )
+        operator_ = H - x * sp.diff(H, x) - y * sp.diff(H, y) + x * y * sp.diff(H, x, y)
+        return operator_ / delta, numerator / delta
+
+    (pf, nf), (pg, ng) = sides(F), sides(G)
+    return (pg - pf) - (ng - nf), 1 + abs(nf) + abs(ng)
+
+
+@pytest.mark.parametrize("family", ["poly4", "separable", "rational"])
+@pytest.mark.parametrize(
+    "identity, build, zero_free",
+    [(_cauchy_identity, rect_cauchy_residual, False), (_boggio2d_identity, boggio2d_residual, True)],
+    ids=["cauchy", "boggio2d"],
+)
+def test_located_points_satisfy_the_identity_of_a_pair_in_exact_arithmetic(
+    family, identity, build, zero_free
+):
+    # as above, for the theorems of two functions f and g (the largest miss
+    # over these draws is 0.96 tau)
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    fam = family_from_name(family)
+    checked = 0
+    for i in range(15):
+        seed = derive_seed(579, i)
+        rect = generate_rectangle(derive_seed(seed, 0), zero_free=zero_free)
+        f = generate_function(fam, derive_seed(seed, 1), rect)
+        g = generate_function(fam, derive_seed(seed, 2), rect)
+        try:
+            report = locate(build(f, g, rect))
+        except DegenerateError:
+            continue
+        if report.outcome == "failed":
+            continue
+        F, G = _to_sympy(sp, f, x, y), _to_sympy(sp, g, x, y)
+        residual, scale = identity(sp, F, G, x, y, rect)
+        p = report.point
+        at_point = residual.evalf(30, subs={x: sp.Rational(p.xi1), y: sp.Rational(p.xi2)})
+        assert abs(at_point) <= 2 * TAU * scale.evalf(30), (f, g, rect, p)
+        checked += 1
+    assert checked >= 12
+
+
+def _pompeiu1d_identity(sp, F, G, x, x1, x2):
+    """Pompeiu's theorem on an interval avoiding 0:
+    f(xi) - xi*f'(xi) = [x1*f(x2) - x2*f(x1)] / (x1 - x2)."""
+    rhs = (x1 * F.subs(x, x2) - x2 * F.subs(x, x1)) / (x1 - x2)
+    return F - x * sp.diff(F, x) - rhs, 1 + abs(rhs)
+
+
+def _boggio1d_identity(sp, F, G, x, x1, x2):
+    """Boggio's theorem on an interval, for g' != 0 on it:
+    f(xi) - [g(xi)/g'(xi)]*f'(xi) = [g(x1)*f(x2) - g(x2)*f(x1)] / (g(x1) - g(x2))."""
+    g1, g2 = G.subs(x, x1), G.subs(x, x2)
+    rhs = (g1 * F.subs(x, x2) - g2 * F.subs(x, x1)) / (g1 - g2)
+    return F - G / sp.diff(G, x) * sp.diff(F, x) - rhs, 1 + abs(rhs)
+
+
+@pytest.mark.parametrize("family", ["poly4", "separable"])
+@pytest.mark.parametrize(
+    "identity, build",
+    [
+        (_pompeiu1d_identity, lambda f, g, x1, x2: pompeiu1d_residual(f, x1, x2)),
+        (_boggio1d_identity, boggio1d_residual),
+    ],
+    ids=["pompeiu1d", "boggio1d"],
+)
+def test_located_points_satisfy_the_identity_on_an_interval_in_exact_arithmetic(
+    family, identity, build
+):
+    # as above, for the one-dimensional theorems: f and g are generated draws
+    # on a rectangle avoiding the axes, read on its line y = y1, and the
+    # interval is its [x1, x2]; g' vanishes inside it in a few draws, which
+    # violates Boggio's hypothesis, so more are drawn (the largest miss over
+    # these draws is 0.83 tau)
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    fam = family_from_name(family)
+    checked = 0
+    for i in range(30):
+        seed = derive_seed(580, i)
+        rect = generate_rectangle(derive_seed(seed, 0), zero_free=True)
+        on_line = {"y": const(rect.y1)}
+        f = substitute(generate_function(fam, derive_seed(seed, 1), rect), on_line)
+        g = substitute(generate_function(fam, derive_seed(seed, 2), rect), on_line)
+        try:
+            report = locate(build(f, g, rect.x1, rect.x2))
+        except DegenerateError:
+            continue
+        if report.outcome == "failed":
+            continue
+        F, G = _to_sympy(sp, f, x, y), _to_sympy(sp, g, x, y)
+        x1, x2 = sp.Rational(rect.x1), sp.Rational(rect.x2)
+        residual, scale = identity(sp, F, G, x, x1, x2)
+        at_point = residual.evalf(30, subs={x: sp.Rational(report.point.xi1)})
+        assert abs(at_point) <= 2 * TAU * scale.evalf(30), (f, g, rect, report.point)
+        checked += 1
+    assert checked >= 20
