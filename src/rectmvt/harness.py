@@ -7,6 +7,7 @@ index), so scheduling can never change what a sweep produces.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -333,8 +334,8 @@ def run_sweep(
     Case failures (construction errors or locate failures) are tallied, never
     raised.  The summary is a pure function of the arguments.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"count must be an integer of at least 1, got {count!r}")
     theorem = _theorem(tag)
     cfg = cfg or LocateConfig()
     cases: list[CaseResult] = []

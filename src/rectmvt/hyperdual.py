@@ -156,7 +156,8 @@ class Derivatives(NamedTuple):
 # of it (``_SOURCES`` holds each source, with its factory).  ``_binary`` builds
 # a sum, difference or product, ``_negation`` a minus, ``_int_power`` a power,
 # whose products run in a loop, and ``_chain`` a scalar function, whose node
-# calls the function's parts once, for the parts it wants.
+# calls the function's parts once, for the parts it wants.  A program's entry is
+# generated too, by ``_entry``, from the components read and those its body computes.
 # A domain or exponent check is a root of the demand: it needs its operand's
 # value even when nothing reads its own components, so a subtree holding a
 # check always runs.  A subtree whose components nobody reads and that holds
@@ -167,7 +168,6 @@ Program = Callable[[object, object], Components]
 
 _V, _DX, _DY, _DXY = 1, 2, 4, 8
 _ALL = 15
-_NONE = (None, None, None, None)
 _NO_PARTS = (None, None, None)
 
 # the terms a[i] * b[j] of component c of a product, in HyperDual's groups
@@ -203,10 +203,6 @@ _CHAIN_NZ = tuple(
     sum(1 << c for c in range(4) if any(all(a >> j & 1 for j in js) for _, js in _CHAIN_TERMS[c]))
     for a in range(16)
 )
-
-
-def _lifted(c) -> Components:
-    return (float(c), 0.0, 0.0, 0.0)
 
 
 _SIGN_CHANGE = "divisor changes sign between samples, so it vanishes between them"
@@ -339,7 +335,7 @@ def _dense_chain(a: Components, fn: str, p=None) -> Components:
 
 def _int_pow(a: Components, n: int) -> Components:
     if n == 0:
-        return _lifted(1.0)
+        return (1.0, 0.0, 0.0, 0.0)
     if n < 0:
         return _int_pow(_dense_chain(a, "recip"), -n)
     if n == 1:
@@ -404,10 +400,6 @@ def _seed_x(X, Y):
 
 def _seed_y(X, Y):
     return Y
-
-
-def _nothing(X, Y):
-    return _NONE
 
 
 _SEEDS = {"x": (_seed_x, _V | _DX, False), "y": (_seed_y, _V | _DY, False)}
@@ -518,7 +510,7 @@ def _generated(params: str, body: list):
     source = "\n".join(lines + [f"        {line}" for line in body if line] + ["    return node"])
     factory = _SOURCES.get(source)
     if factory is None:
-        namespace: dict = {}
+        namespace = dict(_ENTRY_NAMES)
         exec(compile(source, "<hyperdual node>", "exec"), namespace)
         factory = _SOURCES[source] = namespace["factory"]
     return factory
@@ -769,6 +761,40 @@ def _read_mask(reads) -> int:
     return mask
 
 
+# the names an entry's source reads beside its own: the seeds' 1.0 and the error
+# messages are bound here, so that no constant is text of a source
+_ENTRY_NAMES = dict(ndarray=np.ndarray, isfinite=math.isfinite, evaluation_error=evaluation_error,
+                    EvaluationError=EvaluationError, ONE=1.0, NOT_FINITE="result is not finite",
+                    NON_FINITE="non-finite derivative component")
+
+
+@functools.cache
+def _entry(need: int, computed: int, kind):
+    """The factory ``A -> program`` of a program's entry, for the components read
+    and computed by its body A, and A's kind: a constant's A is its value, or
+    None when nothing is computed, and kind None raises for a constant f that
+    is not finite."""
+    if kind is None:
+        return _generated("A", ["raise EvaluationError(NOT_FINITE)"])
+    body = [
+        "X = (X if isinstance(X, ndarray) else float(X), ONE, None, None)",
+        "Y = (Y if isinstance(Y, ndarray) else float(Y), None, ONE, None)",
+    ]
+    load = _load(kind, "a", computed)
+    if kind == _GENERAL:  # an error of float arithmetic inside the body is an EvaluationError
+        body += ["try:", f"    {load}", "except (ZeroDivisionError, OverflowError) as exc:"]
+        body.append("    raise evaluation_error(exc) from exc")
+    else:
+        body.append(load)
+    if computed and kind != _CONSTANT:  # on scalar inputs, every component computed is finite
+        finite = " and ".join(f"isfinite(a{c})" for c in range(4) if computed >> c & 1)
+        body.append(f"if not (isinstance(X[0], ndarray) or isinstance(Y[0], ndarray) or {finite}):")
+        body.append("    raise EvaluationError(NON_FINITE)")
+    ref = _ref(kind, "a")
+    out = [ref.format(c) if computed >> c & 1 else "0.0" if need >> c & 1 else "None" for c in range(4)]
+    return _generated("A", body + [f"return ({', '.join(out)})"])
+
+
 def compile_hyperdual(f: Expression, reads=Derivatives._fields) -> Program:
     """Compile ``f`` into a program ``(x, y) -> (v, dx, dy, dxy)`` that computes
     the components named in ``reads`` (all four by default).
@@ -785,56 +811,24 @@ def compile_hyperdual(f: Expression, reads=Derivatives._fields) -> Program:
     scalar inputs a non-finite component read raises ``EvaluationError``; an
     overflow that only a component not read would see does not.
 
-    Compiling walks the tree once; build a program once per expression and
-    call it many times.  A constant integer exponent beyond
-    :data:`MAX_INT_POWER` in magnitude raises ``ValueError``; a varying one
-    that evaluates to such an integer raises ``EvaluationError``.
+    Compiling walks the tree once and generates the program's entry from the
+    components read and computed alone, so its calls re-decide nothing; build
+    a program once per expression and call it many times.  A constant integer
+    exponent beyond :data:`MAX_INT_POWER` in magnitude raises ``ValueError``;
+    a varying one that evaluates to such an integer raises
+    ``EvaluationError``.
     """
     try:
         need = _READ_MASKS[reads]
     except (KeyError, TypeError):
         need = _read_mask(reads)
     t = _compile(f, need)
-    if type(t) is not tuple:
-        # a constant f: a non-finite value is rejected, a finite one lifted
-        if math.isfinite(t):
-            out = tuple(c if need >> i & 1 else None for i, c in enumerate(_lifted(t)))
-            return lambda x, y: out
-
-        def not_finite(x, y):
-            raise EvaluationError("result is not finite")
-
-        return not_finite
-
-    body = t[0] or _nothing
-    computed = need & t[1]
-    read = [c for c in range(4) if need >> c & 1]
-    # each slot of the result: 1 the body's component, 2 a structural zero, 0 None
-    k0, k1, k2, k3 = [computed >> c & 1 or (need >> c & 1) << 1 for c in range(4)]
-
-    def program(x, y):
-        scalar = not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray))
-        X = (x if isinstance(x, np.ndarray) else float(x), 1.0, None, None)
-        Y = (y if isinstance(y, np.ndarray) else float(y), None, 1.0, None)
-        try:
-            out = body(X, Y)
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise evaluation_error(exc) from exc
-        if computed != _ALL:
-            v, dx, dy, dxy = out
-            out = (
-                v if k0 == 1 else 0.0 if k0 else None,
-                dx if k1 == 1 else 0.0 if k1 else None,
-                dy if k2 == 1 else 0.0 if k2 else None,
-                dxy if k3 == 1 else 0.0 if k3 else None,
-            )
-        if scalar:
-            for c in read:
-                if not math.isfinite(out[c]):
-                    raise EvaluationError("non-finite derivative component")
-        return out
-
-    return program
+    if type(t) is tuple:
+        A, nz, _ = t
+        return _entry(need, need & nz, _CONSTANT if A is None else _KINDS.get(A, _GENERAL))(A)
+    if math.isfinite(t):
+        return _entry(need, need & _V, _CONSTANT)(float(t))
+    return _entry(0, 0, None)(None)
 
 
 def eval_hyperdual(f: Expression, x0, y0) -> Derivatives:

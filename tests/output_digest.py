@@ -23,8 +23,9 @@ The entries fall in four groups, with one digest each:
   edge cases of every scalar function and of varying exponents.
 
 With ``--baseline DIR``, DIR is the ``src`` directory of another checkout: its
-``rectmvt`` is loaded under another name in this same process, as
-``tests/screen_speed.py`` loads it, and each group's line shows both digests.
+``rectmvt`` is loaded under another name in this same process (digests do not
+depend on timing, so the two trees may share it), and each group's line shows
+both digests.
 For a group whose entries differ, the first entry that differs is printed from
 both trees, and the script exits with status 1.
 """
@@ -34,6 +35,7 @@ import ast
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import io
 import os
 import re
@@ -47,7 +49,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src")]
 
-from screen_speed import FAMILIES, load  # noqa: E402
+from screen_speed import FAMILIES  # noqa: E402
 from test_readme import COMMANDS as README_COMMANDS  # noqa: E402
 
 SEEDS = (42, 7)
@@ -68,6 +70,18 @@ GRIDS = (
     (np.linspace(-1.0, 1.0, 5)[np.newaxis, :], np.linspace(-0.5, 1.5, 5)[:, np.newaxis]),
     (np.linspace(-1.5, 1.5, 7), 0.0),
 )
+
+
+def load(src: Path, name: str):
+    """The ``rectmvt`` package under ``src``, imported as ``name``."""
+    package = src / "rectmvt"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def failing_smoke_commands() -> list[list[str]]:

@@ -189,6 +189,9 @@ def test_run_sweep_seed42_poly4_tallies(tag):
 def test_run_sweep_rejects_bad_count():
     with pytest.raises(ValueError):
         run_sweep("rmvt", FunctionFamily("polynomial"), 0, 42)
+    # a float count is rejected as LocateConfig rejects a float grid_n, not by range
+    with pytest.raises(ValueError, match="count must be an integer of at least 1, got 2.0"):
+        run_sweep("rmvt", family_from_name("poly4"), 2.0)
 
 
 def test_proof_path_quartic_point_on_curve():

@@ -550,6 +550,71 @@ def test_unread_components_are_none_and_structural_zeros_are_float_zero():
     assert compile_hyperdual(parse("3"), ("dx",))(2.0, 3.0) == (None, 0.0, None, None)
     # the default reads all four, as eval_hyperdual does
     assert compile_hyperdual(parse("x^2*y"))(2.0, 3.0) == eval_hyperdual(parse("x^2*y"), 2.0, 3.0)
+    # the special shapes of a program, for every set of components read and
+    # every kind of input: a finite constant, a sum of seeds (no body at all
+    # when only dxy is read), a power ^0 that runs log's check alone, and a
+    # function of x only
+    for text, point, slots in _ENTRY_TABLE:
+        for reads in _READS:
+            program = compile_hyperdual(parse(text), reads)
+            for x, y in _inputs(*point):
+                _assert_slots(program(x, y), reads, slots, isinstance(x, np.ndarray))
+    for reads in _READS:
+        # a constant that is not finite raises on every input, before converting it
+        not_finite = compile_hyperdual(parse("1e308*10"), reads)
+        for x, y in _inputs(0.5, 2.0) + [("not a number", None)]:
+            with pytest.raises(EvaluationError, match="^result is not finite$") as info:
+                not_finite(x, y)
+            assert type(info.value) is EvaluationError
+        # a check runs whatever is read
+        checked = compile_hyperdual(parse("log(x)^0"), reads)
+        for x, y in _inputs(-1.0, 2.0):
+            with pytest.raises(OutOfDomainError, match="^log of a non-positive value$") as info:
+                checked(x, y)
+            assert type(info.value) is OutOfDomainError
+        # exp(1000*x) is inf in v and dx at x = inf: a scalar call reading either
+        # raises, and an array call returns it
+        overflow = compile_hyperdual(parse("exp(1000*x)"), reads)
+        for x, y in _inputs(math.inf, 2.0):
+            arrays = isinstance(x, np.ndarray)
+            if arrays or not {"v", "dx"} & set(reads):
+                _assert_slots(overflow(x, y), reads, ((math.inf, True), (math.inf, True), None, None), arrays)
+                continue
+            with pytest.raises(EvaluationError, match="^non-finite derivative component$") as info:
+                overflow(x, y)
+            assert type(info.value) is EvaluationError
+
+
+# per program, its point and, per component, its value there and whether it is
+# an array on array inputs; None marks a structural zero
+_ENTRY_TABLE = [
+    ("2.5", (0.5, 2.0), ((2.5, False), None, None, None)),
+    ("x + y", (1.0, 2.0), ((3.0, True), (1.0, False), (1.0, False), None)),
+    ("log(x)^0", (1.0, 2.0), ((1.0, False), None, None, None)),
+    ("exp(1000*x)", (0.0, 2.0), ((1.0, True), (1000.0, True), None, None)),
+]
+
+
+def _inputs(x: float, y: float) -> list:
+    """``(x, y)`` as each kind of input a program takes: Python floats, numpy
+    float64s, arrays, an array x with a float y and, when exact, ints."""
+    out = [(x, y), (np.float64(x), np.float64(y)), (np.full(2, x), np.full(2, y)), (np.full(2, x), y)]
+    if x.is_integer() and y.is_integer():
+        out.append((int(x), int(y)))
+    return out
+
+
+def _assert_slots(out, reads, slots, arrays: bool):
+    assert len(out) == 4
+    for name, got, slot in zip(Derivatives._fields, out, slots):
+        if name not in reads:
+            assert got is None
+        elif slot is None:
+            assert type(got) is float and got == 0.0
+        elif slot[1] and arrays:
+            assert type(got) is np.ndarray and (got == slot[0]).all()
+        else:
+            assert type(got) is float and got == slot[0]
 
 
 @pytest.mark.parametrize("reads", [("dz",), ("v", "d"), "dxy"])
@@ -733,9 +798,13 @@ def test_a_product_by_a_folded_constant_compiles_its_left_operand_once(monkeypat
 
 # the names a generated factory and its node may use: its parameters (p is the
 # exponent of a chain node's parts), the components it unpacks (a0..a3, b0..b3,
-# and o0..o3 of a power) and fixed words
+# and o0..o3 of a power) and fixed words; then the fixed words of a program's
+# entry, and the names it is given: the seeds' 1.0 (ONE) and the error messages
 _NODE_NAMES = {"def", "factory", "node", "return", "for", "in", "range", "None", "_"}
 _NODE_NAMES |= {"A", "B", "X", "Y", "counts", "p"}
+_NODE_NAMES |= {"if", "else", "not", "or", "and", "try", "except", "as", "exc", "raise", "from"}
+_NODE_NAMES |= {"isinstance", "ndarray", "float", "isfinite", "ZeroDivisionError", "OverflowError"}
+_NODE_NAMES |= {"evaluation_error", "EvaluationError", "ONE", "NOT_FINITE", "NON_FINITE"}
 _NODE_OPERATORS = {"(", ")", "[", "]", ",", "=", ":", "+", "-", "*"}
 _LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -753,6 +822,8 @@ _LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, toke
         "log(x + 0.1)*sqrt(y*pi) + x^0.1",
         "1/(x - 1e-300) + (0.1*y)^-2.5 - pi/sqrt(x*y)",
         "exp(y)^(1/3)*x^(pi*0 - 3) + (x + 0.1)^(y*pi)",
+        # a constant f: its value reaches the program's entry as an argument too
+        "0.1*pi + 1e-300",
     ],
 )
 def test_generated_source_holds_no_constant_of_an_expression(text):
@@ -808,6 +879,9 @@ def test_each_arithmetic_node_of_a_scalar_program_is_one_python_call():
     assert _python_calls(compile_hyperdual(parse("sin(x)*y")), 0.5, 2.0) == 5
     # the parts of log and of sqrt check the domain, in one more call each (_any)
     assert _python_calls(compile_hyperdual(parse("log(x)*sqrt(y)")), 0.5, 2.0) == 10
+    # a program with no body, and a constant one, is its entry alone
+    assert _python_calls(compile_hyperdual(parse("x + y"), ("dxy",)), 0.5, 2.0) == 1
+    assert _python_calls(compile_hyperdual(parse("2.5")), 0.5, 2.0) == 1
 
 
 def test_a_varying_exponent_runs_dense_nodes_built_once():
