@@ -30,7 +30,7 @@ from .expr import (
 from .harness import GenerationError, build_field, family_from_name, run_sweep
 from .hyperdual import eval_hyperdual, finite_difference_oracle
 from .locator import LocateConfig, locate, verify_at
-from .theorems import THEOREMS, DegenerateError, DomainError, HypothesisError
+from .theorems import THEOREMS, TheoremError
 
 __all__ = ["main"]
 
@@ -325,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (DomainError, DegenerateError, HypothesisError) as err:
+    except TheoremError as err:
         print(f"precondition violated: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (EvaluationError, GenerationError) as err:

@@ -19,11 +19,10 @@ from .hyperdual import MAX_INT_POWER
 from .locator import LocateConfig, locate, verify_at
 from .theorems import (
     THEOREMS,
-    DegenerateError,
     DomainError,
-    HypothesisError,
     Rectangle,
     Theorem,
+    TheoremError,
     boggio1d_residual,
     boggio2d_residual,
     build_reciprocal_transform,
@@ -93,8 +92,9 @@ class FunctionFamily:
 
 def family_from_name(name: str) -> FunctionFamily:
     """Family from a CLI-style name: poly4, poly2, bilinear, separable, exp-poly, rational."""
-    if name.startswith("poly") and name[4:].isdigit():
-        return FunctionFamily("polynomial", max_degree=int(name[4:]))
+    digits = name[4:]
+    if name.startswith("poly") and digits.isascii() and digits.isdigit():
+        return FunctionFamily("polynomial", max_degree=int(digits))
     if name in ("bilinear", "separable", "exp-poly", "rational"):
         return FunctionFamily(name)
     raise ValueError(f"unknown function family {name!r}")
@@ -344,7 +344,7 @@ def run_sweep(
         try:
             field = _build_case(theorem, family, case_seed)
             report = locate(field, cfg)
-        except (DegenerateError, DomainError, HypothesisError, EvaluationError, GenerationError):
+        except (TheoremError, EvaluationError, GenerationError):
             cases.append(CaseResult(index, case_seed, "failed", None, None, None, None))
             continue
         if report.outcome == "failed":

@@ -12,7 +12,8 @@ such a program.  :func:`eval_hyperdual` and :func:`finite_difference_oracle`
 return a :class:`Derivatives` named tuple.  Every operator and scalar function
 of the tree is one closure, generated from fixed templates; the product rule
 and the chain rule that write its formulas are each stated once, as a table
-of terms.
+of terms, and the parts (u, u', u'') of each scalar function u, with its domain
+check, once, as a row of templates that its node's body computes inline.
 
 A program computes only the components its caller reads: ``reads`` names
 them (all four by default), and a component not read comes back as None.
@@ -89,10 +90,6 @@ _CBRT_EPS = sys.float_info.epsilon ** (1.0 / 3.0)
 MAX_INT_POWER = 1024
 
 
-def _any(cond) -> bool:
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
 class Derivatives(NamedTuple):
     """Value, first partials and mixed partial of ``f`` at a point (or grid)."""
 
@@ -134,29 +131,34 @@ class Derivatives(NamedTuple):
 # formula, in HyperDual's order.  The compiler's masks of a scalar
 # function (``_CHAIN_NZ``), the parts ``u^(k)`` each node wants, the source of
 # every chain node, and so the dense chain of a varying exponent
-# (``_dense_chain``), all come from it.
+# (``_dense_chain``), all come from it.  The parts themselves are stated once
+# per function, in its row of ``_FUNCTIONS``: its domain check, the values its
+# parts share, and the template of each part, over the operand's value a0 and
+# a library m, with the same operations in the same order as HyperDual's method.
 #
 # Every sum, difference, product (a product with a constant included),
 # negation, integer power and scalar function is one generated closure, so it
-# costs one Python call, and a scalar function's one more, of its ``_PARTS``
-# entry: ``_formulas`` writes the source of each component the node fills, and
-# ``_factory`` turns it into a factory that takes the node's operands and
-# returns the closure.  ``_factory`` and ``_power_factory`` are cached functions
-# of plain arguments (the operation, the operands' kinds and nonzero masks, the
-# components filled), so each factory is generated once per arguments; those
-# range over finite sets (an exponent n up to MAX_INT_POWER), so the caches
-# stay bounded.  An operand is read by its kind: a compiled one is called,
-# unless it is an x or y seed, which is the node's own X or Y; a folded
-# constant is its value, passed to the factory, and lifted only in that it is
-# the one component read of it (the lifted ``h ^ 0`` is a compiled operand, and
-# called).  The generated source is safe to ``exec``: it is built from fixed
-# templates and component, operand, part and step indices alone, and every
-# constant, exponent, parts function and closure of an expression reaches it
-# only as an argument of its factory, so no text of an expression is ever part
-# of it (``_SOURCES`` holds each source, with its factory).  ``_binary`` builds
+# costs one Python call: ``_formulas`` writes the source of each component the
+# node fills, ``_parts`` the lines of a scalar function's node that run its
+# check and compute the parts it wants (one ``isinstance`` picks ``math`` or
+# numpy), and ``_factory`` turns them into a factory that takes the node's
+# operands and returns the closure.  ``_factory`` and ``_power_factory`` are
+# cached functions of plain arguments (the operation, the operands' kinds and
+# nonzero masks, the components filled), so each factory is generated once per
+# arguments; those range over finite sets (an exponent n up to MAX_INT_POWER),
+# so the caches stay bounded.  An operand is read by its kind: a compiled one
+# is called, unless it is an x or y seed, which is the node's own X or Y; a
+# folded constant is its value, passed to the factory, and lifted only in that
+# it is the one component read of it (the lifted ``h ^ 0`` is a compiled
+# operand, and called).  The generated source is safe to ``exec``: it is built from fixed
+# templates and component, operand, part and step indices alone, every
+# constant, exponent and closure of an expression reaches it only as an
+# argument of its factory, and the templates' own constants and messages are
+# names bound in ``_NAMES``, so no text of an expression is ever part of it
+# (``_SOURCES`` holds each source, with its factory).  ``_binary`` builds
 # a sum, difference or product, ``_negation`` a minus, ``_int_power`` a power,
 # whose products run in a loop, and ``_chain`` a scalar function, whose node
-# calls the function's parts once, for the parts it wants.  A program's entry is
+# computes the function's parts it wants in its own body.  A program's entry is
 # generated too, by ``_entry``, from the components read and those its body computes.
 # A domain or exponent check is a root of the demand: it needs its operand's
 # value even when nothing reads its own components, so a subtree holding a
@@ -168,7 +170,6 @@ Program = Callable[[object, object], Components]
 
 _V, _DX, _DY, _DXY = 1, 2, 4, 8
 _ALL = 15
-_NO_PARTS = (None, None, None)
 
 # the terms a[i] * b[j] of component c of a product, in HyperDual's groups
 _PRODUCT_TERMS = (
@@ -226,87 +227,53 @@ def check_divisor(v, zero: str = "division by zero", sign: str = _SIGN_CHANGE) -
         raise OutOfDomainError(zero)
 
 
-def _mathlib(v):
-    return np if isinstance(v, np.ndarray) else math
-
-
-# The parts of a scalar function u at v: (u(v), u'(v), u''(v)).  ``want`` has
-# bit 1 for the value, 2 for u' and 4 for u''; an unwanted part may be None.
-# Each runs its domain check first, even when it wants nothing.
-
-
-def _reciprocal_parts(v, want, p):
-    check_divisor(v)
-    if not want:
-        return _NO_PARTS
-    inv = 1.0 / v
-    return inv, (-inv * inv if want & 2 else None), (2.0 * (inv * inv) * inv if want & 4 else None)
-
-
-def _fractional_parts(v, want, p):
-    if _any(v <= 0):
-        raise OutOfDomainError("fractional power needs a positive base")
-    return (
-        v ** p if want & 1 else None,
-        p * v ** (p - 1.0) if want & 2 else None,
-        p * (p - 1.0) * v ** (p - 2.0) if want & 4 else None,
-    )
-
-
-def _sin_parts(v, want, p):
-    m = _mathlib(v)
-    try:
-        sin = m.sin(v) if want & 5 else None
-        cos = m.cos(v) if want & 2 else None
-    except ValueError as exc:  # math's domain error of an infinite argument
-        raise evaluation_error(exc) from exc
-    return sin, cos, (-sin if want & 4 else None)
-
-
-def _cos_parts(v, want, p):
-    m = _mathlib(v)
-    try:
-        cos = m.cos(v) if want & 5 else None
-        sin = m.sin(v) if want & 2 else None
-    except ValueError as exc:  # math's domain error of an infinite argument
-        raise evaluation_error(exc) from exc
-    return cos, (-sin if want & 2 else None), (-cos if want & 4 else None)
-
-
-def _exp_parts(v, want, p):
-    e = _mathlib(v).exp(v)
-    return e, e, e
-
-
-def _log_parts(v, want, p):
-    if _any(v <= 0):
-        raise OutOfDomainError("log of a non-positive value")
-    if not want:
-        return _NO_PARTS
-    inv = 1.0 / v if want & 6 else None
-    return (_mathlib(v).log(v) if want & 1 else None), inv, (-inv * inv if want & 4 else None)
-
-
-def _sqrt_parts(v, want, p):
-    if _any(v <= 0):
-        raise OutOfDomainError("sqrt needs a positive argument for its derivatives")
-    if not want:
-        return _NO_PARTS
-    r = _mathlib(v).sqrt(v)
-    return r, (0.5 / r if want & 2 else None), (-0.25 / (r * v) if want & 4 else None)
-
-
-_PARTS = {
-    "sin": _sin_parts,
-    "cos": _cos_parts,
-    "exp": _exp_parts,
-    "log": _log_parts,
-    "sqrt": _sqrt_parts,
-    "recip": _reciprocal_parts,
-    "^p": _fractional_parts,
+# The parts (u, u', u'') of each scalar function u at its operand's value a0, as
+# source templates: its domain check, which runs even when no part is wanted,
+# either a condition with the name of its message or a call that checks every
+# input kind; the values its parts share, by name; and each part, with the
+# shared values it reads.  ``m`` is the input kind's library and ``p`` the
+# exponent of ``^p``; the constants and messages are names of ``_NAMES``.
+_FUNCTIONS = {
+    "sin": (None, {"sin": "m.sin(a0)", "cos": "m.cos(a0)"},
+            (("sin", ("sin",)), ("cos", ("cos",)), ("-sin", ("sin",)))),
+    "cos": (None, {"cos": "m.cos(a0)", "sin": "m.sin(a0)"},
+            (("cos", ("cos",)), ("-sin", ("sin",)), ("-cos", ("cos",)))),
+    "exp": (None, {"exp": "m.exp(a0)"}, (("exp", ("exp",)),) * 3),
+    "log": (("a0 <= 0", "LOG_DOMAIN"), {"inv": "ONE / a0"},
+            (("m.log(a0)", ()), ("inv", ("inv",)), ("-inv * inv", ("inv",)))),
+    "sqrt": (("a0 <= 0", "SQRT_DOMAIN"), {"root": "m.sqrt(a0)"},
+             (("root", ("root",)), ("HALF / root", ("root",)), ("-QUARTER / (root * a0)", ("root",)))),
+    "recip": ("check_divisor(a0)", {"inv": "ONE / a0"},
+              (("inv", ("inv",)), ("-inv * inv", ("inv",)), ("TWO * (inv * inv) * inv", ("inv",)))),
+    "^p": (("a0 <= 0", "POWER_DOMAIN"), {},
+           (("a0 ** p", ()), ("p * a0 ** (p - ONE)", ()), ("p * (p - ONE) * a0 ** (p - TWO)", ()))),
 }
-# the scalar functions that check their argument's domain
-_CHECKED = frozenset(("log", "sqrt", "recip", "^p"))
+# the shared values whose library call raises ValueError, math's sin and cos of
+# an infinity: the node maps it to EvaluationError, as ``evaluate`` does
+_GUARDED = frozenset(("sin", "cos"))
+# each input kind: the test that picks it, its library, and its form of a check's condition
+_INPUT_KINDS = (
+    ("if isinstance(a0, ndarray):", "numpy", "({}).any()"),
+    ("else:", "math", "{}"),
+)
+
+
+def _parts(fn: str, want: int) -> list:
+    """The lines of a chain node that run u's check and then compute the
+    parts of u that want holds, as ``b0`` to ``b2``, from u's row."""
+    check, shared, parts = _FUNCTIONS[fn]
+    lines = [check] if type(check) is str else []
+    for test, library, form in _INPUT_KINDS:
+        lines += [test, f"    m = {library}"]
+        if type(check) is tuple:
+            lines += [f"    if {form.format(check[0])}:", f"        raise OutOfDomainError({check[1]})"]
+    wanted = [(k, parts[k]) for k in range(3) if want >> k & 1]
+    reads = {name for _, (_, names) in wanted for name in names}
+    values = [f"{name} = {shared[name]}" for name in shared if name in reads]
+    if reads & _GUARDED:
+        values = ["try:", *(f"    {v}" for v in values), "except ValueError as exc:",
+                  "    raise evaluation_error(exc) from exc"]
+    return lines + values + [f"b{k} = {template}" for k, (template, _) in wanted]
 
 
 # -- dense arithmetic: all four components, for a varying exponent ----------
@@ -328,8 +295,8 @@ def _mul(a: Components, b: Components) -> Components:
 
 
 def _dense_chain(a: Components, fn: str, p=None) -> Components:
-    factory = _factory("chain", _ARG_X, 0, _ALL, _ALL, 0)
-    node = factory(None, _PARTS[fn], p) if fn == "^p" else _dense_node(factory, None, _PARTS[fn], None)
+    factory = _factory(fn, _ARG_X, 0, _ALL, _ALL, 0)
+    node = factory(None, p) if fn == "^p" else _dense_node(factory, None, None)
     return node(a, None)
 
 
@@ -357,7 +324,8 @@ def _pow(a: Components, b: Components) -> Components:
                 )
             return _int_pow(a, int(p))
         return _dense_chain(a, "^p", p)
-    if _any(a[0] <= 0):
+    av = a[0]
+    if (av <= 0).any() if isinstance(av, np.ndarray) else av <= 0:
         raise OutOfDomainError("power with a varying exponent needs a positive base")
     return _dense_chain(_mul(b, _dense_chain(a, "log")), "exp")
 
@@ -442,10 +410,10 @@ _SOURCES: dict = {}  # generated source -> its factory
 
 
 def _formulas(op: str, om: int, na: int, nb: int, ref_a: str, ref_b: str):
-    """The source of each component of ``a op b``, or of ``u(a)`` for op
-    "chain": in om, the terms of HyperDual's method that have no structurally
-    zero factor, given the operands' nonzero masks; elsewhere ``None``.  Then
-    the masks of the components of a and of b that it reads.
+    """The source of each component of ``a op b``, or of ``u(a)`` for op a
+    scalar function u: in om, the terms of HyperDual's method that have no
+    structurally zero factor, given the operands' nonzero masks; elsewhere
+    ``None``.  Then the masks of the components of a and of b that it reads.
     ``ref_a.format(i)`` is the text of a's component i, and ``ref_b`` b's; the
     b of u(a) is its parts ``(u, u', u'')`` at a's value, which it reads."""
     out = []
@@ -453,7 +421,7 @@ def _formulas(op: str, om: int, na: int, nb: int, ref_a: str, ref_b: str):
     for c in range(4):
         if not om >> c & 1:
             out.append("None")
-        elif op == "chain":
+        elif op in _FUNCTIONS:
             terms = []
             for k, js in _CHAIN_TERMS[c]:
                 if all(na >> j & 1 for j in js):
@@ -510,7 +478,7 @@ def _generated(params: str, body: list):
     source = "\n".join(lines + [f"        {line}" for line in body if line] + ["    return node"])
     factory = _SOURCES.get(source)
     if factory is None:
-        namespace = dict(_ENTRY_NAMES)
+        namespace = dict(_NAMES)
         exec(compile(source, "<hyperdual node>", "exec"), namespace)
         factory = _SOURCES[source] = namespace["factory"]
     return factory
@@ -521,18 +489,18 @@ def _factory(op: str, ka: int, kb: int, om: int, na: int, nb: int):
     """The factory ``(A, B) -> node`` of ``a op b``, or of ``-a`` for op "neg",
     that fills the components of om, for the operands' kinds ka and kb and
     nonzero masks na and nb; generated once per arguments.  A negation has no
-    b: its kb is _CONSTANT and its na and nb are 0.  The b of ``u(a)``, for op
-    "chain", is the parts of u: its kb and nb are 0, and its factory is
-    ``(A, B, p) -> node``."""
+    b: its kb is _CONSTANT and its na and nb are 0.  The b of ``u(a)``, for op a
+    scalar function u, is u's parts, which the node computes from a's value
+    as u's row of ``_FUNCTIONS`` writes them: its kb and nb are 0, and its
+    factory is ``(A, p) -> node``, p the exponent of ``^p``."""
     ref_a, ref_b = _ref(ka, "a"), _ref(kb, "b")
     if op == "neg":
         out = [f"-{ref_a.format(c)}" if om >> c & 1 else "None" for c in range(4)]
         read_a, read_b = om, 0
     else:
         out, read_a, read_b = _formulas(op, om, na, nb, ref_a, ref_b)
-    if op == "chain":  # B is u's parts function, called once on a's value, and p its exponent
-        parts = ", ".join(f"b{k}" if read_b >> k & 1 else "_" for k in range(3))
-        loads, params = [_load(ka, "a", read_a | _V), f"{parts} = B(a0, {read_b}, p)"], "A, B, p"
+    if op in _FUNCTIONS:  # u's parts, computed from a's value, and p its exponent
+        loads, params = [_load(ka, "a", read_a | _V)] + _parts(op, read_b), "A, p"
     else:
         loads, params = [_load(ka, "a", read_a), _load(kb, "b", read_b)], "A, B"
     return _generated(params, loads + [f"return ({', '.join(out)})"])
@@ -585,11 +553,10 @@ def _chain(fn: str, a, need: int, p=None):
     A, na, ca = a
     nz = _CHAIN_NZ[na]
     om = need & nz
-    checked = fn in _CHECKED
+    checked = _FUNCTIONS[fn][0] is not None
     if not (om or checked):
         return (A if ca else None, nz, ca)  # nothing to compute here, but a runs its checks
-    factory = _factory("chain", _KINDS.get(A, _GENERAL), 0, om, na, 0)
-    return (factory(A, _PARTS[fn], p), nz, checked or ca)
+    return (_factory(fn, _KINDS.get(A, _GENERAL), 0, om, na, 0)(A, p), nz, checked or ca)
 
 
 def _int_power(a, n: int, need: int):
@@ -761,11 +728,17 @@ def _read_mask(reads) -> int:
     return mask
 
 
-# the names an entry's source reads beside its own: the seeds' 1.0 and the error
-# messages are bound here, so that no constant is text of a source
-_ENTRY_NAMES = dict(ndarray=np.ndarray, isfinite=math.isfinite, evaluation_error=evaluation_error,
-                    EvaluationError=EvaluationError, ONE=1.0, NOT_FINITE="result is not finite",
-                    NON_FINITE="non-finite derivative component")
+# the names a generated source reads beside its own: every constant and error
+# message of a template is bound here, so that no constant is text of a source
+_NAMES = dict(
+    ndarray=np.ndarray, math=math, numpy=np, isfinite=math.isfinite, check_divisor=check_divisor,
+    evaluation_error=evaluation_error, EvaluationError=EvaluationError,
+    OutOfDomainError=OutOfDomainError, ONE=1.0, TWO=2.0, HALF=0.5, QUARTER=0.25,
+    NOT_FINITE="result is not finite", NON_FINITE="non-finite derivative component",
+    LOG_DOMAIN="log of a non-positive value",
+    SQRT_DOMAIN="sqrt needs a positive argument for its derivatives",
+    POWER_DOMAIN="fractional power needs a positive base",
+)
 
 
 @functools.cache

@@ -103,6 +103,51 @@ def test_parse_depth_error_names_the_construct_past_max_depth(kind):
     assert (err.value.message, err.value.offset, err.value.token) == ("nested too deeply", offset, token)
 
 
+def test_parse_depth_check_of_a_power_base_agrees_with_the_reference():
+    # a parenthesized chain of k products is k + 1 high: with k = MAX_DEPTH - 2
+    # it takes a power, and with k = MAX_DEPTH - 1 the power would be too high,
+    # which is found after the exponent parsed, and the error names the '^'
+    from test_expr_differential import _outcome, _reference
+
+    lower = "(x" + "*y" * (MAX_DEPTH - 2) + ")^2"
+    assert _outcome(parse, lower) == _outcome(_reference, lower) == ("tree", repr(parse(lower)))
+    base = "(x" + "*y" * (MAX_DEPTH - 1) + ")"
+    assert _outcome(parse, base + "^2") == _outcome(_reference, base + "^2") == (
+        "error", "nested too deeply", len(base), "^"
+    )
+
+
+_NOT_A_NODE = BinOp("+", Var("x"), "x")  # a string where a node belongs
+
+
+def _walks():
+    from rectmvt import cli, theorems
+    from rectmvt.hyperdual import compile_hyperdual
+
+    return {
+        "pretty_print": lambda e: pretty_print(e),
+        "substitute": lambda e: substitute(e, {"x": Var("y")}),
+        "evaluate": lambda e: evaluate(e, 0.5, 0.5),
+        "reads_variable": lambda e: reads_variable(BinOp("+", Const(1.0), e)),
+        "theorems._at_corners": lambda e: theorems.corner_difference(e, theorems.Rectangle(1, 2, 1, 2)),
+        "hyperdual._compile": lambda e: compile_hyperdual(e),
+        "cli._dump_ast": lambda e: cli._dump_ast(e),
+    }
+
+
+@pytest.mark.parametrize("walk", list(_walks()))
+def test_every_tree_walk_raises_type_error_for_a_non_node(walk):
+    with pytest.raises(TypeError, match="^not an expression node: 'x'$"):
+        _walks()[walk](_NOT_A_NODE)
+
+
+def test_call_real_rejects_an_unknown_function():
+    from rectmvt.expr import _call_real
+
+    with pytest.raises(EvaluationError, match="^unsupported function 'tan'$"):
+        _call_real("tan", 0.5)
+
+
 def test_parse_rejects_a_literal_too_large_for_a_float():
     for text, offset in (("1e999", 0), ("x*y*1e999", 4), ("2*1e999+(", 2)):
         with pytest.raises(ParseError) as err:

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from rectmvt import harness
-from rectmvt.expr import evaluate, reads_variable
+from rectmvt import cli, harness
+from rectmvt.expr import EvaluationError, evaluate, reads_variable
 from rectmvt.harness import (
     CaseResult,
     FunctionFamily,
@@ -16,7 +16,7 @@ from rectmvt.harness import (
     run_sweep,
 )
 from rectmvt.locator import LocateConfig
-from rectmvt.theorems import DegenerateError, Rectangle, corner_difference
+from rectmvt.theorems import DegenerateError, DomainError, Rectangle, TheoremError, corner_difference
 from rectmvt.expr import parse
 import numpy as np
 
@@ -42,6 +42,24 @@ def test_family_from_name():
     for name in ("fourier", "exppoly"):
         with pytest.raises(ValueError):
             family_from_name(name)
+    # a degree is ASCII digits: a superscript or an Arabic-Indic digit is not
+    # one, though str.isdigit() takes both (and int() the second)
+    for name in ("poly\u00b2", "poly\u0663", "poly"):
+        with pytest.raises(ValueError, match="unknown function family"):
+            family_from_name(name)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kind": "fourier"}, "unknown family kind 'fourier'"),
+        ({"kind": "polynomial", "max_degree": -1}, "max_degree must be non-negative"),
+        ({"kind": "polynomial", "coeff_range": (1.0, -1.0)}, "coeff_range must be ordered"),
+    ],
+)
+def test_function_family_rejects_bad_fields(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        FunctionFamily(**kwargs)
 
 
 def test_generate_function_deterministic():
@@ -210,6 +228,37 @@ def test_proof_path_quartic_point_on_curve():
     xi1, xi2 = 1.0 / report.point.xi1, 1.0 / report.point.xi2
     assert abs(xi1 * xi2 - SQ6) <= 1e-5
     assert r.x1 < xi1 < r.x2 and r.y1 < xi2 < r.y2
+
+
+def test_proof_path_fails_when_the_transform_has_no_point():
+    # x*y/(x - 1.5) has a pole inside [1, 2] x [1, 3], so its transform has one
+    # in the reciprocal rectangle, and locate finds no point there
+    assert proof_path_check(parse("x*y/(x-1.5)"), Rectangle(1, 2, 1, 3)) is False
+
+
+@pytest.mark.parametrize("error", [DomainError("not inside"), EvaluationError("not finite")])
+def test_proof_path_fails_when_the_mapped_point_does_not_verify(monkeypatch, error):
+    def verify_at(field, *point):
+        raise error
+
+    monkeypatch.setattr(harness, "verify_at", verify_at)
+    assert proof_path_check(parse("x^2*y^2"), Rectangle(1, 2, 1, 3)) is False
+
+
+class _NewTheoremError(TheoremError):
+    """A violated precondition of a kind that no handler names."""
+
+
+def test_a_theorem_error_of_any_kind_is_tallied_and_exits_3(monkeypatch, capsys):
+    def build(*args):
+        raise _NewTheoremError("a new precondition")
+
+    monkeypatch.setattr(harness, "_build_case", build)
+    summary = run_sweep("rmvt", family_from_name("poly4"), 3, 42)
+    assert (summary.total, summary.failed) == (3, 3)
+    monkeypatch.setattr(cli, "build_field", build)
+    assert cli.main(["locate", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "0,1,0,1"]) == 3
+    assert capsys.readouterr().err == "precondition violated: a new precondition\n"
 
 
 def test_proof_path_bilinear_trivial():

@@ -510,6 +510,25 @@ def test_varying_integer_powers_past_the_bound_raise_when_evaluated(text):
     assert all(_assert_program_matches_reference(parse(text), _NEAR_ONE))
 
 
+def test_a_varying_exponent_that_is_a_constant_fraction_takes_the_fractional_power():
+    # y - y + 0.5 has zero derivative components, so where y is a float the
+    # power is the fractional power's chain node, built with p = 0.5 when
+    # evaluated; where y is an array the exponent's value is one too, and the
+    # power is exp(b * log(a)) as for any other varying exponent; x is not
+    # positive at three of the scalar points and on both grids
+    points = _SCALAR_POINTS + _GRIDS
+    raised = _assert_program_matches_reference(parse("x^(y - y + 0.5)"), points)
+    assert raised == [False, True, True, False, False, True, True, True]
+    assert not any(_assert_program_matches_reference(parse("(x*y + 2)^(x - x - 1.5)"), points))
+    program = compile_hyperdual(parse("x^(y - y + 0.5)"))
+    assert program(0.25, 2.0) == (0.5, 1.0, 0.0, 0.0)
+    for x in (-0.25, np.array([-0.25, 0.25])):
+        with pytest.raises(OutOfDomainError, match="^fractional power needs a positive base$"):
+            program(x, 2.0)
+    with pytest.raises(OutOfDomainError, match="^power with a varying exponent needs a positive base$"):
+        program(np.array([-0.25, 0.25]), np.array([2.0, 2.0]))
+
+
 def test_compiled_program_matches_hyperdual_on_generated_families():
     from rectmvt.harness import FunctionFamily, derive_seed, generate_function, generate_rectangle
 
@@ -669,16 +688,22 @@ def test_an_overflow_only_an_unread_component_sees_does_not_fail():
 
 
 def test_an_error_of_the_compiler_itself_is_not_an_evaluation_error(monkeypatch):
-    # a parts function that returns four values where three are unpacked: the
-    # ValueError is a bug of the program, not a point outside the domain
-    def broken(v, want, p):
-        return v, v, v, v
-
-    monkeypatch.setitem(hyperdual._PARTS, "sin", broken)
-    program = compile_hyperdual(parse("sin(x)"))
-    with pytest.raises(ValueError, match="too many values to unpack") as info:
-        program(0.7, 0.0)
-    assert not isinstance(info.value, EvaluationError)
+    # a row of sin whose value part raises math's ValueError outside the guarded
+    # calls of sin and cos: the ValueError is a bug of the program, not a point
+    # outside the domain
+    check, shared, parts = hyperdual._FUNCTIONS["sin"]
+    broken = (check, shared, (("m.sqrt(-ONE)", ()),) + parts[1:])
+    monkeypatch.setitem(hyperdual._FUNCTIONS, "sin", broken)
+    hyperdual._factory.cache_clear()  # a factory is generated once per arguments
+    try:
+        program = compile_hyperdual(parse("sin(x)"))
+        with pytest.raises(ValueError, match="math domain error") as info:
+            program(0.7, 0.0)
+        assert not isinstance(info.value, EvaluationError)
+    finally:
+        monkeypatch.undo()
+        hyperdual._factory.cache_clear()
+    assert compile_hyperdual(parse("sin(x)"))(0.7, 0.0)[0] == math.sin(0.7)
 
 
 @pytest.mark.parametrize("text", ["sin(x*1e308*10)", "cos(x*1e308*10)", "x + sin(1e308*10)"])
@@ -797,15 +822,20 @@ def test_a_product_by_a_folded_constant_compiles_its_left_operand_once(monkeypat
 # plan.
 
 # the names a generated factory and its node may use: its parameters (p is the
-# exponent of a chain node's parts), the components it unpacks (a0..a3, b0..b3,
+# exponent of a fractional power), the components it unpacks (a0..a3, b0..b3,
 # and o0..o3 of a power) and fixed words; then the fixed words of a program's
-# entry, and the names it is given: the seeds' 1.0 (ONE) and the error messages
+# entry, and the names it is given: the seeds' 1.0 (ONE) and the error messages;
+# then those of a scalar function's parts: the library m and its functions, the
+# shared values, and the names given for the parts' constants and messages
 _NODE_NAMES = {"def", "factory", "node", "return", "for", "in", "range", "None", "_"}
 _NODE_NAMES |= {"A", "B", "X", "Y", "counts", "p"}
 _NODE_NAMES |= {"if", "else", "not", "or", "and", "try", "except", "as", "exc", "raise", "from"}
 _NODE_NAMES |= {"isinstance", "ndarray", "float", "isfinite", "ZeroDivisionError", "OverflowError"}
 _NODE_NAMES |= {"evaluation_error", "EvaluationError", "ONE", "NOT_FINITE", "NON_FINITE"}
-_NODE_OPERATORS = {"(", ")", "[", "]", ",", "=", ":", "+", "-", "*"}
+_NODE_NAMES |= {"m", "math", "numpy", "any", "sin", "cos", "exp", "log", "sqrt", "inv", "root"}
+_NODE_NAMES |= {"ValueError", "OutOfDomainError", "check_divisor", "TWO", "HALF", "QUARTER"}
+_NODE_NAMES |= {"LOG_DOMAIN", "SQRT_DOMAIN", "POWER_DOMAIN"}
+_NODE_OPERATORS = {"(", ")", "[", "]", ",", "=", ":", "+", "-", "*", ".", "/", "**", "<="}
 _LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
@@ -873,12 +903,14 @@ def test_each_arithmetic_node_of_a_scalar_program_is_one_python_call():
     assert _python_calls(dxy, 0.5, 2.0) == 4
     # a sum of products, and the power's 6 products in one call
     assert _python_calls(compile_hyperdual(parse("x*y + (x-y)^7")), 0.5, 2.0) == 5
-    # a scalar function is one node too, reading its seed inline, and it calls
-    # its parts, which call _mathlib: the program, exp(x), its parts and _mathlib
-    assert _python_calls(compile_hyperdual(parse("exp(x)")), 0.5, 2.0) == 4
-    assert _python_calls(compile_hyperdual(parse("sin(x)*y")), 0.5, 2.0) == 5
-    # the parts of log and of sqrt check the domain, in one more call each (_any)
-    assert _python_calls(compile_hyperdual(parse("log(x)*sqrt(y)")), 0.5, 2.0) == 10
+    # a scalar function is one node too, reading its seed inline and computing
+    # its parts and its domain check in its own body: the program and exp(x)
+    assert _python_calls(compile_hyperdual(parse("exp(x)")), 0.5, 2.0) == 2
+    assert _python_calls(compile_hyperdual(parse("sin(x)*y")), 0.5, 2.0) == 3
+    assert _python_calls(compile_hyperdual(parse("log(x)*sqrt(y)")), 0.5, 2.0) == 4
+    # the reciprocal's check is check_divisor, one call: the program, x + 2, its
+    # reciprocal, check_divisor and the product by 1
+    assert _python_calls(compile_hyperdual(parse("1/(x+2)")), 0.5, 2.0) == 5
     # a program with no body, and a constant one, is its entry alone
     assert _python_calls(compile_hyperdual(parse("x + y"), ("dxy",)), 0.5, 2.0) == 1
     assert _python_calls(compile_hyperdual(parse("2.5")), 0.5, 2.0) == 1
@@ -888,10 +920,10 @@ def test_a_varying_exponent_runs_dense_nodes_built_once():
     program = compile_hyperdual(parse("x^y"))
     program(0.7, 2.0)
     built = hyperdual._dense_node.cache_info()
-    # the program; the power, each seed and its _dense; _pow and its _any; then
+    # the program; the power, each seed and its _dense; _pow; then
     # x^y = exp(y * log(x)): each of log, * and exp one call of its function and
-    # one of its node, and log's parts (with _any and _mathlib) and exp's (with _mathlib)
-    assert _python_calls(program, 0.5, 2.0) == 19
+    # one of its node
+    assert _python_calls(program, 0.5, 2.0) == 13
     # the second call built no node: it found log's, the product's and exp's
     now = hyperdual._dense_node.cache_info()
     assert (now.misses, now.hits) == (built.misses, built.hits + 3)
@@ -980,20 +1012,71 @@ def test_chain_nonzero_masks_are_the_second_order_chain_rule_closed_form():
         assert hyperdual._CHAIN_NZ[a] == want, a
 
 
+# the parts (u, u', u'') of each scalar function at v, written out as HyperDual
+# computes them, for the library m of v's kind
+_WRITTEN_PARTS = {
+    "sin": lambda m, v, p: (m.sin(v), m.cos(v), -m.sin(v)),
+    "cos": lambda m, v, p: (m.cos(v), -m.sin(v), -m.cos(v)),
+    "exp": lambda m, v, p: (m.exp(v),) * 3,
+    "log": lambda m, v, p: (lambda inv: (m.log(v), inv, -inv * inv))(1.0 / v),
+    "sqrt": lambda m, v, p: (lambda r: (r, 0.5 / r, -0.25 / (r * v)))(m.sqrt(v)),
+    "recip": lambda m, v, p: (lambda inv: (inv, -inv * inv, 2.0 * (inv * inv) * inv))(1.0 / v),
+    "^p": lambda m, v, p: (v ** p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0)),
+}
+# the message of each function that needs a positive argument
+_POSITIVE = {
+    "log": "log of a non-positive value",
+    "sqrt": "sqrt needs a positive argument for its derivatives",
+    "^p": "fractional power needs a positive base",
+}
+
+
 def _chain_rule(a, fn, p):
     v, dx, dy, dxy = a
-    u, d1, d2 = hyperdual._PARTS[fn](v, 7, p)
+    array = isinstance(v, np.ndarray)
+    if fn in _POSITIVE and ((v <= 0).any() if array else v <= 0):
+        raise OutOfDomainError(_POSITIVE[fn])
+    if fn == "recip":  # as HyperDual.reciprocal checks its divisor
+        if (v == 0).any() if array else v == 0:
+            raise OutOfDomainError("division by zero")
+        if array and (v < 0).any() and (v > 0).any():
+            raise SignChangeError("divisor changes sign between samples, so it vanishes between them")
+    try:
+        u, d1, d2 = _WRITTEN_PARTS[fn](np if array else math, v, p)
+    except ValueError as exc:  # math's sin and cos of an infinity
+        raise EvaluationError(str(exc)) from exc
     return (u, d1 * dx, d1 * dy, d1 * dxy + d2 * (dx * dy))
+
+
+def _positive_nans(c):
+    # CPython 3.11 gives a product or sum of two NaNs the sign of one or the
+    # other operand depending on whether the instruction has been specialized,
+    # so two code objects computing one formula may disagree on a NaN's sign
+    if isinstance(c, np.ndarray):
+        return np.where(np.isnan(c), np.nan, c)
+    return math.nan if c != c else c
 
 
 def _chain_outcome(chain, a, fn, p):
     try:
-        return list(map(_bits, chain(a, fn, p)))
+        return [_bits(_positive_nans(c)) for c in chain(a, fn, p)]
     except (ArithmeticError, EvaluationError) as exc:  # a domain check, or math's overflow
         return (type(exc), str(exc))
 
 
-_CHAIN_CASES = [(fn, None) for fn in hyperdual._PARTS if fn != "^p"]
+def test_every_scalar_function_is_one_row_of_parts():
+    # the functions of the grammar, the reciprocal of a quotient and a
+    # fractional power, of which four check their operand's domain; each part
+    # reads only shared values of its own row
+    rows = hyperdual._FUNCTIONS
+    assert list(rows) == list(FUNCTIONS) + ["recip", "^p"]
+    checked = {fn for fn, (check, _, _) in rows.items() if check is not None}
+    assert checked == {"log", "sqrt", "recip", "^p"}
+    for check, shared, parts in rows.values():
+        assert len(parts) == 3 and all(set(reads) <= set(shared) for _, reads in parts)
+
+
+_CHAIN_CASES = [(fn, None) for fn in FUNCTIONS + ("recip",)]
 _CHAIN_CASES += [("^p", p) for p in (0.5, -1.5, 1.0 / 3.0, 2.5, -0.25)]
 
 

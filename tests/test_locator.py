@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rectmvt.expr import BinOp, Const, EvaluationError, Var, const, parse, substitute
+from rectmvt.expr import BinOp, Const, EvaluationError, OutOfDomainError, Var, const, parse, substitute
 from rectmvt.harness import (
     GenerationError,
     _build_case,
@@ -788,6 +788,49 @@ def test_bisect_steps_stay_within_twice_bisection():
         assert len(steps) <= bound
         # the result is the last point evaluated
         assert p == steps[-1] and r == line(p[0])
+
+
+def test_bisect_returns_an_endpoint_already_within_tolerance_without_a_step():
+    def rfunc(p):
+        raise AssertionError("no step is taken")
+
+    assert _bisect(rfunc, (0.25, 0.5), -1e-12, (0.75, 0.5), 2.0, 1e-9) == ((0.25, 0.5), -1e-12)
+    assert _bisect(rfunc, (0.25,), -2.0, (0.75,), 1e-12, 1e-9) == ((0.75,), 1e-12)
+
+
+# 10/33 is no cell center of the 33- or 66-cell grid on [0, 1]: the nearest are
+# 0.5/33 and 0.5/66 away
+_SCALAR_POLE = 10.0 / 33.0
+
+
+def _scalar_pole_field(residual) -> ResidualField:
+    """An interval field whose residual is finite on every grid, but on a
+    scalar raises OutOfDomainError within 0.005 of 10/33, as a pole between
+    the cell centers would."""
+
+    def field_residual(x):
+        if not isinstance(x, np.ndarray) and abs(x - _SCALAR_POLE) < 0.005:
+            raise OutOfDomainError("division by zero")
+        return residual(x)
+
+    return ResidualField(((0.0, 1.0),), field_residual, 1.0, {}, "test")
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [
+        # a sign change on the grid: false position steps onto the pole
+        pytest.param(lambda x: x - _SCALAR_POLE, id="bracket-search"),
+        # none: after two levels, coordinate descent halves its step onto it
+        pytest.param(lambda x: (x - _SCALAR_POLE) ** 2 + 1e-3, id="minimizer"),
+    ],
+)
+def test_a_scalar_evaluation_error_in_the_search_is_a_classified_failure(residual):
+    cfg = LocateConfig(grid_n=33, max_refinements=1)
+    report = locate(_scalar_pole_field(residual), cfg)
+    assert report.outcome == "failed" and report.point is None
+    assert report.diagnostics.failure_kind == "domain"
+    assert report.diagnostics.failure == "division by zero"
 
 
 def test_scalar_evaluations_per_found_case_are_within_budget():

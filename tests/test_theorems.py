@@ -411,6 +411,48 @@ def test_one_dim_intervals_must_be_finite():
         pompeiu1d_residual(parse("x^2"), -1e308, 1e308)
 
 
+def test_one_dim_interval_bounds_must_be_in_order():
+    for x1, x2 in ((2.0, 1.0), (1.5, 1.5)):
+        with pytest.raises(ValueError, match="must satisfy x1 < x2"):
+            pompeiu1d_residual(parse("x^2"), x1, x2)
+
+
+def test_boggio1d_rejects_a_g_that_reads_y():
+    with pytest.raises(ValueError, match=r"take expressions in x only \(g\)"):
+        boggio1d_residual(parse("x^2"), parse("x + y"), 1.0, 2.0)
+
+
+def test_fts_expansion_check_rejects_a_point_on_an_axis():
+    for t, s in ((0.0, 1.0), (1.0, 0.0), (-0.0, 2.0)):
+        with pytest.raises(DomainError, match="undefined on the axes"):
+            fts_expansion_check(parse("x^2*y"), t, s)
+
+
+@pytest.mark.parametrize(
+    "text, build, order",
+    [
+        # the Pompeiu numerator reads f from (x1,y1) on, and log fails only at (2,2)
+        ("log(3.5 - x - y)", pompeiu2d_residual, [(1, 1), (1, 2), (2, 1), (2, 2)]),
+        # the corner difference reads f from (x2,y2) back, and log fails only at (1,1)
+        ("log(x + y - 2.5)", rect_mvt_residual, [(2, 2), (2, 1), (1, 2), (1, 1)]),
+    ],
+)
+def test_corners_fall_back_to_each_corner_in_its_formula_order(monkeypatch, text, build, order):
+    # the one walk over the four corners raises, so f is evaluated at each corner
+    # in turn, and the error is the one of the last corner
+    calls = []
+    real = theorems.evaluate
+
+    def recorded(f, x, y):
+        calls.append((x, y))
+        return real(f, x, y)
+
+    monkeypatch.setattr(theorems, "evaluate", recorded)
+    with pytest.raises(OutOfDomainError, match="log of a non-positive value"):
+        build(parse(text), Rectangle(1, 2, 1, 2))
+    assert calls == order
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.view(np.int64).tobytes() == b.view(np.int64).tobytes()
