@@ -302,11 +302,11 @@ def _build_argparser() -> argparse.ArgumentParser:
 _VALUE_FLAGS = ("--rect", "--point", "--at", "--f", "--g")
 
 
-def _merge_flag_values(argv: list[str]) -> list[str]:
+def _merge_flag_values(argv: list[str], flags=_VALUE_FLAGS) -> list[str]:
     out: list[str] = []
     it = iter(argv)
     for arg in it:
-        if arg in _VALUE_FLAGS:
+        if arg in flags:
             value = next(it, None)
             out.append(arg if value is None else f"{arg}={value}")
         else:
@@ -314,9 +314,43 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _commands() -> dict[str, tuple[argparse.ArgumentParser, frozenset[str]]]:
+    """Each command's own parser, the one ``add_parser`` returned, and the
+    strings merged with their values in its arguments: every name in
+    ``_VALUE_FLAGS``, and every prefix that argparse resolves to exactly one
+    of the command's options when that option is a value flag."""
+    (choices,) = (a.choices for a in _build_argparser()._actions if a.dest == "command")
+    commands = {}
+    for name, parser in choices.items():
+        options = parser._option_string_actions
+        flags = set(_VALUE_FLAGS)
+        for flag in options.keys() & flags:
+            flags.update(
+                flag[:end]
+                for end in range(3, len(flag))
+                if [o for o in options if o.startswith(flag[:end])] == [flag]
+            )
+        commands[name] = (parser, frozenset(flags))
+    return commands
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_argparser()
-    args = parser.parse_args(_merge_flag_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        # no command: help, usage and errors come from the top-level parser
+        args = parser.parse_args(_merge_flag_values(argv))
+    else:
+        # the top-level parser would hand every argument after the command to
+        # the command's parser, so that parser reads them alone
+        sub, flags = command
+        args, rest = sub.parse_known_args(
+            _merge_flag_values(argv[1:], flags), argparse.Namespace(command=argv[0])
+        )
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return args.handler(args)
     except ParseError as err:

@@ -25,13 +25,16 @@ literal.
 for numpy arrays, which broadcast through the arithmetic operators and ``^``.
 Derivatives come from :func:`rectmvt.hyperdual.compile_hyperdual`, which
 compiles a tree once into a program that does the hyper-dual arithmetic.
+``_at_corners`` evaluates a tree at four points in one walk, with the float
+operations of :func:`evaluate`; the rectangle's corners and the
+finite-difference stencil are read through it.
 
-Every walk over a tree, here, in :mod:`rectmvt.hyperdual`, in
-:mod:`rectmvt.theorems` and in the CLI, branches on ``type(node) is BinOp``
-(the most common node, so it comes first), then ``Const``, ``Var``, ``Neg``
-and ``Call``, and raises ``TypeError`` for anything else.  No node class
-has subclasses, so this accepts what a ``match`` on class patterns accepts,
-at about a third of the cost per node.
+Every walk over a tree, here, in :mod:`rectmvt.hyperdual` and in the CLI,
+branches on ``type(node) is BinOp`` (the most common node, so it comes
+first), then ``Const``, ``Var``, ``Neg`` and ``Call``, and raises
+``TypeError`` for anything else.  No node class has subclasses, so this
+accepts what a ``match`` on class patterns accepts, at about a third of the
+cost per node.
 """
 
 from __future__ import annotations
@@ -380,6 +383,47 @@ def _eval(node: Expression, x, y):
         return -_eval(node.child, x, y)
     if t is Call:
         return _call_real(node.fn, _eval(node.arg, x, y))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _at_corners(node: Expression, X: tuple, Y: tuple) -> tuple:
+    """``node`` at four points at once: ``X`` holds their x coordinates and
+    ``Y`` their y coordinates.  Each node does ``evaluate``'s float operation
+    once per point, so each value is the one ``evaluate`` returns there, but
+    no value is checked to be finite."""
+    t = type(node)
+    if t is BinOp:
+        a0, a1, a2, a3 = _at_corners(node.left, X, Y)
+        b0, b1, b2, b3 = _at_corners(node.right, X, Y)
+        op = node.op
+        if op == "+":
+            return (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+        if op == "-":
+            return (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
+        if op == "*":
+            return (a0 * b0, a1 * b1, a2 * b2, a3 * b3)
+        if op == "/":
+            return (a0 / b0, a1 / b1, a2 / b2, a3 / b3)
+        # a parsed tree at points of floats has floats at every node;
+        # other numbers take ``evaluate``'s own dispatch, per point
+        if (
+            type(a0) is type(a1) is type(a2) is type(a3) is float
+            and type(b0) is type(b1) is type(b2) is type(b3) is float
+        ):
+            return (_pow_real(a0, b0), _pow_real(a1, b1), _pow_real(a2, b2), _pow_real(a3, b3))
+        return tuple(map(_pow, (a0, a1, a2, a3), (b0, b1, b2, b3)))
+    if t is Const:
+        v = node.value
+        return (v, v, v, v)
+    if t is Var:
+        return X if node.name == "x" else Y
+    if t is Neg:
+        a0, a1, a2, a3 = _at_corners(node.child, X, Y)
+        return (-a0, -a1, -a2, -a3)
+    if t is Call:
+        fn = node.fn
+        a0, a1, a2, a3 = _at_corners(node.arg, X, Y)
+        return (_call_real(fn, a0), _call_real(fn, a1), _call_real(fn, a2), _call_real(fn, a3))
     raise TypeError(f"not an expression node: {node!r}")
 
 

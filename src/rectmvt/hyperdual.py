@@ -68,6 +68,7 @@ from .expr import (
     OutOfDomainError,
     SignChangeError,
     Var,
+    _at_corners,
     _eval,
     _fmt_number,
     evaluate,
@@ -819,30 +820,42 @@ def finite_difference_oracle(f: Expression, x0: float, y0: float) -> Derivatives
     First partials use the two-point central stencil with step
     ``max(1, |coordinate|) * eps**(1/3)``; the mixed partial uses the four-point
     cross stencil on the same steps.  Kept deliberately independent of the
-    hyper-dual path so the two can check each other.  An error at a stencil
+    hyper-dual path so the two can check each other.  The eight stencil values
+    come from two walks of f's tree, one over the four points of the first
+    partials and one over the cross stencil, each value the one ``evaluate``
+    returns there.  When a walk raises or a value is not finite, f is
+    evaluated at each stencil point in turn, ``(x0 + hx, y0)``, ``(x0 - hx,
+    y0)``, ``(x0, y0 + hy)``, ``(x0, y0 - hy)``, then the cross stencil from
+    ``(+, +)`` through ``(+, -)`` and ``(-, +)`` to ``(-, -)``, so the first
+    failing point in that order decides the error.  An error at a stencil
     point, which may lie outside f's domain though ``(x0, y0)`` does not, is
     raised again with its type and a message that names the point.
     """
     x0, y0 = float(x0), float(y0)
     hx = max(1.0, abs(x0)) * _CBRT_EPS
     hy = max(1.0, abs(y0)) * _CBRT_EPS
-
-    def e(a: float, b: float) -> float:
-        try:
-            return evaluate(f, a, b)
-        except EvaluationError as exc:
-            raise type(exc)(
-                f"{exc} at the finite-difference stencil point ({a!r}, {b!r}), "
-                f"a step of max(1, |coordinate|) * eps**(1/3) from ({x0!r}, {y0!r})"
-            ) from exc
-
     v = evaluate(f, x0, y0)
-    dx = (e(x0 + hx, y0) - e(x0 - hx, y0)) / (2.0 * hx)
-    dy = (e(x0, y0 + hy) - e(x0, y0 - hy)) / (2.0 * hy)
-    dxy = (
-        e(x0 + hx, y0 + hy)
-        - e(x0 + hx, y0 - hy)
-        - e(x0 - hx, y0 + hy)
-        + e(x0 - hx, y0 - hy)
-    ) / (4.0 * hx * hy)
+    xp, xm, yp, ym = x0 + hx, x0 - hx, y0 + hy, y0 - hy
+    try:
+        a = _at_corners(f, (xp, xm, x0, x0), (y0, y0, yp, ym))
+        c = _at_corners(f, (xp, xp, xm, xm), (yp, ym, yp, ym))
+        finite = all(map(math.isfinite, a + c))
+    except (ArithmeticError, ValueError, EvaluationError):
+        finite = False
+    if not finite:
+        # evaluated in turn, the first stencil point that fails raises evaluate's error
+        def e(a: float, b: float) -> float:
+            try:
+                return evaluate(f, a, b)
+            except EvaluationError as exc:
+                raise type(exc)(
+                    f"{exc} at the finite-difference stencil point ({a!r}, {b!r}), "
+                    f"a step of max(1, |coordinate|) * eps**(1/3) from ({x0!r}, {y0!r})"
+                ) from exc
+
+        a = (e(xp, y0), e(xm, y0), e(x0, yp), e(x0, ym))
+        c = (e(xp, yp), e(xp, ym), e(xm, yp), e(xm, ym))
+    dx = (a[0] - a[1]) / (2.0 * hx)
+    dy = (a[2] - a[3]) / (2.0 * hy)
+    dxy = (c[0] - c[1] - c[2] + c[3]) / (4.0 * hx * hy)
     return Derivatives(v, dx, dy, dxy)

@@ -28,16 +28,12 @@ import numpy as np
 
 from .expr import (
     BinOp,
-    Call,
     Const,
     EvaluationError,
     Expression,
-    Neg,
     Var,
     const,
-    _call_real,
-    _pow,
-    _pow_real,
+    _at_corners,
     evaluate,
     reads_variable,
     substitute,
@@ -200,47 +196,6 @@ class ResidualField:
 
 
 Corners = tuple[float, float, float, float]  # f(x1,y1), f(x1,y2), f(x2,y1), f(x2,y2)
-
-
-def _at_corners(node: Expression, X: tuple, Y: tuple) -> tuple:
-    """``node`` at four points at once: ``X`` holds their x coordinates and
-    ``Y`` their y coordinates.  Each node does ``evaluate``'s float operation
-    once per point, so each value is the one ``evaluate`` returns there, but
-    no value is checked to be finite."""
-    t = type(node)
-    if t is BinOp:
-        a0, a1, a2, a3 = _at_corners(node.left, X, Y)
-        b0, b1, b2, b3 = _at_corners(node.right, X, Y)
-        op = node.op
-        if op == "+":
-            return (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-        if op == "-":
-            return (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
-        if op == "*":
-            return (a0 * b0, a1 * b1, a2 * b2, a3 * b3)
-        if op == "/":
-            return (a0 / b0, a1 / b1, a2 / b2, a3 / b3)
-        # a parsed tree on a rectangle of floats has floats at every node;
-        # other numbers take ``evaluate``'s own dispatch, per corner
-        if (
-            type(a0) is type(a1) is type(a2) is type(a3) is float
-            and type(b0) is type(b1) is type(b2) is type(b3) is float
-        ):
-            return (_pow_real(a0, b0), _pow_real(a1, b1), _pow_real(a2, b2), _pow_real(a3, b3))
-        return tuple(map(_pow, (a0, a1, a2, a3), (b0, b1, b2, b3)))
-    if t is Const:
-        v = node.value
-        return (v, v, v, v)
-    if t is Var:
-        return X if node.name == "x" else Y
-    if t is Neg:
-        a0, a1, a2, a3 = _at_corners(node.child, X, Y)
-        return (-a0, -a1, -a2, -a3)
-    if t is Call:
-        fn = node.fn
-        a0, a1, a2, a3 = _at_corners(node.arg, X, Y)
-        return (_call_real(fn, a0), _call_real(fn, a1), _call_real(fn, a2), _call_real(fn, a3))
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _corners(f: Expression, r: Rectangle, low_first: bool = False) -> Corners:

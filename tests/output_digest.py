@@ -87,7 +87,7 @@ def load(src: Path, name: str):
 def failing_smoke_commands() -> list[list[str]]:
     """The CLI arguments of each smoke-step command whose exit code CI checks."""
     text = WORKFLOW.read_text()
-    return [shlex.split(args) for args in re.findall(r"-m rectmvt\.cli (.*?) \|\| code=\$\?", text)]
+    return [shlex.split(args) for args in re.findall(r"-m rectmvt\.cli(.*?) \|\| code=\$\?", text)]
 
 
 def sweep_entries(name: str, count: int, **config) -> list[tuple[str, str]]:

@@ -12,7 +12,7 @@ import pytest
 import rectmvt
 from rectmvt import cli
 from rectmvt.cli import main
-from rectmvt.expr import MAX_DEPTH, OutOfDomainError, parse
+from rectmvt.expr import MAX_DEPTH, EvaluationError, OutOfDomainError, parse
 from rectmvt.hyperdual import eval_hyperdual, finite_difference_oracle
 
 SQ6 = math.sqrt(6.0)
@@ -414,6 +414,31 @@ def test_gradcheck_names_a_stencil_point_outside_the_domain(capsys, f, x, messag
     assert eval_hyperdual(parse(f), x, 1.0).dx > 0.0
 
 
+@pytest.mark.parametrize(
+    "f, at, error, message, point",
+    [
+        # a divisor that is zero exactly at the stencil's first point, (x0 + hx, y0)
+        ("1/(x-6.055454452393343e-06)", "0,1", OutOfDomainError, "float division by zero",
+         "(6.055454452393343e-06, 1.0)"),
+        # f is finite at (x0, y0), but overflows one step to the right
+        ("exp(x)", "709.78,1", EvaluationError, "math range error", "(709.7842980404612, 1.0)"),
+    ],
+    ids=["zero-divisor", "overflow"],
+)
+def test_gradcheck_names_the_stencil_point_where_f_fails(capsys, f, at, error, message, point):
+    code, out, err = run_cli(capsys, "grad-check", "--f", f, "--at", at)
+    x0, y0 = map(float, at.split(","))
+    suffix = (
+        f" at the finite-difference stencil point {point}, "
+        f"a step of max(1, |coordinate|) * eps**(1/3) from ({x0!r}, {y0!r})"
+    )
+    assert (code, out, err) == (3, "", f"evaluation failed: {message}{suffix}\n")
+    with pytest.raises(error, match=f"^{re.escape(message + suffix)}$") as raised:
+        finite_difference_oracle(parse(f), x0, y0)
+    assert type(raised.value) is error
+    assert math.isfinite(eval_hyperdual(parse(f), x0, y0).v)
+
+
 def test_parse_tree_output(capsys):
     code, out, _ = run_cli(capsys, "parse", "--f", "x^2*y^2")
     assert code == 0
@@ -800,3 +825,154 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
             expected.stdout,
             expected.stderr,
         )
+
+
+# -- one parse per call ----------------------------------------------------------
+
+
+def _handler_namespaces(monkeypatch):
+    """A list that records ``vars(args)`` of each handler call, with every
+    command's handler wrapped to record it."""
+    seen = []
+    for sub, _ in cli._commands().values():
+        handler = sub.get_default("handler")
+
+        def recording(args, handler=handler):
+            seen.append(dict(vars(args)))
+            return handler(args)
+
+        monkeypatch.setitem(sub._defaults, "handler", recording)
+    return seen
+
+
+def _one_parser_for_all(argv):
+    """``main`` as it ran with the top-level parser reading every argument: the
+    merged arguments through ``parse_args``, then the handler, with ``main``'s
+    exception mapping."""
+    command = cli._commands().get(argv[0]) if argv else None
+    flags = cli._VALUE_FLAGS if command is None else command[1]
+    args = cli._build_argparser().parse_args(cli._merge_flag_values(argv, flags))
+    try:
+        return args.handler(args)
+    except cli.ParseError as err:
+        print(f"parse error: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:
+        print(f"invalid input: {err}", file=sys.stderr)
+        return 2
+    except cli.TheoremError as err:
+        print(f"precondition violated: {err}", file=sys.stderr)
+        return 3
+    except (cli.EvaluationError, cli.GenerationError) as err:
+        print(f"evaluation failed: {err}", file=sys.stderr)
+        return 3
+
+
+_LOCATE = ["locate", "--theorem", "rmvt", "--f", "x^2*y", "--rect", "0,1,0,1"]
+_DISPATCH_CORPUS = [
+    # a valid call of each command
+    _LOCATE,
+    ["verify", "--theorem", "pompeiu1d", "--f", "x^3", "--rect", "1,2", "--point", "1.5", "--tau", "1e-6"],
+    ["sweep", "--theorem", "rolle", "--count", "1", "--family", "bilinear", "--seed", "-3"],
+    ["grad-check", "--f", "sin(x)*y", "--at", "-0.5,2"],
+    ["parse", "--f", "-x^2*y"],
+    # help, of each command and at top level
+    ["locate", "--help"], ["verify", "-h"], ["sweep", "--help"], ["grad-check", "--help"],
+    ["parse", "--he"], ["--help"], ["-h"], ["-h", "locate"],
+    # no arguments, an unknown command, and a flag before the command
+    [], ["bogus"], ["bogus", "--f", "x"], ["--f", "x", "parse"], ["Locate", "--f", "x"],
+    # an unknown flag, a stray positional and stray flags after a valid call
+    _LOCATE + ["--bogus"], _LOCATE + ["stray"], _LOCATE + ["--bogus", "-1,2", "stray"],
+    ["parse", "--f", "x", "--at", "1,2"], ["grad-check", "--f", "x", "--at", "1,2", "--point", "3"],
+    # abbreviations, of a plain flag and of value flags, unique and ambiguous
+    ["locate", "--the", "rmvt", "--f", "x^2*y", "--rec", "0,1,0,1", "--ref", "1", "--grid", "9"],
+    ["verify", "--theorem", "rmvt", "--f", "x*y", "--r", "-1,1,-1,1", "--po", "-0.5,0.5"],
+    ["grad-check", "--f", "x*y", "--a", "-1,2"],
+    ["locate", "--theorem", "rmvt", "--f", "x*y", "--re", "-1,1,-1,1"],
+    ["sweep", "--theorem", "rmvt", "--count", "1", "--fam", "poly2"],
+    # a missing required flag, a flag with no value, and values of the wrong kind
+    ["locate", "--theorem", "rmvt", "--f", "x*y"], ["grad-check", "--f", "x*y", "--at"],
+    _LOCATE + ["--grid-n", "3.5"], _LOCATE + ["--theorem", "nope"], ["sweep", "--theorem", "rmvt", "--count", "0"],
+    # a `--` separator, before a flag and after the last one
+    ["parse", "--", "--f", "x"], ["parse", "--f", "x", "--"], _LOCATE + ["--", "stray"],
+    # the handlers' own exits: a parse error, invalid input and a violated precondition
+    ["parse", "--f", "x+"], ["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "0,1,0"],
+    ["locate", "--theorem", "pompeiu2d", "--f", "x*y", "--rect", "-1,2,1,3"],
+    ["grad-check", "--f", "1/x", "--at", "0,1"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_each_call_reads_its_arguments_as_the_top_level_parser_did(capsys, monkeypatch, argv):
+    namespaces = _handler_namespaces(monkeypatch)
+    results = []
+    for run in (main, _one_parser_for_all):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    # both paths reach the handler, or neither does
+    assert len(namespaces) in (0, 2)
+    if namespaces:
+        assert namespaces[0] == namespaces[1]
+        assert namespaces[0]["command"] == argv[0]
+
+
+def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
+    calls = []
+    parse_known_args = cli.argparse.ArgumentParser.parse_known_args
+
+    def counting(parser, *args, **kwargs):
+        calls.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", counting)
+    assert run_cli(capsys, "parse", "--f", "x")[0] == 0
+    assert calls == ["rectmvt parse"]
+    assert cli._commands() is cli._commands()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["grad-check", "--f", "x*y", "--a", "-1,2"], "--at"),
+        (["locate", "--theorem", "rmvt", "--f", "x^2*y", "--rec", "-1,-0.5,1,2"], "--rect"),
+        (["verify", "--theorem", "rmvt", "--f", "x^2*y", "--r", "-1,-0.5,1,2", "--po", "-0.75,1.5"], "--rect"),
+    ],
+    ids=["--a", "--rec", "--r --po"],
+)
+def test_an_abbreviated_value_flag_takes_a_negative_value(capsys, argv, flag):
+    # the abbreviation resolves to one value flag of the command, as argparse
+    # resolves it; until it was merged with its value, argparse read "-1,2" as
+    # an option string and exited 2
+    full = [
+        {"--a": "--at", "--rec": "--rect", "--r": "--rect", "--po": "--point"}.get(arg, arg)
+        for arg in argv
+    ]
+    assert full != argv and flag in full
+    assert run_cli(capsys, *argv) == run_cli(capsys, *full)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_an_ambiguous_abbreviation_still_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["locate", "--theorem", "rmvt", "--f", "x*y", "--re", "-1,1,-1,1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rectmvt locate ")
+    assert err.endswith("rectmvt locate: error: ambiguous option: --re could match --rect, --refinements\n")
+
+
+def test_each_command_merges_the_abbreviations_of_its_own_value_flags():
+    # every exact name, and each prefix that is one value flag's alone
+    flags = {name: set(merged) - set(cli._VALUE_FLAGS) for name, (_, merged) in cli._commands().items()}
+    assert flags == {
+        "locate": {"--rec"},
+        "verify": {"--r", "--re", "--rec", "--p", "--po", "--poi", "--poin"},
+        "sweep": set(),
+        "grad-check": {"--a"},
+        "parse": set(),
+    }

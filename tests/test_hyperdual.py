@@ -19,6 +19,7 @@ from rectmvt.expr import (
     OutOfDomainError,
     SignChangeError,
     Var,
+    evaluate,
     parse,
     pretty_print,
     substitute,
@@ -234,6 +235,118 @@ def test_oracle_agreement_on_generated_expressions():
             assert _rel_err(hd.dx, fd.dx) <= 1e-5
             assert _rel_err(hd.dy, fd.dy) <= 1e-5
             assert _rel_err(hd.dxy, fd.dxy) <= 1e-5
+
+
+def _per_point_oracle(f, x0, y0):
+    """The oracle written out as nine ``evaluate`` calls: the value, the first
+    partials' points and then the cross stencil, each in its formula's order."""
+    x0, y0 = float(x0), float(y0)
+    hx = max(1.0, abs(x0)) * sys.float_info.epsilon ** (1.0 / 3.0)
+    hy = max(1.0, abs(y0)) * sys.float_info.epsilon ** (1.0 / 3.0)
+
+    def e(a, b):
+        try:
+            return evaluate(f, a, b)
+        except EvaluationError as exc:
+            raise type(exc)(
+                f"{exc} at the finite-difference stencil point ({a!r}, {b!r}), "
+                f"a step of max(1, |coordinate|) * eps**(1/3) from ({x0!r}, {y0!r})"
+            ) from exc
+
+    v = evaluate(f, x0, y0)
+    dx = (e(x0 + hx, y0) - e(x0 - hx, y0)) / (2.0 * hx)
+    dy = (e(x0, y0 + hy) - e(x0, y0 - hy)) / (2.0 * hy)
+    dxy = (
+        e(x0 + hx, y0 + hy) - e(x0 + hx, y0 - hy) - e(x0 - hx, y0 + hy) + e(x0 - hx, y0 - hy)
+    ) / (4.0 * hx * hy)
+    return (v, dx, dy, dxy)
+
+
+def _oracle_outcome(oracle, f, x, y):
+    try:
+        return [_bits(c) for c in oracle(f, x, y)]
+    except EvaluationError as exc:
+        return (type(exc), str(exc))
+
+
+# f at a stencil point outside its domain, of a zero divisor or an overflow
+# that raises or that is an infinity, one or several of the nine points failing
+_STENCIL_EDGES = (
+    "sqrt(x)", "sqrt(y)", "sqrt(x*y)", "sqrt(x) + sqrt(y)", "log(x) + log(y)", "log(-x*y)",
+    "1/(x-6.055454452393343e-06)", "1/(y+6.055454452393343e-06)", "1/(x*y)", "exp(x)",
+    "exp(x*y)", "x^y", "y^-0.5", "(x - 1)^1.5", "x*x", "x*y*y",
+)
+_STENCIL_EDGE_POINTS = (
+    (1e-300, 1e-300), (0.0, 1.0), (1.0, 0.0), (1.0, 1e-300), (-0.0, -0.0), (709.78, 1.0),
+    (1.0, 709.78), (26.6, 26.7), (1e-10, 2.0), (1.0 + 1e-9, 0.5), (-3.0, 0.25),
+    (1.3407807929942596e154, 1.0), (1.0, 1.3407807929942596e154),
+)
+
+
+def test_oracle_is_the_per_point_stencil():
+    from test_readme import COMMANDS
+
+    from rectmvt.harness import derive_seed, family_from_name, generate_function, generate_rectangle
+
+    rng = random.Random(2525)
+    cases = []
+    for name in ("poly4", "bilinear", "separable", "exp-poly", "rational"):
+        family = family_from_name(name)
+        for i in range(240):
+            rect = generate_rectangle(derive_seed(i, 0), zero_free=i % 2 == 0)
+            f = generate_function(family, derive_seed(i, 1), rect)
+            # inside the rectangle, or anywhere out to magnitudes that overflow
+            if i % 3:
+                x, y = rng.uniform(rect.x1, rect.x2), rng.uniform(rect.y1, rect.y2)
+            else:
+                x, y = (rng.choice((-1, 1)) * 10.0 ** rng.uniform(-3.0, 160.0) for _ in range(2))
+            cases.append((f, x, y))
+    texts = set(_STENCIL_EDGES)
+    for argv in COMMANDS:
+        texts.update(value for flag, value in zip(argv, argv[1:]) if flag in ("--f", "--g"))
+    for text in sorted(texts):
+        for x, y in _STENCIL_EDGE_POINTS:
+            cases.append((parse(text), x, y))
+    outcomes = Counter()
+    for f, x, y in cases:
+        got = _oracle_outcome(finite_difference_oracle, f, x, y)
+        assert got == _oracle_outcome(_per_point_oracle, f, x, y), (pretty_print(f), x, y)
+        outcomes[type(got)] += 1
+        if type(got) is tuple:
+            outcomes["stencil point" in got[1]] += 1
+    # both the values and the errors are compared, errors at f's point and at a stencil point
+    assert outcomes[list] > 1000
+    assert outcomes[True] > 30 and outcomes[False] > 100
+
+
+def test_a_finite_stencil_is_two_walks_and_one_evaluation(monkeypatch):
+    walks, points = [], []
+    real_walk, real_evaluate = hyperdual._at_corners, hyperdual.evaluate
+
+    def walking(node, X, Y):
+        walks.append(tuple(zip(X, Y)))
+        return real_walk(node, X, Y)
+
+    def counting(expr, x, y):
+        points.append((x, y))
+        return real_evaluate(expr, x, y)
+
+    monkeypatch.setattr(hyperdual, "_at_corners", walking)
+    monkeypatch.setattr(hyperdual, "evaluate", counting)
+    d = finite_difference_oracle(parse("sin(x)*exp(y) + x^3/y"), 0.5, 2.0)
+    assert d == _per_point_oracle(parse("sin(x)*exp(y) + x^3/y"), 0.5, 2.0)
+    assert points == [(0.5, 2.0)]
+    h = sys.float_info.epsilon ** (1.0 / 3.0)
+    xp, xm, yp, ym = 0.5 + h, 0.5 - h, 2.0 + 2.0 * h, 2.0 - 2.0 * h
+    assert walks == [
+        ((xp, 2.0), (xm, 2.0), (0.5, yp), (0.5, ym)),
+        ((xp, yp), (xp, ym), (xm, yp), (xm, ym)),
+    ]
+    # a failing stencil point is found by evaluating the points in turn
+    walks.clear(), points.clear()
+    with pytest.raises(OutOfDomainError, match="stencil point"):
+        finite_difference_oracle(parse("sqrt(x)"), 1e-300, 1.0)
+    assert len(walks) == 1 and points == [(1e-300, 1.0), (1e-300 + h, 1.0), (1e-300 - h, 1.0)]
 
 
 # For an expression in x only, eval_hyperdual(f, x, 0.0) carries the value and
@@ -973,6 +1086,11 @@ def _leibniz(a, b):
 _SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 1e308, -1e-310, 1.0]
 
 
+def _product_bits(c):
+    # every bit but a NaN's sign: see _positive_nans
+    return [_bits(_positive_nans(v)) for v in c]
+
+
 def test_dense_product_is_the_written_out_leibniz_rule():
     rng = random.Random(1717)
 
@@ -986,13 +1104,13 @@ def test_dense_product_is_the_written_out_leibniz_rule():
         for _ in range(2000):
             a = tuple(pick() for _ in range(4))
             b = tuple(pick() for _ in range(4))
-            assert list(map(_bits, hyperdual._mul(a, b))) == list(map(_bits, _leibniz(a, b)))
+            assert _product_bits(hyperdual._mul(a, b)) == _product_bits(_leibniz(a, b))
         for _ in range(50):
             a = tuple(array() for _ in range(4))
             # an operand's components may be floats that broadcast, as a lifted constant's are
             b = tuple(array() if rng.random() < 0.5 else pick() for _ in range(4))
             for x, y in ((a, b), (b, a)):
-                assert list(map(_bits, hyperdual._mul(x, y))) == list(map(_bits, _leibniz(x, y)))
+                assert _product_bits(hyperdual._mul(x, y)) == _product_bits(_leibniz(x, y))
 
 
 # -- the chain rule -------------------------------------------------------------
