@@ -2,7 +2,8 @@
 
 Commands: locate, verify, sweep, grad-check, parse.  Exit codes: 0 success,
 1 locate failure, 2 invalid input, 3 violated precondition or domain
-condition.  All numeric JSON values use Python's shortest round-trip float
+condition, 141 (128 + SIGPIPE) when stdout is closed before all output is
+written.  All numeric JSON values use Python's shortest round-trip float
 representation, so parsing the output reproduces the exact doubles.
 """
 
@@ -14,6 +15,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 
 from .expr import (
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_LOCATE_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_PRECONDITION = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer that SIGPIPE ended
 
 
 def _positive_int(text: str) -> int:
@@ -302,36 +305,35 @@ def _build_argparser() -> argparse.ArgumentParser:
 _VALUE_FLAGS = ("--rect", "--point", "--at", "--f", "--g")
 
 
-def _merge_flag_values(argv: list[str], flags=_VALUE_FLAGS) -> list[str]:
+def _merge_flag_values(argv: list[str], flags, options) -> list[str]:
+    """``argv`` with each value flag of ``flags`` merged with the token after
+    it, unless that token is one of the command's ``options``: then the flag
+    has no value, and argparse says so."""
     out: list[str] = []
-    it = iter(argv)
-    for arg in it:
-        if arg in flags:
-            value = next(it, None)
-            out.append(arg if value is None else f"{arg}={value}")
+    for arg in argv:
+        if out and out[-1] in flags and arg not in options:
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
 
 
 @functools.cache
-def _commands() -> dict[str, tuple[argparse.ArgumentParser, frozenset[str]]]:
+def _commands() -> dict[str, tuple[argparse.ArgumentParser, frozenset[str], frozenset[str]]]:
     """Each command's own parser, the one ``add_parser`` returned, and the
-    strings merged with their values in its arguments: every name in
-    ``_VALUE_FLAGS``, and every prefix that argparse resolves to exactly one
-    of the command's options when that option is a value flag."""
+    spellings of its value flags, which are merged with their values, and of
+    all its options: each option string, and each prefix that argparse
+    resolves to that option alone."""
     (choices,) = (a.choices for a in _build_argparser()._actions if a.dest == "command")
     commands = {}
     for name, parser in choices.items():
         options = parser._option_string_actions
-        flags = set(_VALUE_FLAGS)
-        for flag in options.keys() & flags:
-            flags.update(
-                flag[:end]
-                for end in range(3, len(flag))
-                if [o for o in options if o.startswith(flag[:end])] == [flag]
-            )
-        commands[name] = (parser, frozenset(flags))
+        spellings = [
+            (option, option[:end]) for option in options for end in range(3, len(option) + 1)
+            if end == len(option) or [o for o in options if o.startswith(option[:end])] == [option]
+        ]
+        flags = frozenset(s for option, s in spellings if option in _VALUE_FLAGS)
+        commands[name] = (parser, flags, frozenset(options).union(s for _, s in spellings))
     return commands
 
 
@@ -341,18 +343,23 @@ def main(argv: list[str] | None = None) -> int:
     command = _commands().get(argv[0]) if argv else None
     if command is None:
         # no command: help, usage and errors come from the top-level parser
-        args = parser.parse_args(_merge_flag_values(argv))
+        args = parser.parse_args(argv)
     else:
         # the top-level parser would hand every argument after the command to
         # the command's parser, so that parser reads them alone
-        sub, flags = command
+        sub, flags, options = command
         args, rest = sub.parse_known_args(
-            _merge_flag_values(argv[1:], flags), argparse.Namespace(command=argv[0])
+            _merge_flag_values(argv[1:], flags, options), argparse.Namespace(command=argv[0])
         )
         if rest:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout shows here
+        return code
+    except BrokenPipeError:  # end quietly, and send what Python flushes at exit nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_INVALID_INPUT

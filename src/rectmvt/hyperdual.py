@@ -6,14 +6,16 @@ evaluation of an expression yields every derivative the rectangle theorems
 need, with no truncation error and no step-size tuning (Fike & Alonso,
 AIAA 2011-886).
 
-:func:`compile_hyperdual` walks an expression tree once and returns a program
-of nested closures, ``(x, y) -> (v, dx, dy, dxy)``; every residual field runs
-such a program.  :func:`eval_hyperdual` and :func:`finite_difference_oracle`
-return a :class:`Derivatives` named tuple.  Every operator and scalar function
-of the tree is one closure, generated from fixed templates; the product rule
-and the chain rule that write its formulas are each stated once, as a table
-of terms, and the parts (u, u', u'') of each scalar function u, with its domain
-check, once, as a row of templates that its node's body computes inline.
+:func:`compile_hyperdual` walks an expression tree once into a body of nested
+closures and returns a program ``(x, y) -> (v, dx, dy, dxy)`` that runs it.
+:func:`eval_hyperdual` and :func:`finite_difference_oracle` return a
+:class:`Derivatives` named tuple.  Every operator and scalar function of the
+tree is one closure, generated from fixed templates; the product rule and the
+chain rule that write its formulas are each stated once, as a table of terms,
+and the parts (u, u', u'') of each scalar function u, with its domain check,
+once, as a row of templates that its node's body computes inline.  A program,
+like a residual field's residual, is one generated entry that runs the bodies
+and returns a formula of their components (:func:`compile_entry`).
 
 A program computes only the components its caller reads: ``reads`` names
 them (all four by default), and a component not read comes back as None.
@@ -25,13 +27,10 @@ which its consumer needs, and skips every term with a zero factor and every
 component nobody reads.  The rectangular Rolle, MVT and Cauchy residuals read
 only ``dxy``, so for ``c*x^i*y^j`` a grid costs one array product where all
 four components cost about seven.  Each component read is tested bit for bit
-against the operator-by-operator reference in
-``tests/hyperdual_reference.py``, with two named exceptions, both from the
-terms and components a program skips: the sign of a zero may differ, and
-where the reference's component is NaN because a dropped term was a zero
-times an infinity, the program's need not be; nor does an overflow that only
-a component not read would see fail the evaluation.  Every domain check
-still runs, also in a subtree whose components nobody reads.
+against the operator-by-operator reference in ``tests/hyperdual_reference.py``,
+with the exceptions :func:`compile_hyperdual` names, both from the terms and
+components a program skips.  Every domain check still runs, also in a subtree
+whose components nobody reads.
 
 Components are ordinarily floats, but numpy arrays broadcast through the same
 formulas, which lets a residual field be screened on a whole grid in one pass.
@@ -39,8 +38,8 @@ On arrays, a divisor that takes both signs raises :class:`SignChangeError`:
 it vanishes between two samples.  One that dips to zero between samples
 without changing sign on them is not found.
 The one-dimensional theorems use the same algebra: for an expression in x
-only, the program run at ``(x, 0.0)`` carries its value and derivative in
-``(v, dx)``.
+only, the program run at ``(x, 0.0)`` (y defaults to 0.0) carries its value
+and derivative in ``(v, dx)``.
 
 An integer power ``h ^ n`` is |n| - 1 products, so |n| is bounded by
 :data:`MAX_INT_POWER`: compiling a constant exponent beyond it raises
@@ -53,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -143,24 +143,22 @@ class Derivatives(NamedTuple):
 # node fills, ``_parts`` the lines of a scalar function's node that run its
 # check and compute the parts it wants (one ``isinstance`` picks ``math`` or
 # numpy), and ``_factory`` turns them into a factory that takes the node's
-# operands and returns the closure.  ``_factory`` and ``_power_factory`` are
-# cached functions of plain arguments (the operation, the operands' kinds and
-# nonzero masks, the components filled), so each factory is generated once per
-# arguments; those range over finite sets (an exponent n up to MAX_INT_POWER),
-# so the caches stay bounded.  An operand is read by its kind: a compiled one
-# is called, unless it is an x or y seed, which is the node's own X or Y; a
-# folded constant is its value, passed to the factory, and lifted only in that
-# it is the one component read of it (the lifted ``h ^ 0`` is a compiled
-# operand, and called).  The generated source is safe to ``exec``: it is built from fixed
-# templates and component, operand, part and step indices alone, every
-# constant, exponent and closure of an expression reaches it only as an
-# argument of its factory, and the templates' own constants and messages are
-# names bound in ``_NAMES``, so no text of an expression is ever part of it
-# (``_SOURCES`` holds each source, with its factory).  ``_binary`` builds
-# a sum, difference or product, ``_negation`` a minus, ``_int_power`` a power,
-# whose products run in a loop, and ``_chain`` a scalar function, whose node
-# computes the function's parts it wants in its own body.  A program's entry is
-# generated too, by ``_entry``, from the components read and those its body computes.
+# operands and returns the closure.  ``_binary`` builds a sum, difference or
+# product, ``_negation`` a minus, ``_int_power`` a power, whose products run
+# in a loop, and ``_chain`` a scalar function.  An operand is read by its kind:
+# a compiled one is called, unless it is an x or y seed, which is the node's
+# own X or Y; a folded constant is its value, passed to the factory, and
+# lifted only in that it is the one component read of it (the lifted ``h ^ 0``
+# is a compiled operand, and called).
+# ``_entry`` generates the function that runs the compiled bodies of f (and
+# g) and returns a formula of their components.  ``_factory``,
+# ``_power_factory`` and ``_entry`` are cached functions of plain arguments
+# that range over finite sets, so the caches stay bounded.  The generated
+# source is safe to ``exec``: it is built from fixed templates and formulas
+# and from indices alone, every constant, exponent and closure of an
+# expression reaches it only as an argument of its factory, and the
+# templates' own constants and messages are names bound in ``_NAMES``, so no
+# text of an expression is ever part of it (``_SOURCES`` holds each source).
 # A domain or exponent check is a root of the demand: it needs its operand's
 # value even when nothing reads its own components, so a subtree holding a
 # check always runs.  A subtree whose components nobody reads and that holds
@@ -472,10 +470,10 @@ def _ref(kind: int, name: str) -> str:
     return name.upper() if kind == _CONSTANT else name + "{}"
 
 
-def _generated(params: str, body: list):
-    """The factory ``(params) -> node`` of the node whose body is the given
-    lines, compiled once per source."""
-    lines = [f"def factory({params}):", "    def node(X, Y):"]
+def _generated(params: str, body: list, args: str = "X, Y"):
+    """The factory ``(params) -> node`` of the node ``(args)`` whose body is
+    the given lines, compiled once per source."""
+    lines = [f"def factory({params}):", f"    def node({args}):"]
     source = "\n".join(lines + [f"        {line}" for line in body if line] + ["    return node"])
     factory = _SOURCES.get(source)
     if factory is None:
@@ -509,16 +507,6 @@ def _factory(op: str, ka: int, kb: int, om: int, na: int, nb: int):
 
 def _binary(op: str, a, b, need: int):
     """``a op b`` for two operands, each compiled or a folded constant's value."""
-    if type(b) is not tuple and op == "*":
-        # h * c, as every monomial's coefficient is, builds the general path's
-        # node without classifying both operands, about 4% of compiling a
-        # sweep's functions: c lifted has only v, so the product's nonzero
-        # components are h's
-        A, na, ca = a
-        om = need & na
-        if not om:
-            return (A if ca else None, na, ca)
-        return (_factory("*", _KINDS.get(A, _GENERAL), _CONSTANT, om, na, _V)(A, float(b)), na, ca)
     if type(a) is tuple:
         A, na, ca = a
         ka = _KINDS.get(A, _GENERAL)
@@ -711,7 +699,7 @@ def _compile(node: Expression, need: int):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-_READ_MASKS: dict = {}  # reads -> mask, for the tuples of names passed
+_BITS = {name: 1 << c for c, name in enumerate(Derivatives._fields)}
 
 
 def _read_mask(reads) -> int:
@@ -719,13 +707,10 @@ def _read_mask(reads) -> int:
         raise TypeError("reads must be a collection of component names, not a string")
     mask = 0
     for name in reads:
-        if name not in Derivatives._fields:
-            raise ValueError(
-                f"unknown derivative component {name!r}; expected one of {Derivatives._fields}"
-            )
-        mask |= 1 << Derivatives._fields.index(name)
-    if isinstance(reads, tuple):
-        _READ_MASKS[reads] = mask
+        try:
+            mask |= _BITS[name]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown derivative component {name!r}; expected one of {Derivatives._fields}") from None
     return mask
 
 
@@ -741,32 +726,79 @@ _NAMES = dict(
     POWER_DOMAIN="fractional power needs a positive base",
 )
 
+# an entry's formula names component c of function f fc; a program returns the
+# components read, and None for the others
+_COMPONENT = re.compile(r"\b[fg][0-3]\b")
+_IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
+_IDENTITY = tuple((f"({', '.join(f'f{c}' if n >> c & 1 else 'None' for c in range(4))})",) for n in range(16))
+
 
 @functools.cache
-def _entry(need: int, computed: int, kind):
-    """The factory ``A -> program`` of a program's entry, for the components read
-    and computed by its body A, and A's kind: a constant's A is its value, or
-    None when nothing is computed, and kind None raises for a constant f that
-    is not finite."""
-    if kind is None:
-        return _generated("A", ["raise EvaluationError(NOT_FINITE)"])
-    body = [
-        "X = (X if isinstance(X, ndarray) else float(X), ONE, None, None)",
-        "Y = (Y if isinstance(Y, ndarray) else float(Y), None, ONE, None)",
+def _entry(formula: tuple, names: str, kinds: tuple, computed: tuple):
+    """The factory ``(*bodies, *constants) -> entry`` of ``(x, y=0.0) ->
+    formula``, generated once per arguments.  The entry builds the seeds, runs
+    the body of each function in names, in that order, given its kind (kind
+    None raises for a constant that is not finite) and the components it
+    computes, then the formula's lines, and returns the last.  There x and y
+    are the arguments as given and fc is component c of f, 0.0 when its body
+    does not compute it."""
+    seeds = [] if kinds[0] is None else [  # raised before the inputs are read
+        "X = (x if isinstance(x, ndarray) else float(x), ONE, None, None)",
+        "Y = (y if isinstance(y, ndarray) else float(y), None, ONE, None)",
     ]
-    load = _load(kind, "a", computed)
-    if kind == _GENERAL:  # an error of float arithmetic inside the body is an EvaluationError
-        body += ["try:", f"    {load}", "except (ZeroDivisionError, OverflowError) as exc:"]
-        body.append("    raise evaluation_error(exc) from exc")
+    loads, refs, general = [], {}, False
+    out = ["raise EvaluationError(NOT_FINITE)"]
+    for name, kind, mask in zip(names, kinds, computed):
+        if kind is None:
+            break
+        general |= kind == _GENERAL
+        loads.append(_load(kind, name, mask))
+        if mask and kind != _CONSTANT:  # on scalar inputs, every component computed is finite
+            finite = " and ".join(f"isfinite({name}{c})" for c in range(4) if mask >> c & 1)
+            loads.append(f"if not (isinstance(X[0], ndarray) or isinstance(Y[0], ndarray) or {finite}):")
+            loads.append("    raise EvaluationError(NON_FINITE)")
+        ref = _ref(kind, name)
+        refs.update((f"{name}{c}", ref.format(c) if mask >> c & 1 else "0.0") for c in range(4))
     else:
-        body.append(load)
-    if computed and kind != _CONSTANT:  # on scalar inputs, every component computed is finite
-        finite = " and ".join(f"isfinite(a{c})" for c in range(4) if computed >> c & 1)
-        body.append(f"if not (isinstance(X[0], ndarray) or isinstance(Y[0], ndarray) or {finite}):")
-        body.append("    raise EvaluationError(NON_FINITE)")
-    ref = _ref(kind, "a")
-    out = [ref.format(c) if computed >> c & 1 else "0.0" if need >> c & 1 else "None" for c in range(4)]
-    return _generated("A", body + [f"return ({', '.join(out)})"])
+        *lines, value = (_COMPONENT.sub(lambda m: refs[m[0]], line) for line in formula)
+        out = [*lines, f"return {value}"]
+    if general:  # an error of float arithmetic inside a body is an EvaluationError
+        loads = ["try:", *(f"    {line}" for line in loads if line),
+                 "except (ZeroDivisionError, OverflowError) as exc:", "    raise evaluation_error(exc) from exc"]
+    params = ", ".join([n.upper() for n in names] + list(formula_constants(formula)))
+    return _generated(params, seeds + loads + out, "x, y=0.0")
+
+
+def compile_body(f: Expression, need: int) -> tuple:
+    """``f`` compiled for the components of the mask need, as the triple
+    ``(body, kind, computed)`` of :func:`compile_entry`."""
+    t = _compile(f, need)
+    if type(t) is tuple:
+        A, nz, _ = t
+        return A, _CONSTANT if A is None else _KINDS.get(A, _GENERAL), need & nz
+    if math.isfinite(t):
+        return float(t), _CONSTANT, need & _V
+    return None, None, 0
+
+
+def formula_constants(formula) -> tuple:
+    """The constants of an entry's ``formula`` in the order its entry takes
+    them: its names but x, y, the components fc and those of ``_NAMES``."""
+    return tuple(dict.fromkeys(
+        n for line in ((formula,) if type(formula) is str else formula)
+        for n in _IDENTIFIER.findall(_COMPONENT.sub("", line))
+        if n not in _NAMES and n not in ("x", "y", "None")
+    ))
+
+
+def compile_entry(formula, names: str, bodies, constants: tuple = ()):
+    """The one generated function ``(x, y=0.0) -> formula`` that runs the
+    compiled ``bodies`` of the functions in names ("f", "gf", ...), in that
+    order, and returns ``formula`` of their components and the values of its
+    :func:`formula_constants`; a tuple's last line is the formula."""
+    nodes, kinds, computed = zip(*bodies)
+    factory = _entry((formula,) if type(formula) is str else formula, names, kinds, computed)
+    return factory(*nodes, *constants)
 
 
 def compile_hyperdual(f: Expression, reads=Derivatives._fields) -> Program:
@@ -785,24 +817,15 @@ def compile_hyperdual(f: Expression, reads=Derivatives._fields) -> Program:
     scalar inputs a non-finite component read raises ``EvaluationError``; an
     overflow that only a component not read would see does not.
 
-    Compiling walks the tree once and generates the program's entry from the
-    components read and computed alone, so its calls re-decide nothing; build
+    Compiling walks the tree once, and the program is the entry whose formula
+    is the tuple of the components read, so its calls re-decide nothing; build
     a program once per expression and call it many times.  A constant integer
     exponent beyond :data:`MAX_INT_POWER` in magnitude raises ``ValueError``;
-    a varying one that evaluates to such an integer raises
-    ``EvaluationError``.
+    a varying one that evaluates to such an integer raises ``EvaluationError``.
     """
-    try:
-        need = _READ_MASKS[reads]
-    except (KeyError, TypeError):
-        need = _read_mask(reads)
-    t = _compile(f, need)
-    if type(t) is tuple:
-        A, nz, _ = t
-        return _entry(need, need & nz, _CONSTANT if A is None else _KINDS.get(A, _GENERAL))(A)
-    if math.isfinite(t):
-        return _entry(need, need & _V, _CONSTANT)(float(t))
-    return _entry(0, 0, None)(None)
+    need = _read_mask(reads)
+    A, kind, computed = compile_body(f, need)
+    return _entry(_IDENTITY[need], "f", (kind,), (computed,))(A)
 
 
 def eval_hyperdual(f: Expression, x0, y0) -> Derivatives:

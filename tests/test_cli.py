@@ -557,7 +557,7 @@ def test_bounds_whose_width_overflows_exit_2_before_any_evaluation(capsys, monke
 
     monkeypatch.setattr("rectmvt.theorems.evaluate", no_evaluation)
     monkeypatch.setattr("rectmvt.theorems._at_corners", no_evaluation)
-    monkeypatch.setattr("rectmvt.theorems.compile_hyperdual", no_evaluation)
+    monkeypatch.setattr("rectmvt.theorems.compile_body", no_evaluation)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ") and "too wide" in err
@@ -774,6 +774,53 @@ def test_flag_defaults_are_the_locate_config_defaults(argv):
         assert cli._config_from_args(args) == cli.LocateConfig()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a value flag followed by another option has no value, and is named
+        (["grad-check", "--at", "--f", "x*y"], "argument --at: expected one argument"),
+        (["grad-check", "--a", "--f", "x*y"], "argument --at: expected one argument"),
+        (["grad-check", "--f", "--a", "1,2"], "argument --f: expected one argument"),
+        (["locate", "--theorem", "rmvt", "--f", "x", "--rect", "--grid-n", "9"], "argument --rect: expected one argument"),
+        (["verify", "--theorem", "rmvt", "--f", "x", "--rect", "0,1,0,1", "--point", "-h"],
+         "argument --point: expected one argument"),
+        # an error quotes the arguments as they were given, never a merged --flag=value
+        (["parse", "--f", "x", "--at", "1,2"], "unrecognized arguments: --at 1,2"),
+        (["locate", "--theorem", "rmvt", "--f", "x", "--rect", "0,1,0,1", "--point", "-1,2"],
+         "unrecognized arguments: --point -1,2"),
+        (["--at", "1,2", "parse"], "argument command: invalid choice: '1,2'"),
+    ],
+)
+def test_a_value_flag_takes_no_option_as_its_value(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "=" not in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--theorem", "rmvt", "--count", "3"],
+        ["locate", "--theorem", "pompeiu2d", "--f", "1e-12*x^2*y^2", "--rect", "1,2,1,3"],
+    ],
+)
+def test_a_closed_stdout_ends_the_call_quietly(argv):
+    # the reading end of the pipe is closed before anything is written, so
+    # every write fails, as it does once ``head`` has read its lines
+    env = {**os.environ, "PYTHONPATH": str(Path(rectmvt.__file__).parents[1])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rectmvt.cli", *argv], env=env, stdout=write, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"") == (141, b"")
+
+
 def test_negative_expression_value_accepted(capsys):
     code, out, _ = run_cli(capsys, "parse", "--f", "-x^2+1")
     assert code == 0
@@ -834,7 +881,7 @@ def _handler_namespaces(monkeypatch):
     """A list that records ``vars(args)`` of each handler call, with every
     command's handler wrapped to record it."""
     seen = []
-    for sub, _ in cli._commands().values():
+    for sub, *_ in cli._commands().values():
         handler = sub.get_default("handler")
 
         def recording(args, handler=handler):
@@ -850,8 +897,7 @@ def _one_parser_for_all(argv):
     merged arguments through ``parse_args``, then the handler, with ``main``'s
     exception mapping."""
     command = cli._commands().get(argv[0]) if argv else None
-    flags = cli._VALUE_FLAGS if command is None else command[1]
-    args = cli._build_argparser().parse_args(cli._merge_flag_values(argv, flags))
+    args = cli._build_argparser().parse_args(argv if command is None else cli._merge_flag_values(argv, *command[1:]))
     try:
         return args.handler(args)
     except cli.ParseError as err:
@@ -968,7 +1014,7 @@ def test_an_ambiguous_abbreviation_still_exits_2(capsys):
 
 def test_each_command_merges_the_abbreviations_of_its_own_value_flags():
     # every exact name, and each prefix that is one value flag's alone
-    flags = {name: set(merged) - set(cli._VALUE_FLAGS) for name, (_, merged) in cli._commands().items()}
+    flags = {name: set(merged) - set(cli._VALUE_FLAGS) for name, (_, merged, _) in cli._commands().items()}
     assert flags == {
         "locate": {"--rec"},
         "verify": {"--r", "--re", "--rec", "--p", "--po", "--poi", "--poin"},

@@ -25,7 +25,7 @@ from rectmvt.expr import (
     substitute,
 )
 from rectmvt import hyperdual
-from rectmvt.theorems import Rectangle, pompeiu1d_residual
+from rectmvt.theorems import THEOREMS, Rectangle, pompeiu1d_residual
 from rectmvt.hyperdual import (
     MAX_INT_POWER,
     Derivatives,
@@ -936,12 +936,21 @@ def test_a_product_by_a_folded_constant_compiles_its_left_operand_once(monkeypat
 
 # the names a generated factory and its node may use: its parameters (p is the
 # exponent of a fractional power), the components it unpacks (a0..a3, b0..b3,
-# and o0..o3 of a power) and fixed words; then the fixed words of a program's
-# entry, and the names it is given: the seeds' 1.0 (ONE) and the error messages;
-# then those of a scalar function's parts: the library m and its functions, the
-# shared values, and the names given for the parts' constants and messages
+# and o0..o3 of a power, f0..f3 and g0..g3 of an entry's functions) and fixed
+# words; then the fixed words of an entry, whose arguments are x and y and
+# whose bodies are F and G, the names it is given: the seeds' 1.0 (ONE) and the
+# error messages, and the names of the theorems' residual formulas, fixed text
+# of their rows; then those of a scalar function's parts: the library m and its
+# functions, the shared values, and the names given for the parts' constants
+# and messages
 _NODE_NAMES = {"def", "factory", "node", "return", "for", "in", "range", "None", "_"}
-_NODE_NAMES |= {"A", "B", "X", "Y", "counts", "p"}
+_NODE_NAMES |= {"A", "B", "X", "Y", "counts", "p", "x", "y", "F", "G"}
+_NODE_NAMES |= {
+    name
+    for theorem in THEOREMS.values()
+    for line in ((theorem.residual,) if isinstance(theorem.residual, str) else theorem.residual)
+    for name in re.findall(r"[A-Za-z_]\w*", line)
+}
 _NODE_NAMES |= {"if", "else", "not", "or", "and", "try", "except", "as", "exc", "raise", "from"}
 _NODE_NAMES |= {"isinstance", "ndarray", "float", "isfinite", "ZeroDivisionError", "OverflowError"}
 _NODE_NAMES |= {"evaluation_error", "EvaluationError", "ONE", "NOT_FINITE", "NON_FINITE"}
@@ -980,7 +989,7 @@ def test_generated_source_holds_no_constant_of_an_expression(text):
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             kind, string = token.type, token.string
             if kind == tokenize.NAME:
-                assert string in _NODE_NAMES or re.fullmatch(r"[abo][0-3]", string), source
+                assert string in _NODE_NAMES or re.fullmatch(r"[abofg][0-3]", string), source
             elif kind == tokenize.NUMBER:
                 assert re.fullmatch(r"[0-9]|0\.0", string), source
             elif kind == tokenize.OP:
