@@ -5,6 +5,16 @@ Commands: locate, verify, sweep, grad-check, parse.  Exit codes: 0 success,
 condition, 141 (128 + SIGPIPE) when stdout is closed before all output is
 written.  All numeric JSON values use Python's shortest round-trip float
 representation, so parsing the output reproduces the exact doubles.
+
+A call whose every flag is spelled out, as ``--option=value`` or as
+``--option value`` with a value that does not start with "-", is read from
+its command's option table, built from the command's own argparse actions,
+into the namespace argparse would return.  Any other call (help, an
+abbreviation, an unknown, missing, repeated-with-a-bad-value or malformed
+flag, ``--``, a type or choice error) is read by the command's argparse
+parser, so every error and help text is argparse's.  Reports are written by
+a small writer that gives the same bytes as ``json.dumps(doc, indent=2)``,
+whose indented output has no C encoder.
 """
 
 from __future__ import annotations
@@ -13,10 +23,10 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .expr import (
     BinOp,
@@ -60,8 +70,64 @@ def _floats(text: str, n: int, flag: str) -> list[float]:
     return values
 
 
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json(value, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the text that ``json.dumps(..., indent=2)`` writes
+    for ``value`` nested at indentation ``pad``: the types are tested in
+    ``json.encoder``'s order, a tuple is a list, and strings and keys are
+    quoted by the encoder ``json`` itself uses.  Every key of a document is a
+    string; any other key raises ``TypeError``, where ``json`` converts it."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            sep = ",\n" + inner
+            _json(item, inner, out)
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = ",\n" + inner
+            _json(item, inner, out)
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2))
+    out: list[str] = []
+    _json(doc, "", out)
+    print("".join(out))
 
 
 def _build_field(args):
@@ -198,24 +264,30 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _dump_ast(expr: Expression, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    t = type(expr)
-    if t is BinOp:
-        return (
-            [f"{pad}binary {expr.op}"]
-            + _dump_ast(expr.left, indent + 1)
-            + _dump_ast(expr.right, indent + 1)
-        )
-    if t is Const:
-        return [f"{pad}const {expr.value!r}"]
-    if t is Var:
-        return [f"{pad}var {expr.name}"]
-    if t is Neg:
-        return [f"{pad}neg"] + _dump_ast(expr.child, indent + 1)
-    if t is Call:
-        return [f"{pad}call {expr.fn}"] + _dump_ast(expr.arg, indent + 1)
-    raise TypeError(f"not an expression node: {expr!r}")
+def _dump_ast(expr: Expression) -> list[str]:
+    lines: list[str] = []
+
+    def walk(node: Expression, pad: str) -> None:
+        t = type(node)
+        if t is BinOp:
+            lines.append(f"{pad}binary {node.op}")
+            walk(node.left, pad + "  ")
+            walk(node.right, pad + "  ")
+        elif t is Const:
+            lines.append(f"{pad}const {node.value!r}")
+        elif t is Var:
+            lines.append(f"{pad}var {node.name}")
+        elif t is Neg:
+            lines.append(f"{pad}neg")
+            walk(node.child, pad + "  ")
+        elif t is Call:
+            lines.append(f"{pad}call {node.fn}")
+            walk(node.arg, pad + "  ")
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+
+    walk(expr, "")
+    return lines
 
 
 def _cmd_parse(args) -> int:
@@ -318,12 +390,31 @@ def _merge_flag_values(argv: list[str], flags, options) -> list[str]:
     return out
 
 
+def _option_table(parser: argparse.ArgumentParser) -> tuple[dict, dict, frozenset[str]]:
+    """A parser's option table, read from its own argparse actions: each store
+    action of one value keyed by its exact option string, the value argparse
+    gives each action's dest when it is not given (its default, converted by
+    its type when the default is a string), and the dests that are required."""
+    actions = [a for a in parser._actions if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS]
+    return (
+        {
+            option: a for a in parser._actions if type(a) is argparse._StoreAction and a.nargs is None
+            for option in a.option_strings
+        },
+        {
+            a.dest: a.type(a.default) if a.type is not None and isinstance(a.default, str) else a.default
+            for a in actions
+        },
+        frozenset(a.dest for a in parser._actions if a.required),
+    )
+
+
 @functools.cache
-def _commands() -> dict[str, tuple[argparse.ArgumentParser, frozenset[str], frozenset[str]]]:
-    """Each command's own parser, the one ``add_parser`` returned, and the
+def _commands() -> dict[str, tuple]:
+    """Each command's own parser, the one ``add_parser`` returned; the
     spellings of its value flags, which are merged with their values, and of
     all its options: each option string, and each prefix that argparse
-    resolves to that option alone."""
+    resolves to that option alone; and its option table."""
     (choices,) = (a.choices for a in _build_argparser()._actions if a.dest == "command")
     commands = {}
     for name, parser in choices.items():
@@ -333,26 +424,69 @@ def _commands() -> dict[str, tuple[argparse.ArgumentParser, frozenset[str], froz
             if end == len(option) or [o for o in options if o.startswith(option[:end])] == [option]
         ]
         flags = frozenset(s for option, s in spellings if option in _VALUE_FLAGS)
-        commands[name] = (parser, flags, frozenset(options).union(s for _, s in spellings))
+        options = frozenset(options).union(s for _, s in spellings)
+        commands[name] = (parser, flags, options, _option_table(parser))
     return commands
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_argparser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _table_namespace(argv: list[str], parser, stores, defaults, required):
+    """The namespace argparse returns for ``argv``, read from the command's
+    option table, or None when some token is not ``--option=value`` or
+    ``--option value`` (a value that does not start with "-") of an exact
+    option string of the table, a value fails its type or choices, or a
+    required option is missing: argparse reads those, and says what is wrong."""
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = stores.get(token)
+        if action is not None:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        else:
+            option, _, value = token.partition("=")
+            action = stores.get(option)
+            if action is None or value == "--":  # argparse drops a "--" value
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value  # a repeated option keeps its last value
+    if not required <= values.keys():
+        return None
+    args = argparse.Namespace(command=argv[0])
+    namespace = vars(args)
+    namespace.update(defaults)
+    namespace.update(values)
+    for dest, value in parser._defaults.items():
+        namespace.setdefault(dest, value)
+    return args
+
+
+def _arguments(argv: list[str]) -> argparse.Namespace:
     command = _commands().get(argv[0]) if argv else None
     if command is None:
         # no command: help, usage and errors come from the top-level parser
-        args = parser.parse_args(argv)
-    else:
+        return _build_argparser().parse_args(argv)
+    sub, flags, options, table = command
+    args = _table_namespace(argv, sub, *table)
+    if args is None:
         # the top-level parser would hand every argument after the command to
         # the command's parser, so that parser reads them alone
-        sub, flags, options = command
         args, rest = sub.parse_known_args(
             _merge_flag_values(argv[1:], flags, options), argparse.Namespace(command=argv[0])
         )
         if rest:
-            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+            _build_argparser().error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _arguments(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.handler(args)
         sys.stdout.flush()  # so that a closed stdout shows here

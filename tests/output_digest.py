@@ -11,9 +11,13 @@ The entries fall in four groups, with one digest each:
 - ``sweep257``: the same at ``grid_n=257, max_refinements=1``;
 - ``cli``: ``(exit code, stdout, stderr)`` of ``cli.main`` on each ``rectmvt``
   command of README.md (extracted as ``tests/test_readme.py`` extracts them,
-  and run in a temporary directory, since ``sweep --csv`` writes there), and on
+  and run in a temporary directory, since ``sweep --csv`` writes there), on
   each command of the CI workflow's numpy-only smoke step that is expected to
-  fail (``... || code=$?``);
+  fail (``... || code=$?``), and on generated cases: for the first ``--count``
+  sweep cases of each theorem, family and seed, with f and g printed by
+  ``pretty_print``, ``locate``, ``verify`` at the point it located (at the
+  domain's center when it located none), ``grad-check`` at the center and
+  ``parse`` of f; and one ``sweep`` of ``--count`` cases per theorem;
 - ``programs``: for every one of the 16 sets of components read, the int64
   bits of each component that ``compile_hyperdual``'s program returns, or the
   type and message of the error it raises (also when compiled), at a few
@@ -37,6 +41,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import re
 import shlex
@@ -49,7 +54,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src")]
 
-from screen_speed import FAMILIES  # noqa: E402
+from screen_speed import FAMILIES, build_calls  # noqa: E402
 from test_readme import COMMANDS as README_COMMANDS  # noqa: E402
 
 SEEDS = (42, 7)
@@ -103,24 +108,79 @@ def sweep_entries(name: str, count: int, **config) -> list[tuple[str, str]]:
     return entries
 
 
-def cli_entries(name: str) -> list[tuple[str, str]]:
+def generated_cases(count: int) -> list[tuple[str, list[str], list[float]]]:
+    """``(label, theorem flags, center)`` of the first ``count`` sweep cases of
+    each theorem, family and seed: the flags are ``--theorem``, ``--f`` and
+    ``--g`` printed by ``pretty_print``, and ``--rect``."""
+    pretty_print = importlib.import_module("rectmvt.expr").pretty_print
+    theorems = importlib.import_module("rectmvt.theorems").THEOREMS
+    cases = []
+    for tag in theorems:
+        for family in FAMILIES:
+            for seed in SEEDS:
+                for index, (_, f, g, bounds) in enumerate(build_calls(tag, family, count, seed)):
+                    flags = ["--theorem", tag, "--f", pretty_print(f)]
+                    if g is not None:
+                        flags += ["--g", pretty_print(g)]
+                    flags += ["--rect", ",".join(map(repr, bounds))]
+                    center = [(lo + hi) / 2 for lo, hi in zip(bounds[::2], bounds[1::2])]
+                    cases.append((f"{tag} {family} seed {seed} case {index}", flags, center))
+    return cases
+
+
+def case_commands(flags: list[str], center: list[float], run) -> list[tuple[list[str], tuple]]:
+    """``(argv, run(argv))`` of ``locate`` on one generated case, ``verify`` at
+    the point it located (at ``center`` when it located none), ``grad-check``
+    at the center (with y = 0.5 on an interval) and ``parse`` of f, where
+    ``run(argv)`` returns ``(exit code, stdout, stderr)``."""
+    locate = ["locate", *flags]
+    located = run(locate)
+    try:
+        point = json.loads(located[1])["point"]
+    except ValueError:  # no document
+        point = None
+    point = list(point.values()) if point else center
+    commands = [
+        ["verify", *flags, "--point", ",".join(map(repr, point))],
+        ["grad-check", "--f", flags[3], "--at", ",".join(map(repr, (center + [0.5])[:2]))],
+        ["parse", "--f", flags[3]],
+    ]
+    return [(locate, located)] + [(argv, run(argv)) for argv in commands]
+
+
+def sweep_commands(count: int) -> list[list[str]]:
+    """One ``sweep`` of ``count`` cases per theorem, the families in turn."""
+    theorems = importlib.import_module("rectmvt.theorems").THEOREMS
+    return [
+        ["sweep", "--theorem", tag, "--family", FAMILIES[i % len(FAMILIES)], "--count", str(count)]
+        for i, tag in enumerate(theorems)
+    ]
+
+
+def cli_entries(name: str, count: int) -> list[tuple[str, str]]:
     main = importlib.import_module(f"{name}.cli").main
-    entries = []
+
+    def run(argv: list[str]) -> tuple:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # an argparse error
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    results = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for argv in README_COMMANDS + failing_smoke_commands():
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = main(list(argv))
-                    except SystemExit as exc:  # an argparse error
-                        code = exc.code
-                entries.append((shlex.join(argv), repr((code, out.getvalue(), err.getvalue()))))
+            for argv in README_COMMANDS + failing_smoke_commands() + sweep_commands(count):
+                results.append((argv, run(argv)))
         finally:
             os.chdir(cwd)
-    return entries
+    for _, flags, center in generated_cases(count):
+        results += case_commands(flags, center, run)
+    return [(shlex.join(argv), repr(result)) for argv, result in results]
 
 
 def corpus_texts() -> list[str]:
@@ -189,7 +249,7 @@ def groups(name: str, count: int) -> dict:
     return {
         "sweep": sweep_entries(name, count),
         "sweep257": sweep_entries(name, count, grid_n=257, max_refinements=1),
-        "cli": cli_entries(name),
+        "cli": cli_entries(name, count),
         "programs": program_entries(name, count),
     }
 

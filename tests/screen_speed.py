@@ -74,10 +74,10 @@ COLUMNS = (
 CHILD = "import sys; sys.path[:0] = sys.argv[1:3]; import screen_speed; screen_speed.child(*map(int, sys.argv[3:]))"
 
 
-def cases(tag: str, family: str, count: int, seed: int):
-    """``(functions, field, build args)`` of the first sweep cases;
-    ``_build_case`` calls ``build_field`` with f, g and the bounds, so they are
-    caught there."""
+def build_calls(tag: str, family: str, count: int, seed: int) -> list[tuple]:
+    """The arguments ``(tag, f, g, bounds)`` of ``build_field`` for the first
+    ``count`` sweep cases; ``_build_case`` calls ``build_field`` with f, g and
+    the bounds, so they are caught there."""
     from rectmvt import harness as h
 
     theorem, fam = h._theorem(tag), h.family_from_name(family)
@@ -89,8 +89,15 @@ def cases(tag: str, family: str, count: int, seed: int):
             h._build_case(theorem, fam, h.derive_seed(seed, i))
     finally:
         h.build_field = real
+    return calls
+
+
+def cases(tag: str, family: str, count: int, seed: int):
+    """``(functions, field, build args)`` of the first sweep cases."""
+    from rectmvt.harness import build_field as real
+
     out = []
-    for args in calls:
+    for args in build_calls(tag, family, count, seed):
         try:
             field = real(*args)
         except Exception:  # a degenerate or violated case: its functions still compile

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rectmvt
@@ -897,7 +901,8 @@ def _one_parser_for_all(argv):
     merged arguments through ``parse_args``, then the handler, with ``main``'s
     exception mapping."""
     command = cli._commands().get(argv[0]) if argv else None
-    args = cli._build_argparser().parse_args(argv if command is None else cli._merge_flag_values(argv, *command[1:]))
+    merged = argv if command is None else cli._merge_flag_values(argv, *command[1:3])
+    args = cli._build_argparser().parse_args(merged)
     try:
         return args.handler(args)
     except cli.ParseError as err:
@@ -945,6 +950,34 @@ _DISPATCH_CORPUS = [
     ["parse", "--f", "x+"], ["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "0,1,0"],
     ["locate", "--theorem", "pompeiu2d", "--f", "x*y", "--rect", "-1,2,1,3"],
     ["grad-check", "--f", "1/x", "--at", "0,1"],
+    # read from the option table: both value forms, mixed, and a repeated
+    # option, whose last value counts
+    ["locate", "--theorem=rmvt", "--f=x^2*y", "--rect=0,1,0,1", "--grid-n=9", "--tau=1e-9"],
+    ["grad-check", "--f=sin(x)*y", "--at", "0.5,2"],
+    _LOCATE + ["--theorem", "pompeiu2d", "--rect=1,2,1,3", "--grid-n", "9", "--grid-n=17"],
+    ["sweep", "--theorem", "rmvt", "--count", "2", "--count=1", "--seed=3", "--seed", "4", "--family=bilinear"],
+    # "=" inside a value, an empty value, and values that start with a minus sign
+    ["parse", "--f=x=y"], ["parse", "--f", "x=y"], ["parse", "--f", ""], ["parse", "--f="],
+    ["locate", "--theorem", "rmvt", "--f", "x*y", "--g", "", "--rect", "0,1,0,1"],
+    ["locate", "--theorem", "rmvt", "--f=-x*y", "--rect=-1,-0.5,1,2"],
+    ["sweep", "--theorem", "rmvt", "--count=1", "--seed=-3"],
+    ["sweep", "--theorem", "rmvt", "--count", "1", "--seed", "-3"],
+    ["grad-check", "--f", "x*y", "--at", "-"], ["parse", "--f", "--"],
+    # bad values of a typed option and of one with choices, in both forms
+    _LOCATE + ["--grid-n=x"], _LOCATE + ["--grid-n", ""], _LOCATE + ["--refinements", "1.0"],
+    _LOCATE + ["--tau", "abc"], _LOCATE + ["--tau="], _LOCATE + ["--tau", "nan"],
+    ["sweep", "--theorem", "rmvt", "--count=0"], ["sweep", "--theorem", "rmvt", "--count", "x"],
+    ["sweep", "--theorem", "rmvt", "--count", "-2"],
+    ["sweep", "--theorem", "rmvt", "--count", "1", "--count", "x"],
+    ["locate", "--theorem=nope", "--f", "x*y", "--rect", "0,1,0,1"],
+    ["locate", "--theorem", "RMVT", "--f", "x", "--rect", "0,1,0,1"],
+    # missing required flags, `--` and help after flags the table reads
+    ["parse"], ["verify", "--theorem=rmvt", "--f=x", "--rect=0,1,0,1"], ["sweep", "--theorem", "rmvt"],
+    ["parse", "--f", "x", "--", "--f", "y"], ["parse", "--f=x", "--"],
+    _LOCATE + ["-h"], ["parse", "--f", "x", "--help"],
+    # an option of another command, and a flag that is no option at all
+    ["parse", "--f", "x", "--at=1,2"], ["grad-check", "--f", "x", "--at", "1,2", "--rect=0,1,0,1"],
+    ["parse", "--f", "x", "=x"], ["parse", "--f", "x", "-"], ["parse", "--f", "x", "--f"],
 ]
 
 
@@ -963,7 +996,7 @@ def test_each_call_reads_its_arguments_as_the_top_level_parser_did(capsys, monke
     # both paths reach the handler, or neither does
     assert len(namespaces) in (0, 2)
     if namespaces:
-        assert namespaces[0] == namespaces[1]
+        assert repr(namespaces[0]) == repr(namespaces[1])  # in order, and a NaN equal to itself
         assert namespaces[0]["command"] == argv[0]
 
 
@@ -976,9 +1009,98 @@ def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
         return parse_known_args(parser, *args, **kwargs)
 
     monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", counting)
+    # a fully spelled argv is read from its command's option table
     assert run_cli(capsys, "parse", "--f", "x")[0] == 0
-    assert calls == ["rectmvt parse"]
+    assert run_cli(capsys, "grad-check", "--f=x*y", "--at", "1,2")[0] == 0
+    assert run_cli(capsys, *_LOCATE, "--grid-n", "9", "--grid-n=17")[0] == 0
+    assert calls == []
+    # an abbreviated argv is read by its command's own parser alone
+    assert run_cli(capsys, "grad-check", "--f", "x*y", "--a", "1,2")[0] == 0
+    assert calls == ["rectmvt grad-check"]
+    # a known command never reaches the top-level parser, help and errors included
+    calls.clear()
+    for argv in (["parse", "--help"], _LOCATE + ["--bogus"], ["sweep", "--theorem", "rmvt", "--count", "0"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert calls == ["rectmvt parse", "rectmvt locate", "rectmvt sweep"]
     assert cli._commands() is cli._commands()
+
+
+def _read(argvs) -> list:
+    """What ``cli._arguments`` makes of each argv: the namespace's items in
+    order, or the exit code, stdout and stderr of the ``SystemExit`` it raised."""
+    results = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                results.append(list(vars(cli._arguments(list(argv))).items()))
+            except SystemExit as exc:
+                results.append((exc.code, out.getvalue(), err.getvalue()))
+    return results
+
+
+# per option, two values that pass its type and choices, then values that may
+# not or that only the argparse path reads
+_FUZZ_VALUES = {
+    "--theorem": ["rmvt", "boggio1d", "nope", "RMVT"], "--f": ["x*y", "sin(x)", "-x^2"],
+    "--g": ["x+y", "", "-y"], "--rect": ["0,1,0,1", "1,2", "-1,2,1,3"], "--point": ["0.5,0.5", "1", "-0.5"],
+    "--at": ["1,2", "0.5,0.5", "-1,2"], "--grid-n": ["9", "33", "3.5", "x", "-4"],
+    "--refinements": ["0", "2", "1.0", "-1"], "--tau": ["1e-6", "0", "nan", "inf", "x", "-1e-3"],
+    "--count": ["1", "20", "0", "x", "-2"], "--seed": ["7", "42", "-3", "0x10", "x"],
+    "--family": ["poly4", "bilinear", "bogus"], "--csv": ["out.csv", "a=b.csv", "-"],
+}
+_FUZZ_ODD = ["", "-", "--", "-x", "a=b", "x y", "é", "=", "-1,2"]
+_FUZZ_STRAY = [
+    "--", "-h", "--help", "--bogus", "stray", "--at", "--point=1,2", "--count", "--the", "--f", "--re", "-1",
+]
+
+
+def _fuzz_argv(rng, command: str, options: list[str], required: list[str]) -> list[str]:
+    """A random argv of ``command``: its required options and some others,
+    each in one of the two value forms, now and then repeated, abbreviated,
+    without a value or with an odd one, and stray tokens between them."""
+    chosen = [o for o in required if rng.random() < 0.95]
+    chosen += rng.sample(options, rng.randint(0, min(3, len(options))))
+    rng.shuffle(chosen)
+    argv = [command]
+    for option in chosen:
+        roll = rng.random()
+        values = _FUZZ_VALUES[option]
+        value = rng.choice(values[:2] if roll < 0.8 else values if roll < 0.92 else _FUZZ_ODD)
+        roll = rng.random()
+        if roll < 0.03:
+            option = option[: rng.randint(3, len(option))]
+        if roll < 0.45:
+            argv += [f"{option}={value}"]
+        elif roll < 0.98:
+            argv += [option, value]
+        else:
+            argv += [option]
+        if rng.random() < 0.04:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(_FUZZ_STRAY))
+    return argv
+
+
+def test_the_option_table_reads_every_argv_as_argparse_does(monkeypatch):
+    rng = random.Random(27)
+    argvs = []
+    taken = {}
+    for command, (parser, _, _, table) in cli._commands().items():
+        stores, _, required = table
+        options = list(stores)
+        batch = [
+            _fuzz_argv(rng, command, options, [o for o in options if stores[o].dest in required])
+            for _ in range(2000)
+        ]
+        taken[command] = sum(cli._table_namespace(argv, parser, *table) is not None for argv in batch)
+        argvs += batch
+    ours = _read(argvs)
+    monkeypatch.setattr(cli, "_table_namespace", lambda *args: None)
+    theirs = _read(argvs)
+    assert [argv for argv, a, b in zip(argvs, ours, theirs) if repr(a) != repr(b)] == []
+    # each command's argvs take each path at least 300 times of 2,000
+    assert all(300 <= n <= 1700 for n in taken.values()), taken
 
 
 @pytest.mark.parametrize(
@@ -1014,7 +1136,7 @@ def test_an_ambiguous_abbreviation_still_exits_2(capsys):
 
 def test_each_command_merges_the_abbreviations_of_its_own_value_flags():
     # every exact name, and each prefix that is one value flag's alone
-    flags = {name: set(merged) - set(cli._VALUE_FLAGS) for name, (_, merged, _) in cli._commands().items()}
+    flags = {name: set(merged) - set(cli._VALUE_FLAGS) for name, (_, merged, *_) in cli._commands().items()}
     assert flags == {
         "locate": {"--rec"},
         "verify": {"--r", "--re", "--rec", "--p", "--po", "--poi", "--poin"},
@@ -1022,3 +1144,98 @@ def test_each_command_merges_the_abbreviations_of_its_own_value_flags():
         "grad-check": {"--a"},
         "parse": set(),
     }
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+
+def _written(doc) -> str:
+    out = []
+    cli._json(doc, "", out)
+    return "".join(out)
+
+
+def test_the_json_writer_writes_what_json_dumps_writes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = (
+        st.floats(allow_subnormal=True)
+        | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-7, 2.0**53 + 2])
+        | st.floats().map(np.float64)
+    )
+    scalars = st.none() | st.booleans() | st.integers() | floats | st.text()
+    docs = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+        max_leaves=25,
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(docs)
+    def check(doc):
+        assert _written(doc) == json.dumps(doc, indent=2)
+
+    check()
+
+
+@pytest.mark.parametrize("doc", [object(), [1, {"a": {1, 2}}], {"k": 1j}, [0.5, np.int64(1)]])
+def test_the_json_writer_rejects_what_json_dumps_rejects(doc):
+    with pytest.raises(TypeError) as ours:
+        _written(doc)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(doc, indent=2)
+    assert str(ours.value) == str(theirs.value)
+    # a key that is not a string, which json converts, is rejected
+    with pytest.raises(TypeError):
+        _written({"a": {1: doc}})
+
+
+def test_every_printed_document_is_what_json_dumps_writes(monkeypatch):
+    from output_digest import case_commands, generated_cases, sweep_commands
+
+    docs = []
+    emit = cli._emit
+
+    def recording(doc):
+        docs.append(doc)
+        emit(doc)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    printed = {}
+
+    def run(argv):
+        docs.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        if docs:
+            (doc,) = docs
+            assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+            printed[argv[0]] = printed.get(argv[0], 0) + 1
+        return code, out.getvalue(), ""
+
+    for _, flags, center in generated_cases(2):
+        case_commands(flags, center, run)
+    for argv in sweep_commands(2):
+        run(argv)
+    # every case of all seven theorems prints a locate, verify and grad-check document
+    assert printed == {"locate": 140, "verify": 140, "grad-check": 140, "sweep": 7}
+
+
+def test_the_option_table_of_any_parser_reads_as_argparse_does():
+    # a string default that its type converts, a default that is not a
+    # string, choices, and an action the table leaves to argparse
+    parser = cli.argparse.ArgumentParser(prog="p")
+    parser.add_argument("--n", type=int, default="5")
+    parser.add_argument("--x", type=float, default=None, choices=(0.5, 1.0))
+    parser.add_argument("--name", default="a", required=True)
+    parser.add_argument("--flag", action="store_true")
+    parser.set_defaults(handler=len, n=7)
+    table = cli._option_table(parser)
+    assert sorted(table[0]) == ["--n", "--name", "--x"]
+    for argv in (["--name", "b"], ["--name=b", "--n", "3", "--x=1"], ["--name", "c", "--n=4", "--n", "6"]):
+        ours = cli._table_namespace(["p", *argv], parser, *table)
+        theirs, rest = parser.parse_known_args(argv, cli.argparse.Namespace(command="p"))
+        assert (list(vars(ours).items()), rest) == (list(vars(theirs).items()), [])
+    for argv in ([], ["--name", "b", "--flag"], ["--name", "b", "--x", "2"], ["--name", "b", "--n", "x"]):
+        assert cli._table_namespace(["p", *argv], parser, *table) is None
