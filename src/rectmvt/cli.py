@@ -6,15 +6,22 @@ condition, 141 (128 + SIGPIPE) when stdout is closed before all output is
 written.  All numeric JSON values use Python's shortest round-trip float
 representation, so parsing the output reproduces the exact doubles.
 
-A call whose every flag is spelled out, as ``--option=value`` or as
-``--option value`` with a value that does not start with "-", is read from
-its command's option table, built from the command's own argparse actions,
-into the namespace argparse would return.  Any other call (help, an
-abbreviation, an unknown, missing, repeated-with-a-bad-value or malformed
-flag, ``--``, a type or choice error) is read by the command's argparse
-parser, so every error and help text is argparse's.  Reports are written by
-a small writer that gives the same bytes as ``json.dumps(doc, indent=2)``,
-whose indented output has no C encoder.
+Each command's option table holds its spellings: each option string, and each
+prefix that argparse resolves to that option alone.  One merge pass decides
+where every value is: an option that takes a value, followed by a token that
+is none of its command's spellings, is merged with it into ``--option=value``.
+A value flag (``--f``, ``--g``, ``--rect``, ``--point``, ``--at``) takes any
+such token, every other option one that does not start with "-".  The table
+then reads a call whose every token is ``--spelling=value`` into the namespace
+argparse would return.  Argparse, given the same merged tokens, reads the
+rest: help, every error, and a spaced value that starts with "-" of another
+flag, such as ``sweep --seed -3``; so each error and help text is argparse's,
+and an error quotes the arguments as they were given.  A ``--`` separator
+ends the merging, so what follows it reaches argparse as it was given.  A
+``--`` given as a flag's value, as ``--rect --`` or ``--rect=--``, leaves the
+flag without one, so the call exits 2 with "argument --rect: expected one
+argument".  Reports are written by a small writer that gives the same bytes
+as ``json.dumps(doc, indent=2)``, whose indented output has no C encoder.
 """
 
 from __future__ import annotations
@@ -372,34 +379,46 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags whose values may start with a minus sign; merged to --flag=value so
-# argparse does not mistake them for option strings
+# flags whose values may start with a minus sign: each takes any token after
+# it that is not one of its command's spellings
 _VALUE_FLAGS = ("--rect", "--point", "--at", "--f", "--g")
 
 
-def _merge_flag_values(argv: list[str], flags, options) -> list[str]:
-    """``argv`` with each value flag of ``flags`` merged with the token after
-    it, unless that token is one of the command's ``options``: then the flag
-    has no value, and argparse says so."""
+def _merge_flag_values(argv: list[str], spellings: dict) -> list[str]:
+    """``argv`` with each option that takes a value merged with the token after
+    it into ``--spelling=value``, unless that token is one of the command's
+    ``spellings``: a value flag takes any other token, any other option one
+    that does not start with "-".  Merging stops at a ``--`` separator, and a
+    flag whose value is ``--`` ends the list without it, so it has none."""
     out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in flags and arg not in options:
-            out[-1] = f"{out[-1]}={arg}"
+    for i, arg in enumerate(argv):
+        action = spellings.get(out[-1]) if out else None
+        if action and arg not in spellings and (arg[:1] != "-" or action.option_strings[0] in _VALUE_FLAGS):
+            out[-1] += "=" + arg
+        elif arg == "--":
+            return out + argv[i:]
         else:
             out.append(arg)
+        if out[-1].endswith("=--") and spellings.get(out[-1][:-3]):
+            out[-1] = out[-1][:-3]
+            return out
     return out
 
 
 def _option_table(parser: argparse.ArgumentParser) -> tuple[dict, dict, frozenset[str]]:
-    """A parser's option table, read from its own argparse actions: each store
-    action of one value keyed by its exact option string, the value argparse
-    gives each action's dest when it is not given (its default, converted by
-    its type when the default is a string), and the dests that are required."""
+    """A parser's option table, read from its own argparse actions: its
+    spellings, each option string and each prefix that argparse resolves to
+    that option alone, mapped to the option's store action of one value (None
+    for an option that takes none); the value argparse gives each action's
+    dest when it is not given (its default, converted by its type when the
+    default is a string); and the dests that are required."""
+    options = parser._option_string_actions
     actions = [a for a in parser._actions if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS]
     return (
         {
-            option: a for a in parser._actions if type(a) is argparse._StoreAction and a.nargs is None
-            for option in a.option_strings
+            option[:end]: action if type(action) is argparse._StoreAction and action.nargs is None else None
+            for option, action in options.items() for end in range(min(3, len(option)), len(option) + 1)
+            if end == len(option) or [o for o in options if o.startswith(option[:end])] == [option]
         },
         {
             a.dest: a.type(a.default) if a.type is not None and isinstance(a.default, str) else a.default
@@ -411,43 +430,23 @@ def _option_table(parser: argparse.ArgumentParser) -> tuple[dict, dict, frozense
 
 @functools.cache
 def _commands() -> dict[str, tuple]:
-    """Each command's own parser, the one ``add_parser`` returned; the
-    spellings of its value flags, which are merged with their values, and of
-    all its options: each option string, and each prefix that argparse
-    resolves to that option alone; and its option table."""
+    """Each command's own parser, the one ``add_parser`` returned, and its option table."""
     (choices,) = (a.choices for a in _build_argparser()._actions if a.dest == "command")
-    commands = {}
-    for name, parser in choices.items():
-        options = parser._option_string_actions
-        spellings = [
-            (option, option[:end]) for option in options for end in range(3, len(option) + 1)
-            if end == len(option) or [o for o in options if o.startswith(option[:end])] == [option]
-        ]
-        flags = frozenset(s for option, s in spellings if option in _VALUE_FLAGS)
-        options = frozenset(options).union(s for _, s in spellings)
-        commands[name] = (parser, flags, options, _option_table(parser))
-    return commands
+    return {name: (parser, *_option_table(parser)) for name, parser in choices.items()}
 
 
-def _table_namespace(argv: list[str], parser, stores, defaults, required):
-    """The namespace argparse returns for ``argv``, read from the command's
-    option table, or None when some token is not ``--option=value`` or
-    ``--option value`` (a value that does not start with "-") of an exact
-    option string of the table, a value fails its type or choices, or a
-    required option is missing: argparse reads those, and says what is wrong."""
+def _table_namespace(command: str, argv: list[str], parser, spellings, defaults, required):
+    """The namespace argparse returns for ``command`` and its merged ``argv``,
+    read from the command's option table, or None when some token is not
+    ``--spelling=value`` of an option that takes a value, a value fails its
+    type or choices, or a required option is missing: argparse reads those,
+    and says what is wrong."""
     values = {}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        action = stores.get(token)
-        if action is not None:
-            value = next(tokens, "-")
-            if value.startswith("-"):
-                return None
-        else:
-            option, _, value = token.partition("=")
-            action = stores.get(option)
-            if action is None or value == "--":  # argparse drops a "--" value
-                return None
+    for token in argv:
+        option, eq, value = token.partition("=")
+        action = spellings.get(option)
+        if action is None or not eq:
+            return None
         if action.type is not None:
             try:
                 value = action.type(value)
@@ -458,7 +457,7 @@ def _table_namespace(argv: list[str], parser, stores, defaults, required):
         values[action.dest] = value  # a repeated option keeps its last value
     if not required <= values.keys():
         return None
-    args = argparse.Namespace(command=argv[0])
+    args = argparse.Namespace(command=command)
     namespace = vars(args)
     namespace.update(defaults)
     namespace.update(values)
@@ -472,14 +471,12 @@ def _arguments(argv: list[str]) -> argparse.Namespace:
     if command is None:
         # no command: help, usage and errors come from the top-level parser
         return _build_argparser().parse_args(argv)
-    sub, flags, options, table = command
-    args = _table_namespace(argv, sub, *table)
+    merged = _merge_flag_values(argv[1:], command[1])
+    args = _table_namespace(argv[0], merged, *command)
     if args is None:
         # the top-level parser would hand every argument after the command to
         # the command's parser, so that parser reads them alone
-        args, rest = sub.parse_known_args(
-            _merge_flag_values(argv[1:], flags, options), argparse.Namespace(command=argv[0])
-        )
+        args, rest = command[0].parse_known_args(merged, argparse.Namespace(command=argv[0]))
         if rest:
             _build_argparser().error(f"unrecognized arguments: {' '.join(rest)}")
     return args

@@ -3,7 +3,7 @@ meant to keep every output the same can be checked to do so.
 
     python3 tests/output_digest.py [--count 20] [--baseline DIR]
 
-The entries fall in four groups, with one digest each:
+The entries fall in five groups, with one digest each:
 
 - ``sweep``: ``repr`` of every ``run_sweep`` summary over the seven theorems,
   the families poly4, bilinear, separable, exp-poly and rational, and the seeds
@@ -24,7 +24,12 @@ The entries fall in four groups, with one digest each:
   scalar points and on two small grids.  The expressions are every string
   that parses among the README's code and the string constants of the tests,
   f and g of the first ``--count`` sweep cases of each family and seed, and
-  edge cases of every scalar function and of varying exponents.
+  edge cases of every scalar function and of varying exponents;
+- ``argv``: what ``cli._arguments`` makes of each argv of ``fuzz_argvs(3000)``
+  and of ``tests/test_cli.py``'s dispatch corpus: the items of the namespace
+  it returns, with the handler written as its name, or the exit code, stdout
+  and stderr of the ``SystemExit`` it raises.  No handler runs, so no sweep
+  runs and no ``--csv`` file is written.
 
 With ``--baseline DIR``, DIR is the ``src`` directory of another checkout: its
 ``rectmvt`` is loaded under another name in this same process (digests do not
@@ -43,6 +48,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import shlex
 import sys
@@ -75,6 +81,78 @@ GRIDS = (
     (np.linspace(-1.0, 1.0, 5)[np.newaxis, :], np.linspace(-0.5, 1.5, 5)[:, np.newaxis]),
     (np.linspace(-1.5, 1.5, 7), 0.0),
 )
+
+
+# per option, two values that pass its type and choices, then values that may
+# not or that only the argparse path reads
+FUZZ_VALUES = {
+    "--theorem": ["rmvt", "boggio1d", "nope", "RMVT"], "--f": ["x*y", "sin(x)", "-x^2"],
+    "--g": ["x+y", "", "-y"], "--rect": ["0,1,0,1", "1,2", "-1,2,1,3"], "--point": ["0.5,0.5", "1", "-0.5"],
+    "--at": ["1,2", "0.5,0.5", "-1,2"], "--grid-n": ["9", "33", "3.5", "x", "-4"],
+    "--refinements": ["0", "2", "1.0", "-1"], "--tau": ["1e-6", "0", "nan", "inf", "x", "-1e-3"],
+    "--count": ["1", "20", "0", "x", "-2"], "--seed": ["7", "42", "-3", "0x10", "x"],
+    "--family": ["poly4", "bilinear", "bogus"], "--csv": ["out.csv", "a=b.csv", "-"],
+}
+FUZZ_ODD = ["", "-", "--", "-x", "a=b", "x y", "é", "=", "-1,2"]
+FUZZ_STRAY = [
+    "--", "-h", "--help", "--bogus", "stray", "--at", "--point=1,2", "--count", "--the", "--f", "--re", "-1",
+]
+
+
+def fuzz_argv(rng, command: str, options: list[str], required: list[str]) -> list[str]:
+    """A random argv of ``command``: its required options and some others,
+    each in one of the two value forms, now and then repeated, abbreviated,
+    without a value or with an odd one, and stray tokens between them, as
+    many in an argv of one option as in one of five."""
+    chosen = [o for o in required if rng.random() < 0.95]
+    chosen += rng.sample(options, rng.randint(0, min(3, len(options))))
+    rng.shuffle(chosen)
+    argv = [command]
+    for option in chosen:
+        roll = rng.random()
+        values = FUZZ_VALUES[option]
+        value = rng.choice(values[:2] if roll < 0.8 else values if roll < 0.92 else FUZZ_ODD)
+        roll = rng.random()
+        if roll < 0.03:
+            option = option[: rng.randint(3, len(option))]
+        if roll < 0.45:
+            argv += [f"{option}={value}"]
+        elif roll < 0.98:
+            argv += [option, value]
+        else:
+            argv += [option]
+    while rng.random() < 0.16:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(FUZZ_STRAY))
+    return argv
+
+
+def fuzz_argvs(count: int, seed: int = 27) -> list[list[str]]:
+    """``count`` argvs of ``fuzz_argv`` per command, from one generator seeded
+    with ``seed``; each command's options are read from this tree's parser,
+    so that every tree is given the same argvs."""
+    parser = importlib.import_module("rectmvt.cli")._build_argparser()
+    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+    rng = random.Random(seed)
+    argvs = []
+    for command, sub in commands.items():
+        stores = [a for a in sub._actions if type(a) is argparse._StoreAction]
+        options = [o for a in stores for o in a.option_strings]
+        required = [o for a in stores if a.required for o in a.option_strings]
+        argvs += [fuzz_argv(rng, command, options, required) for _ in range(count)]
+    return argvs
+
+
+def read_arguments(arguments, argv: list[str]):
+    """What ``arguments`` (a tree's ``cli._arguments``) makes of ``argv``: the
+    namespace's items in order, with the handler written as its name, or the
+    exit code, stdout and stderr of the ``SystemExit`` it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            items = vars(arguments(list(argv))).items()
+        except SystemExit as exc:
+            return (exc.code, out.getvalue(), err.getvalue())
+    return [(k, v.__name__ if k == "handler" else v) for k, v in items]
 
 
 def load(src: Path, name: str):
@@ -183,6 +261,16 @@ def cli_entries(name: str, count: int) -> list[tuple[str, str]]:
     return [(shlex.join(argv), repr(result)) for argv, result in results]
 
 
+def argv_entries(name: str) -> list[tuple[str, str]]:
+    from test_cli import _DISPATCH_CORPUS
+
+    arguments = importlib.import_module(f"{name}.cli")._arguments
+    return [
+        (shlex.join(argv), repr(read_arguments(arguments, argv)))
+        for argv in fuzz_argvs(3000) + _DISPATCH_CORPUS
+    ]
+
+
 def corpus_texts() -> list[str]:
     """The strings that parse among the arguments of README.md's commands and
     the constants of its Python blocks and of the tests."""
@@ -251,6 +339,7 @@ def groups(name: str, count: int) -> dict:
         "sweep257": sweep_entries(name, count, grid_n=257, max_refinements=1),
         "cli": cli_entries(name, count),
         "programs": program_entries(name, count),
+        "argv": argv_entries(name),
     }
 
 

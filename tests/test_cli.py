@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import random
 import re
 import subprocess
 import sys
@@ -792,6 +791,10 @@ def test_flag_defaults_are_the_locate_config_defaults(argv):
         (["parse", "--f", "x", "--at", "1,2"], "unrecognized arguments: --at 1,2"),
         (["locate", "--theorem", "rmvt", "--f", "x", "--rect", "0,1,0,1", "--point", "-1,2"],
          "unrecognized arguments: --point -1,2"),
+        # nothing after a `--` separator is merged
+        (["parse", "--f", "x", "--", "--f", "y"], "unrecognized arguments: -- --f y"),
+        (["locate", "--theorem", "rmvt", "--f", "x", "--rect", "0,1,0,1", "--", "--rect", "-1,2"],
+         "unrecognized arguments: -- --rect -1,2"),
         (["--at", "1,2", "parse"], "argument command: invalid choice: '1,2'"),
     ],
 )
@@ -801,6 +804,36 @@ def test_a_value_flag_takes_no_option_as_its_value(capsys, argv, message):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "=" not in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # a value flag and a plain flag, each in both value forms, and abbreviated
+        (["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "--"], "--rect"),
+        (["locate", "--theorem", "rmvt", "--f", "x*y", "--rect=--"], "--rect"),
+        (["locate", "--theorem", "rmvt", "--f", "x*y", "--rec", "--", "--grid-n", "9"], "--rect"),
+        (["grad-check", "--f", "x", "--at=--"], "--at"),
+        (["parse", "--f", "--"], "--f"),
+        (["locate", "--theorem=--", "--f", "x*y", "--rect", "0,1,0,1"], "--theorem"),
+        (["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "0,1,0,1", "--tau=--"], "--tau"),
+        (["sweep", "--theorem", "rmvt", "--count=--"], "--count"),
+        (["sweep", "--theorem", "rmvt", "--seed", "-3", "--cou=--", "--count", "1"], "--count"),
+        (["sweep", "--theorem", "rmvt", "--count", "1", "--seed", "--"], "--seed"),
+    ],
+)
+def test_a_flag_whose_value_is_a_separator_has_no_value(capsys, monkeypatch, argv, flag):
+    namespaces = _handler_namespaces(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert (exit_info.value.code, namespaces) == (2, [])
+    err = capsys.readouterr().err
+    assert err.endswith(f"rectmvt {argv[0]}: error: argument {flag}: expected one argument\n")
+    # what comes before it is read first, as argparse reads it: here, help
+    with pytest.raises(SystemExit) as exit_info:
+        main([argv[0], "-h", *argv[1:]])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: rectmvt {argv[0]} ")
 
 
 @pytest.mark.parametrize(
@@ -901,7 +934,7 @@ def _one_parser_for_all(argv):
     merged arguments through ``parse_args``, then the handler, with ``main``'s
     exception mapping."""
     command = cli._commands().get(argv[0]) if argv else None
-    merged = argv if command is None else cli._merge_flag_values(argv, *command[1:3])
+    merged = argv if command is None else argv[:1] + cli._merge_flag_values(argv[1:], command[1])
     args = cli._build_argparser().parse_args(merged)
     try:
         return args.handler(args)
@@ -963,6 +996,10 @@ _DISPATCH_CORPUS = [
     ["sweep", "--theorem", "rmvt", "--count=1", "--seed=-3"],
     ["sweep", "--theorem", "rmvt", "--count", "1", "--seed", "-3"],
     ["grad-check", "--f", "x*y", "--at", "-"], ["parse", "--f", "--"],
+    ["sweep", "--theorem", "rmvt", "--count", "1", "--grid-n", "-4"],
+    # a `--` as the value of a value flag and of a plain flag, and flags after a separator
+    ["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "--"], ["grad-check", "--f", "x", "--at=--"],
+    ["sweep", "--theorem", "rmvt", "--count=--"], _LOCATE + ["--", "--rect", "-1,2"],
     # bad values of a typed option and of one with choices, in both forms
     _LOCATE + ["--grid-n=x"], _LOCATE + ["--grid-n", ""], _LOCATE + ["--refinements", "1.0"],
     _LOCATE + ["--tau", "abc"], _LOCATE + ["--tau="], _LOCATE + ["--tau", "nan"],
@@ -1009,14 +1046,18 @@ def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
         return parse_known_args(parser, *args, **kwargs)
 
     monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", counting)
-    # a fully spelled argv is read from its command's option table
+    # an argv of option values, in either form, abbreviated or not, and a
+    # value flag's value that starts with "-", is read from the option table
     assert run_cli(capsys, "parse", "--f", "x")[0] == 0
     assert run_cli(capsys, "grad-check", "--f=x*y", "--at", "1,2")[0] == 0
     assert run_cli(capsys, *_LOCATE, "--grid-n", "9", "--grid-n=17")[0] == 0
+    assert run_cli(capsys, "grad-check", "--f", "-x*y", "--a", "-1,2")[0] == 0
+    assert run_cli(capsys, "sweep", "--the", "rmvt", "--count=1", "--seed", "3")[0] == 0
     assert calls == []
-    # an abbreviated argv is read by its command's own parser alone
-    assert run_cli(capsys, "grad-check", "--f", "x*y", "--a", "1,2")[0] == 0
-    assert calls == ["rectmvt grad-check"]
+    # a spaced value that starts with "-" of any other flag is read by its
+    # command's own parser alone
+    assert run_cli(capsys, "sweep", "--theorem", "rmvt", "--count", "1", "--seed", "-3")[0] == 0
+    assert calls == ["rectmvt sweep"]
     # a known command never reaches the top-level parser, help and errors included
     calls.clear()
     for argv in (["parse", "--help"], _LOCATE + ["--bogus"], ["sweep", "--theorem", "rmvt", "--count", "0"]):
@@ -1026,78 +1067,19 @@ def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
     assert cli._commands() is cli._commands()
 
 
-def _read(argvs) -> list:
-    """What ``cli._arguments`` makes of each argv: the namespace's items in
-    order, or the exit code, stdout and stderr of the ``SystemExit`` it raised."""
-    results = []
-    for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                results.append(list(vars(cli._arguments(list(argv))).items()))
-            except SystemExit as exc:
-                results.append((exc.code, out.getvalue(), err.getvalue()))
-    return results
-
-
-# per option, two values that pass its type and choices, then values that may
-# not or that only the argparse path reads
-_FUZZ_VALUES = {
-    "--theorem": ["rmvt", "boggio1d", "nope", "RMVT"], "--f": ["x*y", "sin(x)", "-x^2"],
-    "--g": ["x+y", "", "-y"], "--rect": ["0,1,0,1", "1,2", "-1,2,1,3"], "--point": ["0.5,0.5", "1", "-0.5"],
-    "--at": ["1,2", "0.5,0.5", "-1,2"], "--grid-n": ["9", "33", "3.5", "x", "-4"],
-    "--refinements": ["0", "2", "1.0", "-1"], "--tau": ["1e-6", "0", "nan", "inf", "x", "-1e-3"],
-    "--count": ["1", "20", "0", "x", "-2"], "--seed": ["7", "42", "-3", "0x10", "x"],
-    "--family": ["poly4", "bilinear", "bogus"], "--csv": ["out.csv", "a=b.csv", "-"],
-}
-_FUZZ_ODD = ["", "-", "--", "-x", "a=b", "x y", "é", "=", "-1,2"]
-_FUZZ_STRAY = [
-    "--", "-h", "--help", "--bogus", "stray", "--at", "--point=1,2", "--count", "--the", "--f", "--re", "-1",
-]
-
-
-def _fuzz_argv(rng, command: str, options: list[str], required: list[str]) -> list[str]:
-    """A random argv of ``command``: its required options and some others,
-    each in one of the two value forms, now and then repeated, abbreviated,
-    without a value or with an odd one, and stray tokens between them."""
-    chosen = [o for o in required if rng.random() < 0.95]
-    chosen += rng.sample(options, rng.randint(0, min(3, len(options))))
-    rng.shuffle(chosen)
-    argv = [command]
-    for option in chosen:
-        roll = rng.random()
-        values = _FUZZ_VALUES[option]
-        value = rng.choice(values[:2] if roll < 0.8 else values if roll < 0.92 else _FUZZ_ODD)
-        roll = rng.random()
-        if roll < 0.03:
-            option = option[: rng.randint(3, len(option))]
-        if roll < 0.45:
-            argv += [f"{option}={value}"]
-        elif roll < 0.98:
-            argv += [option, value]
-        else:
-            argv += [option]
-        if rng.random() < 0.04:
-            argv.insert(rng.randint(1, len(argv)), rng.choice(_FUZZ_STRAY))
-    return argv
-
-
 def test_the_option_table_reads_every_argv_as_argparse_does(monkeypatch):
-    rng = random.Random(27)
-    argvs = []
-    taken = {}
-    for command, (parser, _, _, table) in cli._commands().items():
-        stores, _, required = table
-        options = list(stores)
-        batch = [
-            _fuzz_argv(rng, command, options, [o for o in options if stores[o].dest in required])
-            for _ in range(2000)
-        ]
-        taken[command] = sum(cli._table_namespace(argv, parser, *table) is not None for argv in batch)
-        argvs += batch
-    ours = _read(argvs)
+    from output_digest import fuzz_argvs, read_arguments
+
+    argvs = fuzz_argvs(2000)
+    taken = dict.fromkeys(cli._commands(), 0)
+    for argv in argvs:
+        command = cli._commands()[argv[0]]
+        taken[argv[0]] += cli._table_namespace(
+            argv[0], cli._merge_flag_values(argv[1:], command[1]), *command
+        ) is not None
+    ours = [read_arguments(cli._arguments, argv) for argv in argvs]
     monkeypatch.setattr(cli, "_table_namespace", lambda *args: None)
-    theirs = _read(argvs)
+    theirs = [read_arguments(cli._arguments, argv) for argv in argvs]
     assert [argv for argv, a, b in zip(argvs, ours, theirs) if repr(a) != repr(b)] == []
     # each command's argvs take each path at least 300 times of 2,000
     assert all(300 <= n <= 1700 for n in taken.values()), taken
@@ -1135,8 +1117,17 @@ def test_an_ambiguous_abbreviation_still_exits_2(capsys):
 
 
 def test_each_command_merges_the_abbreviations_of_its_own_value_flags():
-    # every exact name, and each prefix that is one value flag's alone
-    flags = {name: set(merged) - set(cli._VALUE_FLAGS) for name, (_, merged, *_) in cli._commands().items()}
+    # every exact name, and each prefix that is one option's alone
+    parser, spellings, *_ = cli._commands()["grad-check"]
+    at, f = (parser._option_string_actions[o] for o in ("--at", "--f"))
+    assert spellings == {
+        "-h": None, "--h": None, "--he": None, "--hel": None, "--help": None, "--f": f, "--a": at, "--at": at,
+    }
+    flags = {
+        name: {s for s, a in spellings.items() if a and a.option_strings[0] in cli._VALUE_FLAGS}
+        - set(cli._VALUE_FLAGS)
+        for name, (_, spellings, *_) in cli._commands().items()
+    }
     assert flags == {
         "locate": {"--rec"},
         "verify": {"--r", "--re", "--rec", "--p", "--po", "--poi", "--poin"},
@@ -1232,10 +1223,15 @@ def test_the_option_table_of_any_parser_reads_as_argparse_does():
     parser.add_argument("--flag", action="store_true")
     parser.set_defaults(handler=len, n=7)
     table = cli._option_table(parser)
-    assert sorted(table[0]) == ["--n", "--name", "--x"]
-    for argv in (["--name", "b"], ["--name=b", "--n", "3", "--x=1"], ["--name", "c", "--n=4", "--n", "6"]):
-        ours = cli._table_namespace(["p", *argv], parser, *table)
+    assert sorted(s for s, action in table[0].items() if action) == ["--n", "--na", "--nam", "--name", "--x"]
+    assert {s for s, action in table[0].items() if not action} == {
+        "-h", "--h", "--he", "--hel", "--help", "--f", "--fl", "--fla", "--flag"
+    }
+    for argv in (["--name", "b"], ["--name=b", "--n", "3", "--x=1"], ["--nam", "c", "--n=4", "--n", "6"]):
+        merged = cli._merge_flag_values(argv, table[0])
+        ours = cli._table_namespace("p", merged, parser, *table)
         theirs, rest = parser.parse_known_args(argv, cli.argparse.Namespace(command="p"))
         assert (list(vars(ours).items()), rest) == (list(vars(theirs).items()), [])
-    for argv in ([], ["--name", "b", "--flag"], ["--name", "b", "--x", "2"], ["--name", "b", "--n", "x"]):
-        assert cli._table_namespace(["p", *argv], parser, *table) is None
+    for argv in ([], ["--name", "b", "--flag"], ["--name", "b", "--x", "2"], ["--name", "b", "--n", "x"],
+                 ["--name", "b", "--n", "-3"]):
+        assert cli._table_namespace("p", cli._merge_flag_values(argv, table[0]), parser, *table) is None
