@@ -6,22 +6,24 @@ condition, 141 (128 + SIGPIPE) when stdout is closed before all output is
 written.  All numeric JSON values use Python's shortest round-trip float
 representation, so parsing the output reproduces the exact doubles.
 
-Each command's option table holds its spellings: each option string, and each
-prefix that argparse resolves to that option alone.  One merge pass decides
-where every value is: an option that takes a value, followed by a token that
-is none of its command's spellings, is merged with it into ``--option=value``.
-A value flag (``--f``, ``--g``, ``--rect``, ``--point``, ``--at``) takes any
-such token, every other option one that does not start with "-".  The table
-then reads a call whose every token is ``--spelling=value`` into the namespace
-argparse would return.  Argparse, given the same merged tokens, reads the
-rest: help, every error, and a spaced value that starts with "-" of another
-flag, such as ``sweep --seed -3``; so each error and help text is argparse's,
-and an error quotes the arguments as they were given.  A ``--`` separator
-ends the merging, so what follows it reaches argparse as it was given.  A
-``--`` given as a flag's value, as ``--rect --`` or ``--rect=--``, leaves the
-flag without one, so the call exits 2 with "argument --rect: expected one
-argument".  Reports are written by a small writer that gives the same bytes
-as ``json.dumps(doc, indent=2)``, whose indented output has no C encoder.
+Each command is declared once, as a row of ``_COMMANDS``: its help, its
+handler, and its options, each an option string and the keywords of its
+``add_argument``.  The argparse parsers and each command's option table are
+built from the rows.  The table holds the command's spellings: each option
+string, ``-h`` and ``--help``, and each prefix that argparse resolves to one
+option alone.  One rule says where every value is: an option that takes a
+value takes the next token, unless that token, or its part before "=", is
+one of its command's spellings, and the two are merged into
+``--option=value``.  The table then reads a call whose every token is
+``--spelling=value`` into the namespace argparse would return.  Argparse,
+given the same merged tokens, reads only what the table declines: help and
+every error.  So each help and error text is argparse's, and an error quotes
+the arguments as they were given.  A ``--`` separator ends the merging, so
+what follows it reaches argparse as it was given.  A ``--`` given as a flag's
+value, as ``--rect --`` or ``--rect=--``, leaves the flag without one, so the
+call exits 2 with "argument --rect: expected one argument".  Reports are
+written by a small writer that gives the same bytes as ``json.dumps(doc,
+indent=2)``, whose indented output has no C encoder.
 """
 
 from __future__ import annotations
@@ -303,97 +305,118 @@ def _cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _add_locate_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--grid-n", type=int, default=LocateConfig.grid_n, help="initial grid resolution per axis"
-    )
-    sub.add_argument(
-        "--refinements", type=int, default=LocateConfig.max_refinements, help="maximum grid doublings"
-    )
-    sub.add_argument(
-        "--tau",
-        type=float,
-        default=LocateConfig.tol_factor,
-        help="residual tolerance factor (times scale)",
-    )
+# the options of the commands that locate, of which verify takes --tau too
+_THEOREM = ("--theorem", dict(required=True, choices=tuple(THEOREMS)))
+_TAU = ("--tau", dict(type=float, default=LocateConfig.tol_factor, help="residual tolerance factor (times scale)"))
+_SEARCH = (
+    ("--grid-n", dict(type=int, default=LocateConfig.grid_n, help="initial grid resolution per axis")),
+    ("--refinements", dict(type=int, default=LocateConfig.max_refinements, help="maximum grid doublings")),
+    _TAU,
+)
+
+# each command's row: its help, its handler, and its options in the order help
+# lists them, each an option string and the keywords of its ``add_argument``;
+# every option takes one value
+_COMMANDS = {
+    "locate": ("find a mean-value point of a theorem residual", _cmd_locate, (
+        _THEOREM,
+        ("--f", dict(required=True, help="expression for f, e.g. 'x^2*y'")),
+        ("--g", dict(default=None, help="expression for g (Cauchy/Boggio theorems)")),
+        ("--rect", dict(required=True, help="x1,x2,y1,y2 for 2-D theorems; x1,x2 for the 1-D ones")),
+        *_SEARCH,
+    )),
+    "verify": ("evaluate a theorem residual at a claimed point", _cmd_verify, (
+        _THEOREM,
+        ("--f", dict(required=True)),
+        ("--g", dict(default=None)),
+        ("--rect", dict(required=True)),
+        ("--point", dict(required=True, help="xi1,xi2 (just xi for 1-D theorems)")),
+        _TAU,
+    )),
+    "sweep": ("run a deterministic sweep of generated cases", _cmd_sweep, (
+        _THEOREM,
+        ("--family", dict(default="poly4", help="poly<k>, bilinear, separable, exp-poly, rational")),
+        ("--count", dict(type=_positive_int, required=True)),
+        ("--seed", dict(type=int, default=42)),
+        ("--csv", dict(default=None, help="write one CSV row per case to this path")),
+        *_SEARCH,
+    )),
+    "grad-check": ("hyper-dual derivatives vs finite differences", _cmd_gradcheck, (
+        ("--f", dict(required=True)),
+        ("--at", dict(required=True, help="x,y evaluation point")),
+    )),
+    "parse": ("print the expression tree", _cmd_parse, (("--f", dict(required=True)),)),
+}
 
 
-@functools.cache
-def _build_argparser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first call and shared after it.
-
-    Building it costs about a millisecond, more than a whole ``parse`` or
-    ``grad-check`` call; parsing reads it and never changes it, so repeated
-    :func:`main` calls in one process can share it.
-    """
+def _argparser(commands: dict) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level argparse parser of the rows ``commands``, and each
+    command's own parser, the one ``add_parser`` returned."""
     parser = argparse.ArgumentParser(
         prog="rectmvt",
         description="Locate and verify mean-value points of rectangle mean value theorems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    locate_p = sub.add_parser("locate", help="find a mean-value point of a theorem residual")
-    locate_p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
-    locate_p.add_argument("--f", required=True, help="expression for f, e.g. 'x^2*y'")
-    locate_p.add_argument("--g", default=None, help="expression for g (Cauchy/Boggio theorems)")
-    locate_p.add_argument(
-        "--rect",
-        required=True,
-        help="x1,x2,y1,y2 for 2-D theorems; x1,x2 for the 1-D ones",
-    )
-    _add_locate_config_flags(locate_p)
-    locate_p.set_defaults(handler=_cmd_locate)
-
-    verify_p = sub.add_parser("verify", help="evaluate a theorem residual at a claimed point")
-    verify_p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
-    verify_p.add_argument("--f", required=True)
-    verify_p.add_argument("--g", default=None)
-    verify_p.add_argument("--rect", required=True)
-    verify_p.add_argument("--point", required=True, help="xi1,xi2 (just xi for 1-D theorems)")
-    verify_p.add_argument(
-        "--tau",
-        type=float,
-        default=LocateConfig.tol_factor,
-        help="residual tolerance factor (times scale)",
-    )
-    verify_p.set_defaults(handler=_cmd_verify)
-
-    sweep_p = sub.add_parser("sweep", help="run a deterministic sweep of generated cases")
-    sweep_p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
-    sweep_p.add_argument("--family", default="poly4", help="poly<k>, bilinear, separable, exp-poly, rational")
-    sweep_p.add_argument("--count", type=_positive_int, required=True)
-    sweep_p.add_argument("--seed", type=int, default=42)
-    sweep_p.add_argument("--csv", default=None, help="write one CSV row per case to this path")
-    _add_locate_config_flags(sweep_p)
-    sweep_p.set_defaults(handler=_cmd_sweep)
-
-    grad_p = sub.add_parser("grad-check", help="hyper-dual derivatives vs finite differences")
-    grad_p.add_argument("--f", required=True)
-    grad_p.add_argument("--at", required=True, help="x,y evaluation point")
-    grad_p.set_defaults(handler=_cmd_gradcheck)
-
-    parse_p = sub.add_parser("parse", help="print the expression tree")
-    parse_p.add_argument("--f", required=True)
-    parse_p.set_defaults(handler=_cmd_parse)
-
-    return parser
+    parsers = {}
+    for name, (text, handler, options) in commands.items():
+        parsers[name] = sub.add_parser(name, help=text)
+        for option, keywords in options:
+            parsers[name].add_argument(option, **keywords)
+        parsers[name].set_defaults(handler=handler)
+    return parser, parsers
 
 
-# flags whose values may start with a minus sign: each takes any token after
-# it that is not one of its command's spellings
-_VALUE_FLAGS = ("--rect", "--point", "--at", "--f", "--g")
+@functools.cache
+def _build_argparser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argparse parsers of ``_COMMANDS``, built on the first call that
+    needs them, for help or an error, and shared after it.
+
+    Building them costs about a millisecond, more than a whole ``parse`` or
+    ``grad-check`` call; parsing reads them and never changes them, so repeated
+    :func:`main` calls in one process can share them.
+    """
+    return _argparser(_COMMANDS)
+
+
+def _command_table(handler, options) -> tuple[dict, dict, frozenset[str]]:
+    """The option table of a command's row: its spellings, each option string,
+    ``-h`` and ``--help``, and each prefix that argparse resolves to that
+    option alone, mapped to the option's ``(dest, type, choices)`` (None for
+    help); the value argparse gives each dest when its option is not given
+    (its default, converted by its type when the default is a string), the
+    handler included; and the dests that are required."""
+    reads, defaults, required = {}, {}, set()
+    for option, keywords in options:
+        dest, kind = option.lstrip("-").replace("-", "_"), keywords.get("type")
+        reads[option] = (dest, kind, keywords.get("choices"))
+        default = keywords.get("default")
+        defaults[dest] = kind(default) if kind is not None and isinstance(default, str) else default
+        if keywords.get("required"):
+            required.add(dest)
+    strings = ["-h", "--help", *reads]
+    spellings = {
+        option[:end]: reads.get(option)
+        for option in strings for end in range(min(3, len(option)), len(option) + 1)
+        if end == len(option) or [o for o in strings if o.startswith(option[:end])] == [option]
+    }
+    return spellings, {**defaults, "handler": handler}, frozenset(required)
+
+
+@functools.cache
+def _commands() -> dict[str, tuple]:
+    """Each command's option table, read from its row of ``_COMMANDS``."""
+    return {name: _command_table(handler, options) for name, (_, handler, options) in _COMMANDS.items()}
 
 
 def _merge_flag_values(argv: list[str], spellings: dict) -> list[str]:
     """``argv`` with each option that takes a value merged with the token after
-    it into ``--spelling=value``, unless that token is one of the command's
-    ``spellings``: a value flag takes any other token, any other option one
-    that does not start with "-".  Merging stops at a ``--`` separator, and a
-    flag whose value is ``--`` ends the list without it, so it has none."""
+    it into ``--spelling=value``, unless that token, or its part before "=",
+    is one of the command's ``spellings``.  Merging stops at a ``--``
+    separator, and a flag whose value is ``--`` ends the list without it, so
+    it has none."""
     out: list[str] = []
     for i, arg in enumerate(argv):
-        action = spellings.get(out[-1]) if out else None
-        if action and arg not in spellings and (arg[:1] != "-" or action.option_strings[0] in _VALUE_FLAGS):
+        if out and spellings.get(out[-1]) and arg.partition("=")[0] not in spellings:
             out[-1] += "=" + arg
         elif arg == "--":
             return out + argv[i:]
@@ -405,37 +428,7 @@ def _merge_flag_values(argv: list[str], spellings: dict) -> list[str]:
     return out
 
 
-def _option_table(parser: argparse.ArgumentParser) -> tuple[dict, dict, frozenset[str]]:
-    """A parser's option table, read from its own argparse actions: its
-    spellings, each option string and each prefix that argparse resolves to
-    that option alone, mapped to the option's store action of one value (None
-    for an option that takes none); the value argparse gives each action's
-    dest when it is not given (its default, converted by its type when the
-    default is a string); and the dests that are required."""
-    options = parser._option_string_actions
-    actions = [a for a in parser._actions if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS]
-    return (
-        {
-            option[:end]: action if type(action) is argparse._StoreAction and action.nargs is None else None
-            for option, action in options.items() for end in range(min(3, len(option)), len(option) + 1)
-            if end == len(option) or [o for o in options if o.startswith(option[:end])] == [option]
-        },
-        {
-            a.dest: a.type(a.default) if a.type is not None and isinstance(a.default, str) else a.default
-            for a in actions
-        },
-        frozenset(a.dest for a in parser._actions if a.required),
-    )
-
-
-@functools.cache
-def _commands() -> dict[str, tuple]:
-    """Each command's own parser, the one ``add_parser`` returned, and its option table."""
-    (choices,) = (a.choices for a in _build_argparser()._actions if a.dest == "command")
-    return {name: (parser, *_option_table(parser)) for name, parser in choices.items()}
-
-
-def _table_namespace(command: str, argv: list[str], parser, spellings, defaults, required):
+def _table_namespace(command: str, argv: list[str], spellings, defaults, required):
     """The namespace argparse returns for ``command`` and its merged ``argv``,
     read from the command's option table, or None when some token is not
     ``--spelling=value`` of an option that takes a value, a value fails its
@@ -444,41 +437,37 @@ def _table_namespace(command: str, argv: list[str], parser, spellings, defaults,
     values = {}
     for token in argv:
         option, eq, value = token.partition("=")
-        action = spellings.get(option)
-        if action is None or not eq:
+        read = spellings.get(option)
+        if read is None or not eq:
             return None
-        if action.type is not None:
+        dest, kind, choices = read
+        if kind is not None:
             try:
-                value = action.type(value)
+                value = kind(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value  # a repeated option keeps its last value
+        values[dest] = value  # a repeated option keeps its last value
     if not required <= values.keys():
         return None
-    args = argparse.Namespace(command=command)
-    namespace = vars(args)
-    namespace.update(defaults)
-    namespace.update(values)
-    for dest, value in parser._defaults.items():
-        namespace.setdefault(dest, value)
-    return args
+    return argparse.Namespace(command=command, **{**defaults, **values})
 
 
 def _arguments(argv: list[str]) -> argparse.Namespace:
-    command = _commands().get(argv[0]) if argv else None
-    if command is None:
+    table = _commands().get(argv[0]) if argv else None
+    if table is None:
         # no command: help, usage and errors come from the top-level parser
-        return _build_argparser().parse_args(argv)
-    merged = _merge_flag_values(argv[1:], command[1])
-    args = _table_namespace(argv[0], merged, *command)
+        return _build_argparser()[0].parse_args(argv)
+    merged = _merge_flag_values(argv[1:], table[0])
+    args = _table_namespace(argv[0], merged, *table)
     if args is None:
-        # the top-level parser would hand every argument after the command to
-        # the command's parser, so that parser reads them alone
-        args, rest = command[0].parse_known_args(merged, argparse.Namespace(command=argv[0]))
+        # help or an error: the top-level parser would hand every argument
+        # after the command to the command's parser, so that parser reads them alone
+        parser, parsers = _build_argparser()
+        args, rest = parsers[argv[0]].parse_known_args(merged, argparse.Namespace(command=argv[0]))
         if rest:
-            _build_argparser().error(f"unrecognized arguments: {' '.join(rest)}")
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args
 
 

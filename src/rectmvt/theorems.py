@@ -4,9 +4,9 @@ Each theorem asserts that some identity holds at a point of the open
 rectangle.  We rewrite every identity as a continuous residual
 ``R(x, y) = LHS(x, y) - RHS`` whose zeros are exactly the mean-value points,
 so locating a point reduces to finding a zero of a scalar field.  Every field
-carries a ``scale`` (1 + |constant side of the identity|) that all tolerance
-checks are measured against, which keeps thresholds meaningful for both tiny
-and huge functions.
+carries a ``scale`` that all tolerance checks are measured against, which
+keeps thresholds meaningful for both tiny and huge functions; each row of
+:data:`THEOREMS` states its scale, and :class:`ResidualField` lists them.
 
 Each theorem is stated once, as a row of :data:`THEOREMS` whose formulas give
 its constants, checks, scale and residual; ``_field`` builds every field from
@@ -135,6 +135,12 @@ class ResidualField:
     one for an interval.  The residual takes one coordinate per axis, floats or
     numpy arrays, and is one function generated from its theorem's formula,
     which runs the compiled bodies of f (and g) once each.
+
+    ``scale`` is what every tolerance is measured against, as the theorem's
+    row states it: ``1 + |delta_f|`` for rmvt, ``1 + |delta_f| + |delta_g|``
+    for cauchy, ``1 + |rhs|`` for pompeiu2d, pompeiu1d and boggio1d, ``1 +
+    |rhs_f| + |rhs_g|`` for boggio2d, and for rolle, whose identity has no
+    constant side, 1 + the largest |f_xy| on a 9 x 9 sample of cell centers.
     """
 
     axes: tuple[tuple[float, float], ...]

@@ -17,11 +17,10 @@ Each tree is measured in a fresh ``python3`` process per round, for
 within a round, each figure is the best of ``PASSES`` passes over all the
 command's calls, after one pass that warms the process up.  With
 ``--baseline DIR``, DIR is the ``src`` directory of another checkout, and each
-round runs one process per tree.  The parent steps the two in lockstep, one
-pass of one command at a time, alternating which tree goes first, so that a
-slow spell of the host falls on both, while neither tree's heap depends on
-what the other allocated.  Each line then shows the baseline's figure, this
-tree's and their ratio.
+round runs one process per tree.  The parent steps the two in lockstep
+(``tests/lockstep.py``), one pass of one command at a time, alternating which
+tree goes first.  Each line then shows the baseline's figure, this tree's and
+their ratio.
 """
 
 import argparse
@@ -29,18 +28,15 @@ import contextlib
 import io
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
+from lockstep import Lockstep
+
 ROOT = Path(__file__).resolve().parents[1]
 PASSES = 3  # timed passes of each command per round, of which each figure is the best
 ONESHOT = ("locate", "verify", "grad-check", "parse")  # the commands of cli-oneshot
-
-# a fresh process that times the rectmvt under sys.argv[1], found first on its
-# path, with this script's directory (sys.argv[2]); see ``child``
-CHILD = "import sys; sys.path[:0] = sys.argv[1:3]; import cli_speed; cli_speed.child()"
 
 
 def run(argv: list[str]) -> tuple:
@@ -69,10 +65,11 @@ def calls(count: int) -> dict[str, list[list[str]]]:
 
 
 def child() -> None:
-    """Read the argument lists of each command as one JSON line from stdin;
-    then, for each command named on a later line, run all its calls once and
-    print the microseconds per call."""
+    """Read the argument lists of each command as one JSON line from stdin,
+    and print the commands' names; then, for each command named on a later
+    line, run all its calls once and print the microseconds per call."""
     by_command = json.loads(sys.stdin.readline())
+    print(json.dumps(list(by_command)), flush=True)
     for command in sys.stdin:
         argvs = by_command[json.loads(command)]
         start = perf_counter()
@@ -86,31 +83,16 @@ def run_round(trees, r: int, by_command) -> list[dict]:
     of each command; which tree goes first alternates from pass to pass,
     command to command and round to round.  Returns per tree each command's
     best pass in microseconds per call."""
-    here = str(Path(__file__).parent)
-    procs = [
-        subprocess.Popen([sys.executable, "-c", CHILD, str(src), here],
-                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        for src in trees
-    ]
-    try:
-        for p in procs:
-            p.stdin.write(json.dumps(by_command) + "\n")
-
-        def ask(k: int, command: str) -> float:
-            procs[k].stdin.write(json.dumps(command) + "\n")
-            procs[k].stdin.flush()
-            return json.loads(procs[k].stdout.readline())
-
+    with Lockstep("cli_speed", trees) as children:
+        for k in range(len(trees)):
+            children.ask(k, by_command)
         best = [{} for _ in trees]
         for i, command in enumerate(by_command):
             for p in range(1 + PASSES):  # the first pass warms up, untimed
-                for k in list(range(len(trees)))[:: 1 if (r + i + p) % 2 == 0 else -1]:
-                    us = ask(k, command)
+                for k in children.turns(r, i, p):
+                    us = children.ask(k, command)
                     if p:
                         best[k][command] = min(best[k].get(command, us), us)
-    finally:
-        for p in procs:
-            p.communicate()  # closes its stdin, so it ends, and waits for it
     return best
 
 

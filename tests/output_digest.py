@@ -31,6 +31,10 @@ The entries fall in five groups, with one digest each:
   and stderr of the ``SystemExit`` it raises.  No handler runs, so no sweep
   runs and no ``--csv`` file is written.
 
+An exception other than ``SystemExit`` is recorded, in the ``cli`` and
+``argv`` groups, as its type name and message, so that a tree that raises
+makes its group read DIFFERENT instead of stopping the run.
+
 With ``--baseline DIR``, DIR is the ``src`` directory of another checkout: its
 ``rectmvt`` is loaded under another name in this same process (digests do not
 depend on timing, so the two trees may share it), and each group's line shows
@@ -83,8 +87,7 @@ GRIDS = (
 )
 
 
-# per option, two values that pass its type and choices, then values that may
-# not or that only the argparse path reads
+# per option, two values that pass its type and choices, then values that may not
 FUZZ_VALUES = {
     "--theorem": ["rmvt", "boggio1d", "nope", "RMVT"], "--f": ["x*y", "sin(x)", "-x^2"],
     "--g": ["x+y", "", "-y"], "--rect": ["0,1,0,1", "1,2", "-1,2,1,3"], "--point": ["0.5,0.5", "1", "-0.5"],
@@ -128,30 +131,31 @@ def fuzz_argv(rng, command: str, options: list[str], required: list[str]) -> lis
 
 def fuzz_argvs(count: int, seed: int = 27) -> list[list[str]]:
     """``count`` argvs of ``fuzz_argv`` per command, from one generator seeded
-    with ``seed``; each command's options are read from this tree's parser,
-    so that every tree is given the same argvs."""
-    parser = importlib.import_module("rectmvt.cli")._build_argparser()
-    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+    with ``seed``; each command's options are read from this tree's rows of
+    ``cli._COMMANDS``, so that every tree is given the same argvs."""
+    rows = importlib.import_module("rectmvt.cli")._COMMANDS
     rng = random.Random(seed)
     argvs = []
-    for command, sub in commands.items():
-        stores = [a for a in sub._actions if type(a) is argparse._StoreAction]
-        options = [o for a in stores for o in a.option_strings]
-        required = [o for a in stores if a.required for o in a.option_strings]
-        argvs += [fuzz_argv(rng, command, options, required) for _ in range(count)]
+    for command, (_, _, options) in rows.items():
+        names = [option for option, _ in options]
+        required = [option for option, keywords in options if keywords.get("required")]
+        argvs += [fuzz_argv(rng, command, names, required) for _ in range(count)]
     return argvs
 
 
 def read_arguments(arguments, argv: list[str]):
     """What ``arguments`` (a tree's ``cli._arguments``) makes of ``argv``: the
-    namespace's items in order, with the handler written as its name, or the
-    exit code, stdout and stderr of the ``SystemExit`` it raised."""
+    namespace's items in order, with the handler written as its name, the
+    exit code, stdout and stderr of the ``SystemExit`` it raised, or the type
+    name and message of any other exception."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             items = vars(arguments(list(argv))).items()
         except SystemExit as exc:
             return (exc.code, out.getvalue(), err.getvalue())
+        except Exception as exc:  # a tree that raises reads DIFFERENT, not a traceback
+            return (type(exc).__name__, str(exc))
     return [(k, v.__name__ if k == "handler" else v) for k, v in items]
 
 
@@ -245,6 +249,8 @@ def cli_entries(name: str, count: int) -> list[tuple[str, str]]:
                 code = main(list(argv))
             except SystemExit as exc:  # an argparse error
                 code = exc.code
+            except Exception as exc:  # a tree whose handler raises reads DIFFERENT
+                code = (type(exc).__name__, str(exc))
         return code, out.getvalue(), err.getvalue()
 
     results = []

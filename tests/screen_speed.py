@@ -35,11 +35,10 @@ Each tree is measured in a fresh ``python3`` process per round, for
 within a round, each figure is the best of ``PASSES`` passes, and each page
 fault count that of the pass whose time is best.  With ``--baseline DIR``,
 DIR is the ``src`` directory of another checkout, and each round runs one
-process per tree.  The parent steps the two in lockstep, one pass of one
-figure at a time, alternating which tree goes first, so that a slow spell of
-the host falls on both, while neither tree's heap or page faults depend on
-what the other allocated.  Each line then shows the baseline's figure, this
-tree's and their ratio.  A last line gives the mean compile time over all
+process per tree.  The parent steps the two in lockstep
+(``tests/lockstep.py``), one pass of one figure at a time, alternating which
+tree goes first.  Each line then shows the baseline's figure, this tree's and
+their ratio.  A last line gives the mean compile time over all
 functions and this tree's cost over the baseline's.
 """
 
@@ -47,12 +46,13 @@ import argparse
 import json
 import resource
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+
+from lockstep import Lockstep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,10 +68,6 @@ COLUMNS = (
     "compile_us", "build_us", "scalar_us", "scalar_calls", *(f"screen{n}_us" for n in SCREEN_N),
     f"faults{SCREEN_N[-1]}", f"locate{GRID_N}_us", f"locate{LOCATE_N}_us", f"locate_faults{LOCATE_N}",
 )
-
-# a fresh process that measures the rectmvt under sys.argv[1], found first on
-# its path, with this script's directory (sys.argv[2]); see ``child``
-CHILD = "import sys; sys.path[:0] = sys.argv[1:3]; import screen_speed; screen_speed.child(*map(int, sys.argv[3:]))"
 
 
 def build_calls(tag: str, family: str, count: int, seed: int) -> list[tuple]:
@@ -230,18 +226,20 @@ def centres_of(field, n: int) -> list:
     return [lo + (np.arange(n) + 0.5) * ((hi - lo) / n) for lo, hi in field.axes]
 
 
-def child(count: int, seed: int) -> None:
+def child() -> None:
     """Answer the parent's commands with the ``rectmvt`` this process imports.
-    It first prints the theorem tags; then, for each command ``[tag, family,
-    phase]`` read from stdin, one JSON line.  Phase "cases" builds the line's
-    cases and prints the numbers of functions and fields, and "calls" prints
-    the Python calls per scalar call.  Each other phase runs one pass and
-    prints ``[us, faults]`` per item: compile, build and scalar time one
-    figure, and "screen" the two screens and the two ``locate`` configs."""
+    It first reads ``[count, seed]`` and prints the theorem tags; then, for
+    each command ``[tag, family, phase]`` read from stdin, one JSON line.
+    Phase "cases" builds the line's cases and prints the numbers of functions
+    and fields, and "calls" prints the Python calls per scalar call.  Each
+    other phase runs one pass and prints ``[us, faults]`` per item: compile,
+    build and scalar time one figure, and "screen" the two screens and the two
+    ``locate`` configs."""
     from rectmvt.locator import LocateConfig
     from rectmvt.theorems import THEOREMS
 
     configs = LocateConfig(), LocateConfig(grid_n=LOCATE_N, max_refinements=1)
+    count, seed = json.loads(sys.stdin.readline())
     print(json.dumps(list(THEOREMS)), flush=True)
     for command in sys.stdin:
         tag, family, phase = json.loads(command)
@@ -277,39 +275,24 @@ def run_round(trees, r: int, count: int, seed: int) -> tuple[list, list]:
     line and round to round.  Returns the lines as ``(tag, family, functions,
     fields)``, counted by this tree (the last), and per tree a dict of each
     line's figures, in the order of ``COLUMNS``."""
-    here = str(Path(__file__).parent)
-    procs = [
-        subprocess.Popen([sys.executable, "-c", CHILD, str(src), here, str(count), str(seed)],
-                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        for src in trees
-    ]
-    try:
-        tags = [json.loads(p.stdout.readline()) for p in procs][-1]
+    with Lockstep("screen_speed", trees) as children:
+        tags = [children.ask(k, [count, seed]) for k in range(len(trees))][-1]
         lines, figures = [], [{} for _ in trees]
-
-        def ask(k: int, command: list):
-            procs[k].stdin.write(json.dumps(command) + "\n")
-            procs[k].stdin.flush()
-            return json.loads(procs[k].stdout.readline())
-
         for i, (tag, family) in enumerate((t, f) for t in tags for f in FAMILIES):
-            sizes = [ask(k, [tag, family, "cases"]) for k in range(len(trees))]
+            sizes = [children.ask(k, [tag, family, "cases"]) for k in range(len(trees))]
             lines.append((tag, family, *sizes[-1]))
-            calls = [ask(k, [tag, family, "calls"]) for k in range(len(trees))]
+            calls = [children.ask(k, [tag, family, "calls"]) for k in range(len(trees))]
             best = {}
             for phase in ("compile", "build", "scalar", "screen"):
                 for p in range(PASSES):
-                    for k in list(range(len(trees)))[:: 1 if (r + i + p) % 2 == 0 else -1]:
-                        got = ask(k, [tag, family, phase])
+                    for k in children.turns(r, i, p):
+                        got = children.ask(k, [tag, family, phase])
                         # each [us, faults] of its best pass, with that pass's faults
                         best[k, phase] = [min(pair) for pair in zip(best.get((k, phase), got), got)]
             for k in range(len(trees)):
                 timed = [best[k, phase][0][0] for phase in ("compile", "build", "scalar")]
                 (s33, _), (s257, f257), (l33, _), (l257, lf257) = best[k, "screen"]
                 figures[k][tag, family] = [*timed, calls[k], s33, s257, f257, l33, l257, lf257]
-    finally:
-        for p in procs:
-            p.communicate()  # closes its stdin, so it ends, and waits for it
     return lines, figures
 
 

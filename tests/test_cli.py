@@ -770,20 +770,25 @@ def test_verify_takes_only_the_tolerance_flag(capsys, flag):
     ids=lambda argv: argv[0],
 )
 def test_flag_defaults_are_the_locate_config_defaults(argv):
-    args = cli._build_argparser().parse_args(argv)
-    if argv[0] == "verify":
-        assert cli.LocateConfig(tol_factor=args.tau) == cli.LocateConfig()
-    else:
-        assert cli._config_from_args(args) == cli.LocateConfig()
+    # as the option table reads them, and as argparse does
+    for args in (cli._arguments(argv), cli._build_argparser()[0].parse_args(argv)):
+        if argv[0] == "verify":
+            assert cli.LocateConfig(tol_factor=args.tau) == cli.LocateConfig()
+        else:
+            assert cli._config_from_args(args) == cli.LocateConfig()
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # a value flag followed by another option has no value, and is named
+        # an option followed by another option has no value, and is named
         (["grad-check", "--at", "--f", "x*y"], "argument --at: expected one argument"),
         (["grad-check", "--a", "--f", "x*y"], "argument --at: expected one argument"),
         (["grad-check", "--f", "--a", "1,2"], "argument --f: expected one argument"),
+        # and so is one followed by an option given as --option=value
+        (["grad-check", "--at", "--f=x*y"], "argument --at: expected one argument"),
+        (["locate", "--theorem", "rmvt", "--f", "x*y", "--rect", "0,1,0,1", "--g", "--tau=1e-3"],
+         "argument --g: expected one argument"),
         (["locate", "--theorem", "rmvt", "--f", "x", "--rect", "--grid-n", "9"], "argument --rect: expected one argument"),
         (["verify", "--theorem", "rmvt", "--f", "x", "--rect", "0,1,0,1", "--point", "-h"],
          "argument --point: expected one argument"),
@@ -915,27 +920,28 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
 
 
 def _handler_namespaces(monkeypatch):
-    """A list that records ``vars(args)`` of each handler call, with every
-    command's handler wrapped to record it."""
+    """A list that records ``vars(args)`` of each namespace ``main`` hands its
+    handler, with ``cli._arguments`` wrapped to record what it returns."""
     seen = []
-    for sub, *_ in cli._commands().values():
-        handler = sub.get_default("handler")
+    arguments = cli._arguments
 
-        def recording(args, handler=handler):
-            seen.append(dict(vars(args)))
-            return handler(args)
+    def recording(argv):
+        args = arguments(argv)
+        seen.append(dict(vars(args)))
+        return args
 
-        monkeypatch.setitem(sub._defaults, "handler", recording)
+    monkeypatch.setattr(cli, "_arguments", recording)
     return seen
 
 
-def _one_parser_for_all(argv):
+def _one_parser_for_all(argv, seen):
     """``main`` as it ran with the top-level parser reading every argument: the
-    merged arguments through ``parse_args``, then the handler, with ``main``'s
-    exception mapping."""
-    command = cli._commands().get(argv[0]) if argv else None
-    merged = argv if command is None else argv[:1] + cli._merge_flag_values(argv[1:], command[1])
-    args = cli._build_argparser().parse_args(merged)
+    merged arguments through ``parse_args``, recorded in ``seen``, then the
+    handler, with ``main``'s exception mapping."""
+    table = cli._commands().get(argv[0]) if argv else None
+    merged = argv if table is None else argv[:1] + cli._merge_flag_values(argv[1:], table[0])
+    args = cli._build_argparser()[0].parse_args(merged)
+    seen.append(dict(vars(args)))
     try:
         return args.handler(args)
     except cli.ParseError as err:
@@ -1015,6 +1021,10 @@ _DISPATCH_CORPUS = [
     # an option of another command, and a flag that is no option at all
     ["parse", "--f", "x", "--at=1,2"], ["grad-check", "--f", "x", "--at", "1,2", "--rect=0,1,0,1"],
     ["parse", "--f", "x", "=x"], ["parse", "--f", "x", "-"], ["parse", "--f", "x", "--f"],
+    # an option followed by another given as --option=value has no value, and
+    # one followed by a token that starts with "-" takes it
+    ["grad-check", "--at", "--f=x*y"], _LOCATE + ["--g", "--tau=1e-3"], ["parse", "--f", "--f=x*y"],
+    ["sweep", "--theorem", "rmvt", "--count", "1", "--csv", "-x", "--seed", "-0x10"], _LOCATE + ["--tau", "-1e-3"],
 ]
 
 
@@ -1022,7 +1032,7 @@ _DISPATCH_CORPUS = [
 def test_each_call_reads_its_arguments_as_the_top_level_parser_did(capsys, monkeypatch, argv):
     namespaces = _handler_namespaces(monkeypatch)
     results = []
-    for run in (main, _one_parser_for_all):
+    for run in (main, lambda argv: _one_parser_for_all(argv, namespaces)):
         try:
             code = run(list(argv))
         except SystemExit as exc:
@@ -1046,20 +1056,19 @@ def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
         return parse_known_args(parser, *args, **kwargs)
 
     monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", counting)
-    # an argv of option values, in either form, abbreviated or not, and a
-    # value flag's value that starts with "-", is read from the option table
+    cli._build_argparser.cache_clear()
+    # an argv of option values, in either form, abbreviated or not, and values
+    # that start with "-", is read from the option table, and builds no parser
     assert run_cli(capsys, "parse", "--f", "x")[0] == 0
     assert run_cli(capsys, "grad-check", "--f=x*y", "--at", "1,2")[0] == 0
     assert run_cli(capsys, *_LOCATE, "--grid-n", "9", "--grid-n=17")[0] == 0
     assert run_cli(capsys, "grad-check", "--f", "-x*y", "--a", "-1,2")[0] == 0
     assert run_cli(capsys, "sweep", "--the", "rmvt", "--count=1", "--seed", "3")[0] == 0
-    assert calls == []
-    # a spaced value that starts with "-" of any other flag is read by its
-    # command's own parser alone
     assert run_cli(capsys, "sweep", "--theorem", "rmvt", "--count", "1", "--seed", "-3")[0] == 0
-    assert calls == ["rectmvt sweep"]
-    # a known command never reaches the top-level parser, help and errors included
-    calls.clear()
+    assert run_cli(capsys, *_LOCATE, "--tau", "-1e-3") == (2, "", "invalid input: tol_factor must be positive\n")
+    assert (calls, cli._build_argparser.cache_info().currsize) == ([], 0)
+    # help and errors are argparse's, and a known command's never reach the
+    # top-level parser
     for argv in (["parse", "--help"], _LOCATE + ["--bogus"], ["sweep", "--theorem", "rmvt", "--count", "0"]):
         with pytest.raises(SystemExit):
             main(argv)
@@ -1071,18 +1080,36 @@ def test_the_option_table_reads_every_argv_as_argparse_does(monkeypatch):
     from output_digest import fuzz_argvs, read_arguments
 
     argvs = fuzz_argvs(2000)
-    taken = dict.fromkeys(cli._commands(), 0)
-    for argv in argvs:
-        command = cli._commands()[argv[0]]
-        taken[argv[0]] += cli._table_namespace(
-            argv[0], cli._merge_flag_values(argv[1:], command[1]), *command
-        ) is not None
+    tables = cli._commands()
+    read = [
+        cli._table_namespace(argv[0], cli._merge_flag_values(argv[1:], tables[argv[0]][0]), *tables[argv[0]])
+        is not None
+        for argv in argvs
+    ]
     ours = [read_arguments(cli._arguments, argv) for argv in argvs]
     monkeypatch.setattr(cli, "_table_namespace", lambda *args: None)
     theirs = [read_arguments(cli._arguments, argv) for argv in argvs]
     assert [argv for argv, a, b in zip(argvs, ours, theirs) if repr(a) != repr(b)] == []
+    # argparse reads only help and errors: every argv the table declines exits
+    assert [argv for argv, took, a in zip(argvs, read, ours) if not took and not isinstance(a, tuple)] == []
     # each command's argvs take each path at least 300 times of 2,000
+    taken = {command: sum(took for argv, took in zip(argvs, read) if argv[0] == command) for command in tables}
     assert all(300 <= n <= 1700 for n in taken.values()), taken
+
+
+def test_reading_arguments_records_any_other_exception_by_type_and_message():
+    from output_digest import read_arguments
+
+    def raising(argv):
+        print("partial output")
+        raise AttributeError("'list' object has no attribute 'split'")
+
+    def exiting(argv):
+        print("usage")
+        sys.exit(2)
+
+    assert read_arguments(raising, ["locate"]) == ("AttributeError", "'list' object has no attribute 'split'")
+    assert read_arguments(exiting, ["locate"]) == (2, "usage\n", "")
 
 
 @pytest.mark.parametrize(
@@ -1091,15 +1118,16 @@ def test_the_option_table_reads_every_argv_as_argparse_does(monkeypatch):
         (["grad-check", "--f", "x*y", "--a", "-1,2"], "--at"),
         (["locate", "--theorem", "rmvt", "--f", "x^2*y", "--rec", "-1,-0.5,1,2"], "--rect"),
         (["verify", "--theorem", "rmvt", "--f", "x^2*y", "--r", "-1,-0.5,1,2", "--po", "-0.75,1.5"], "--rect"),
+        (["sweep", "--theorem", "rmvt", "--count", "1", "--se", "-3"], "--seed"),
     ],
-    ids=["--a", "--rec", "--r --po"],
+    ids=["--a", "--rec", "--r --po", "--se"],
 )
 def test_an_abbreviated_value_flag_takes_a_negative_value(capsys, argv, flag):
-    # the abbreviation resolves to one value flag of the command, as argparse
+    # the abbreviation resolves to one option of the command, as argparse
     # resolves it; until it was merged with its value, argparse read "-1,2" as
     # an option string and exited 2
     full = [
-        {"--a": "--at", "--rec": "--rect", "--r": "--rect", "--po": "--point"}.get(arg, arg)
+        {"--a": "--at", "--rec": "--rect", "--r": "--rect", "--po": "--point", "--se": "--seed"}.get(arg, arg)
         for arg in argv
     ]
     assert full != argv and flag in full
@@ -1116,24 +1144,27 @@ def test_an_ambiguous_abbreviation_still_exits_2(capsys):
     assert err.endswith("rectmvt locate: error: ambiguous option: --re could match --rect, --refinements\n")
 
 
-def test_each_command_merges_the_abbreviations_of_its_own_value_flags():
+def test_each_command_spells_its_own_options_and_their_unique_prefixes():
     # every exact name, and each prefix that is one option's alone
-    parser, spellings, *_ = cli._commands()["grad-check"]
-    at, f = (parser._option_string_actions[o] for o in ("--at", "--f"))
+    spellings = cli._commands()["grad-check"][0]
     assert spellings == {
-        "-h": None, "--h": None, "--he": None, "--hel": None, "--help": None, "--f": f, "--a": at, "--at": at,
+        "-h": None, "--h": None, "--he": None, "--hel": None, "--help": None,
+        "--f": ("f", None, None), "--a": ("at", None, None), "--at": ("at", None, None),
     }
-    flags = {
-        name: {s for s, a in spellings.items() if a and a.option_strings[0] in cli._VALUE_FLAGS}
-        - set(cli._VALUE_FLAGS)
-        for name, (_, spellings, *_) in cli._commands().items()
-    }
-    assert flags == {
-        "locate": {"--rec"},
-        "verify": {"--r", "--re", "--rec", "--p", "--po", "--poi", "--poin"},
-        "sweep": set(),
-        "grad-check": {"--a"},
-        "parse": set(),
+    # each option's shortest spelling; every longer prefix of its option string spells it too
+    shortest = {}
+    for name, (spellings, *_) in cli._commands().items():
+        for option, _ in cli._COMMANDS[name][2]:
+            prefixes = [option[:end] for end in range(3, len(option) + 1)
+                        if spellings.get(option[:end]) == spellings[option]]
+            assert prefixes == [option[:end] for end in range(len(option) + 1 - len(prefixes), len(option) + 1)]
+            shortest.setdefault(name, []).append(prefixes[0])
+    assert shortest == {
+        "locate": ["--th", "--f", "--g", "--rec", "--gr", "--ref", "--ta"],
+        "verify": ["--th", "--f", "--g", "--r", "--p", "--ta"],
+        "sweep": ["--th", "--f", "--co", "--s", "--cs", "--g", "--r", "--ta"],
+        "grad-check": ["--f", "--a"],
+        "parse": ["--f"],
     }
 
 
@@ -1213,25 +1244,30 @@ def test_every_printed_document_is_what_json_dumps_writes(monkeypatch):
     assert printed == {"locate": 140, "verify": 140, "grad-check": 140, "sweep": 7}
 
 
-def test_the_option_table_of_any_parser_reads_as_argparse_does():
+def test_the_option_table_of_any_row_set_reads_as_argparse_does(capsys):
     # a string default that its type converts, a default that is not a
-    # string, choices, and an action the table leaves to argparse
-    parser = cli.argparse.ArgumentParser(prog="p")
-    parser.add_argument("--n", type=int, default="5")
-    parser.add_argument("--x", type=float, default=None, choices=(0.5, 1.0))
-    parser.add_argument("--name", default="a", required=True)
-    parser.add_argument("--flag", action="store_true")
-    parser.set_defaults(handler=len, n=7)
-    table = cli._option_table(parser)
-    assert sorted(s for s, action in table[0].items() if action) == ["--n", "--na", "--nam", "--name", "--x"]
-    assert {s for s, action in table[0].items() if not action} == {
-        "-h", "--h", "--he", "--hel", "--help", "--f", "--fl", "--fla", "--flag"
-    }
-    for argv in (["--name", "b"], ["--name=b", "--n", "3", "--x=1"], ["--nam", "c", "--n=4", "--n", "6"]):
+    # string, choices, a required option, and two options that share a prefix
+    options = (
+        ("--n", dict(type=int, default="5")),
+        ("--x", dict(type=float, default=None, choices=(0.5, 1.0))),
+        ("--name", dict(default="a", required=True)),
+        ("--nap", dict(type=int, default=3)),
+    )
+    _, parsers = cli._argparser({"p": ("a command", len, options)})
+    table = cli._command_table(len, options)
+    assert sorted(s for s, read in table[0].items() if read) == ["--n", "--nam", "--name", "--nap", "--x"]
+    assert {s for s, read in table[0].items() if not read} == {"-h", "--h", "--he", "--hel", "--help"}
+    for argv in (["--name", "b"], ["--name=b", "--n", "3", "--x=1"], ["--nam", "c", "--n=4", "--n", "6"],
+                 ["--name", "b", "--n", "-3", "--nap=-1"], ["--name", "-b", "--x", "0.5"]):
         merged = cli._merge_flag_values(argv, table[0])
-        ours = cli._table_namespace("p", merged, parser, *table)
-        theirs, rest = parser.parse_known_args(argv, cli.argparse.Namespace(command="p"))
+        ours = cli._table_namespace("p", merged, *table)
+        theirs, rest = parsers["p"].parse_known_args(merged, cli.argparse.Namespace(command="p"))
         assert (list(vars(ours).items()), rest) == (list(vars(theirs).items()), [])
-    for argv in ([], ["--name", "b", "--flag"], ["--name", "b", "--x", "2"], ["--name", "b", "--n", "x"],
-                 ["--name", "b", "--n", "-3"]):
-        assert cli._table_namespace("p", cli._merge_flag_values(argv, table[0]), parser, *table) is None
+    # what the table declines, argparse rejects
+    for argv in ([], ["--name", "b", "--x", "2"], ["--name", "b", "--n", "x"], ["--name", "b", "--na", "1"],
+                 ["--name", "--n=1"], ["--name", "b", "--h"], ["--name", "b", "stray"]):
+        merged = cli._merge_flag_values(argv, table[0])
+        assert cli._table_namespace("p", merged, *table) is None
+        with pytest.raises(SystemExit):
+            parsers["p"].parse_args(merged)
+    capsys.readouterr()

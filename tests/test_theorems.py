@@ -1,4 +1,3 @@
-import argparse
 import math
 import random
 
@@ -152,13 +151,11 @@ def _raises(exc, fn, *args) -> bool:
 
 
 def test_theorem_table_matches_cli_choices():
-    parser = cli._build_argparser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     choices = {
-        name: action.choices
-        for name, sub in commands.choices.items()
-        for action in sub._actions
-        if action.dest == "theorem"
+        name: keywords["choices"]
+        for name, (_, _, options) in cli._COMMANDS.items()
+        for option, keywords in options
+        if option == "--theorem"
     }
     assert set(choices) == {"locate", "verify", "sweep"}
     for name, tags in choices.items():
