@@ -24,6 +24,15 @@ value, as ``--rect --`` or ``--rect=--``, leaves the flag without one, so the
 call exits 2 with "argument --rect: expected one argument".  Reports are
 written by a small writer that gives the same bytes as ``json.dumps(doc,
 indent=2)``, whose indented output has no C encoder.
+
+Calls of :func:`main` in one process share what they read: the last two
+parsed ``--f``/``--g`` trees, keyed by their text, and the last residual
+field, keyed by the theorem, f, g and ``--rect`` text.  So ``verify`` at the
+point that ``locate`` returned builds nothing, and ``grad-check`` and
+``parse`` of the same f parse nothing.  A call that fails stores nothing, so
+a repeat fails again, the same way; and each call still prints what it
+prints in a fresh process.  A builder rebound in ``harness`` is used for the
+next field built, not for one that is reused.
 """
 
 from __future__ import annotations
@@ -139,12 +148,36 @@ def _emit(doc) -> None:
     print("".join(out))
 
 
-def _build_field(args):
-    """Residual field for the requested theorem; returns (field, bounds)."""
-    f = parse(args.f)
-    g = parse(args.g) if args.g is not None else None
-    bounds = _floats(args.rect, 2 if THEOREMS[args.theorem].one_dim else 4, "--rect")
-    return build_field(args.theorem, f, g, bounds), bounds
+# what one call reads, kept for the next: verify repeats the theorem, f, g and
+# rect text of the locate before it, and grad-check and parse repeat its f, so
+# two trees (f and g) and one field serve that sequence.  Keys hold the argument
+# text, as the floats read from it alone would merge -0.0 and 0.0; a call that
+# raises stores nothing.
+@functools.lru_cache(maxsize=2)
+def _tree(text: str) -> Expression:
+    """The tree of one ``--f`` or ``--g`` text."""
+    return parse(text)
+
+
+@functools.lru_cache(maxsize=1)
+def _field(theorem: str, f: str, g: str | None, rect: str, bounds: tuple[float, ...]):
+    """The residual field of the argument text, whose trees :func:`_tree`
+    holds and whose ``rect`` reads as ``bounds``."""
+    return build_field(theorem, _tree(f), None if g is None else _tree(g), bounds)
+
+
+def _build_field(args, point: str | None = None):
+    """Residual field for the requested theorem; returns ``(field, bounds,
+    point)``, the point read from its text ``point`` (None without one).  The
+    text is read in order, f, g, ``--rect`` and ``--point``, so the first bad
+    one is reported, and before the field is built."""
+    n = 2 if THEOREMS[args.theorem].one_dim else 4
+    _tree(args.f)
+    if args.g is not None:
+        _tree(args.g)
+    bounds = _floats(args.rect, n, "--rect")
+    xi = None if point is None else _floats(point, n // 2, "--point")
+    return _field(args.theorem, args.f, args.g, args.rect, tuple(bounds)), bounds, xi
 
 
 def _config_from_args(args) -> LocateConfig:
@@ -161,7 +194,7 @@ def _point_doc(xi1: float, xi2: float | None = None) -> dict:
 
 def _cmd_locate(args) -> int:
     cfg = _config_from_args(args)
-    field, rect = _build_field(args)
+    field, rect, _ = _build_field(args)
     report = locate(field, cfg)
     doc = {
         "theorem": args.theorem,
@@ -188,8 +221,7 @@ def _cmd_locate(args) -> int:
 def _cmd_verify(args) -> int:
     # the tolerance follows the locate rule, so --tau is validated the same way
     tol_factor = LocateConfig(tol_factor=args.tau).tol_factor
-    field, rect = _build_field(args)
-    point = _floats(args.point, len(field.axes), "--point")
+    field, rect, point = _build_field(args, args.point)
     # invalid input is rejected before the residual is evaluated
     tolerance = tol_factor * field.scale
     if not math.isfinite(tolerance):
@@ -251,7 +283,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    f = parse(args.f)
+    f = _tree(args.f)
     x, y = _floats(args.at, 2, "--at")
     hd = eval_hyperdual(f, x, y)
     fd = finite_difference_oracle(f, x, y)
@@ -300,7 +332,7 @@ def _dump_ast(expr: Expression) -> list[str]:
 
 
 def _cmd_parse(args) -> int:
-    expr = parse(args.f)
+    expr = _tree(args.f)
     print("\n".join(_dump_ast(expr)))
     return EXIT_OK
 

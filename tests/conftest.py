@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rectmvt import cli
 from rectmvt.expr import BinOp, Call, Const, Expression, Neg, Var, FUNCTIONS
 
 
@@ -24,3 +25,12 @@ def _random_expression(rng: random.Random, depth: int = 0) -> Expression:
 @pytest.fixture
 def random_expression():
     return _random_expression
+
+
+@pytest.fixture(autouse=True)
+def cold_cli_caches():
+    """Each test starts as a fresh process does, with no tree or field that
+    ``cli.main`` keeps from one call for the next, so a test that rebinds a
+    builder sees it run."""
+    cli._tree.cache_clear()
+    cli._field.cache_clear()

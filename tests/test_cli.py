@@ -1271,3 +1271,127 @@ def test_the_option_table_of_any_row_set_reads_as_argparse_does(capsys):
         with pytest.raises(SystemExit):
             parsers["p"].parse_args(merged)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each field fails to build (exit 3), which was reported before the bad point
+        ["verify", "--theorem", "cauchy", "--f", "x*y", "--g", "x+y", "--rect", "0,1,0,1", "--point", "abc"],
+        ["verify", "--theorem", "rolle", "--f", "x^2*y", "--rect", "0,1,0,1", "--point", "1,2,3"],
+        ["verify", "--theorem", "pompeiu2d", "--f", "x*y", "--rect", "-1,1,1,2", "--point", "zz"],
+        # a point of an interval has one coordinate
+        ["verify", "--theorem", "pompeiu1d", "--f", "x^3", "--rect", "-1,1", "--point", "0.5,0.5"],
+    ],
+)
+def test_a_malformed_point_exits_2_before_the_field_is_built(capsys, monkeypatch, argv):
+    n = 1 if "pompeiu1d" in argv else 2
+    assert run_cli(capsys, *argv[:-1], ",".join(["0.5"] * n))[0] == 3
+
+    def built(*args):
+        raise AssertionError("built the field")
+
+    monkeypatch.setattr(cli, "build_field", built)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: --point expects {n} comma-separated numbers, got {argv[-1]!r}\n"
+
+
+def _count_builds(monkeypatch, *names):
+    """The list to which each call of the ``harness`` builders ``names``
+    appends the builder's name."""
+    from rectmvt import harness
+
+    built = []
+    for name in names:
+        def counting(*args, name=name, builder=getattr(harness, name)):
+            built.append(name)
+            return builder(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+    return built
+
+
+def test_verify_after_locate_on_one_argv_builds_one_field_and_f_is_parsed_once(capsys, monkeypatch):
+    built = _count_builds(monkeypatch, "rect_mvt_residual")
+    parsed = []
+    monkeypatch.setattr(cli, "parse", lambda text: parsed.append(text) or parse(text))
+    flags = ["--theorem", "rmvt", "--f", "x^2*y", "--rect", "0,1,0,1"]
+    code, out, _ = run_cli(capsys, "locate", *flags)
+    point = ",".join(map(repr, json.loads(out)["point"].values()))
+    code, out, _ = run_cli(capsys, "verify", *flags, "--point", point)
+    assert code == 0 and json.loads(out)["within_tolerance"] is True
+    assert run_cli(capsys, "grad-check", "--f", "x^2*y", "--at", point)[0] == 0
+    assert run_cli(capsys, "parse", "--f", "x^2*y")[0] == 0
+    assert (built, parsed) == (["rect_mvt_residual"], ["x^2*y"])
+
+
+def test_a_field_is_reused_only_for_the_same_theorem_f_g_and_rect_text(capsys, monkeypatch):
+    built = _count_builds(monkeypatch, "rect_cauchy_residual", "boggio2d_residual")
+    base = {"--theorem": "cauchy", "--f": "x^2*y^2", "--g": "x*y", "--rect": "1,2,1,3"}
+
+    def verify(**changes):
+        argv = ["verify"]
+        for option, text in {**base, **changes}.items():
+            argv += [option, text]
+        code, out, err = run_cli(capsys, *argv, "--point", "1.5,2")
+        assert code == 0, err
+        return out
+
+    first = verify()
+    assert verify() == first and built == ["rect_cauchy_residual"]
+    # the same functions and bounds in other text, or another theorem, miss;
+    # one field is kept, so the base is built again after each
+    for option, text in (("--theorem", "boggio2d"), ("--f", "x^2 * y^2"), ("--g", "(x*y)"), ("--rect", "1.0,2,1,3")):
+        built.clear()
+        verify(**{option: text})
+        assert verify() == first
+        assert built == ["boggio2d_residual" if text == "boggio2d" else "rect_cauchy_residual", "rect_cauchy_residual"]
+
+
+def test_a_negative_zero_bound_is_another_field(capsys, monkeypatch):
+    # -0.0 == 0.0 and the two hash alike, so a key of floats would merge them
+    built = _count_builds(monkeypatch, "rect_mvt_residual")
+    for rect in ("0,1,0,1", "-0.0,1,0,1"):
+        code, out, _ = run_cli(capsys, "verify", "--theorem", "rmvt", "--f", "x^2*y", "--rect", rect, "--point", "0.5,0.5")
+        assert code == 0
+    assert built == ["rect_mvt_residual"] * 2
+    assert repr(json.loads(out)["rect"][0]) == "-0.0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["parse", "--f", "x+"], "parse error: "),
+        (["locate", "--theorem", "pompeiu2d", "--f", "x*y", "--rect", "-1,1,1,2"], "precondition violated: "),
+        (["locate", "--theorem", "rmvt", "--f", "log(x)*y", "--rect", "-1,1,1,2"], "evaluation failed: "),
+    ],
+)
+def test_a_failing_parse_or_build_fails_the_same_way_on_a_repeat(capsys, argv, message):
+    first = run_cli(capsys, *argv)
+    assert first[0] in (2, 3) and first[2].startswith(message)
+    assert run_cli(capsys, *argv) == first
+    # nothing was stored for the failure, so the repeat ran it again
+    cache = cli._tree if argv[0] == "parse" else cli._field
+    assert (cache.cache_info().hits, cache.cache_info().misses, cache.cache_info().currsize) == (0, 2, 0)
+
+
+def test_warm_caches_print_what_a_fresh_process_does():
+    from output_digest import case_commands, generated_cases
+
+    def run(argv, cold=False):
+        if cold:
+            cli._tree.cache_clear()
+            cli._field.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    for _, flags, center in generated_cases(1):
+        hits = cli._field.cache_info().hits
+        warm = case_commands(flags, center, run)
+        # every case locates, so its verify reuses the field locate built
+        assert [code for _, (code, _, _) in warm] == [0, 0, 0, 0]
+        assert cli._field.cache_info().hits == hits + 1
+        assert warm == case_commands(flags, center, lambda argv: run(argv, cold=True))
